@@ -6,12 +6,22 @@ plain SGD on the squared TD error of the chosen action.  Bootstrap
 targets come from a delayed copy of the weights refreshed every
 ``target_sync`` gradient steps, and transitions are replayed uniformly
 (with replacement) out of a fixed-capacity FIFO ring.
+
+The hot loop runs on arrays, not objects.  ``train`` and
+``greedy_rollout`` walk the integer state ids of ``FingeringEnv``,
+whose per-score tables give each step's reward and successor and each
+state's one-hot feature columns.  The replay ring is four preallocated
+arrays (state id, action, reward, next state id; next id -1 marks a
+terminal step), and the network keeps each parameter set and its
+gradient in one flat float64 buffer, so an SGD step, its finiteness
+check and a target sync are one array operation each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,61 +29,112 @@ from .env import FingeringEnv
 
 
 class TrainingError(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+    """Raised when a loss, gradient or chosen Q-value stops being finite.
+
+    ``layer`` is the first layer, counted from 1 at the input, whose
+    gradient holds a non-finite entry (None if only the loss or a Q-value
+    does).  ``train`` re-raises with the ``episode`` and the gradient
+    ``step`` (counted from 1) under way, and the message names all three.
+    """
+
+    def __init__(self, problem: str, layer: Optional[int] = None,
+                 episode: Optional[int] = None, step: Optional[int] = None):
+        self.problem = problem
+        self.layer = layer
+        self.episode = episode
+        self.step = step
+        where = [f"{name} {value}" for name, value in
+                 (("episode", episode), ("gradient step", step), ("layer", layer))
+                 if value is not None]
+        super().__init__(problem + (" in " + ", ".join(where) if where else ""))
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: Optional[np.ndarray]   # None marks a terminal transition
-    done: bool
+class Batch(NamedTuple):
+    """Replayed transitions as parallel arrays; next id -1 = terminal."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring sampled uniformly with replacement."""
+    """Fixed-capacity FIFO ring sampled uniformly with replacement.
+
+    Slot ``i`` of the four arrays holds the ``i``-th transition pushed
+    until the ring is full; after that each push overwrites the oldest.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._ring = Batch(np.empty(capacity, dtype=np.intp), np.empty(capacity, dtype=np.intp),
+                           np.empty(capacity), np.empty(capacity, dtype=np.intp))
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def push(self, item: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._cursor] = item   # overwrite the oldest entry
-        self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, state: int, action: int, reward: float, next_state: int) -> None:
+        i = self._cursor
+        ring = self._ring
+        ring.states[i] = state
+        ring.actions[i] = action
+        ring.rewards[i] = reward
+        ring.next_states[i] = next_state
+        self._cursor = (i + 1) % self.capacity
+        if self._size < self.capacity:
+            self._size += 1
 
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        if not self._items:
+    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=k)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(0, self._size, size=k)
+        ring = self._ring
+        return Batch(ring.states[idx], ring.actions[idx], ring.rewards[idx],
+                     ring.next_states[idx])
 
-    def items(self) -> list[Transition]:
+    def items(self) -> Batch:
         """Current contents, oldest first."""
-        if len(self._items) < self.capacity:
-            return list(self._items)
-        return self._items[self._cursor:] + self._items[:self._cursor]
+        order = np.arange(self._size)
+        if self._size == self.capacity:
+            order = np.roll(order, -self._cursor)
+        return Batch(*(column[order] for column in self._ring))
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _dense_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(h @ w + b), computed in place in the product."""
+    z = h @ w
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
+def _layer_views(buffer: np.ndarray, sizes: Sequence[int]):
+    """(weights, biases) of a layer stack as views into one flat buffer
+    holding every layer's weights, then every layer's biases."""
+    shapes = [*zip(sizes[:-1], sizes[1:]), *((n,) for n in sizes[1:])]
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size
+    n_layers = len(sizes) - 1
+    return tuple(views[:n_layers]), tuple(views[n_layers:])
 
 
 class QNetwork:
     """Fully connected Q-network holding online and target parameter sets.
 
-    Weights and biases start uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]
-    drawn from the given generator; the target set starts as an exact copy
-    of the online set.
+    Each set lives in one flat float64 buffer (``theta``,
+    ``target_theta``) laid out as every layer's weights, then every
+    layer's biases; ``weights``/``biases`` and
+    ``target_weights``/``target_biases`` are views into them, and
+    ``grad_weights``/``grad_biases`` view the gradient buffer ``grad``
+    that ``train_step`` fills.  Weights and biases start uniform in
+    [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn from the given generator;
+    the target set starts as an exact copy of the online set.
     """
 
     def __init__(self, input_dim: int, hidden: Sequence[int] = (64, 64),
@@ -82,33 +143,42 @@ class QNetwork:
         sizes = [input_dim, *hidden, n_actions]
         self.input_dim = input_dim
         self.n_actions = n_actions
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
-        self.target_weights = [w.copy() for w in self.weights]
-        self.target_biases = [b.copy() for b in self.biases]
+        n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+        self.theta = np.empty(n_params)
+        self.weights, self.biases = _layer_views(self.theta, sizes)
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        self.target_theta = self.theta.copy()
+        self.target_weights, self.target_biases = _layer_views(self.target_theta, sizes)
+        self.grad = np.zeros(n_params)
+        self.grad_weights, self.grad_biases = _layer_views(self.grad, sizes)
 
     def sync_target(self) -> None:
         """Copy the online parameters into the target set."""
-        self.target_weights = [w.copy() for w in self.weights]
-        self.target_biases = [b.copy() for b in self.biases]
+        np.copyto(self.target_theta, self.theta)
 
     def forward(self, features, target: bool = False) -> np.ndarray:
         """Q-values for one feature vector or a (batch, dim) array."""
-        ws = self.target_weights if target else self.weights
-        bs = self.target_biases if target else self.biases
         x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        h = np.atleast_2d(x)
+        h = x.reshape(1, -1) if x.ndim == 1 else x
         if h.shape[1] != self.input_dim:
             raise ValueError(f"expected features of width {self.input_dim}, got {h.shape[1]}")
+        _, q = self._layers(h, target)
+        return q[0] if x.ndim == 1 else q
+
+    def _layers(self, X: np.ndarray, target: bool = False):
+        """Each layer's input (X, then every hidden activation) and the
+        Q-values, for a (batch, dim) array."""
+        ws = self.target_weights if target else self.weights
+        bs = self.target_biases if target else self.biases
+        hs = [X]
         for w, b in zip(ws[:-1], bs[:-1]):
-            h = _relu(h @ w + b)
-        q = h @ ws[-1] + bs[-1]
-        return q[0] if single else q
+            hs.append(_dense_relu(hs[-1], w, b))
+        q = hs[-1] @ ws[-1]
+        q += bs[-1]
+        return hs, q
 
     def train_step(self, states, actions, targets, learning_rate: float) -> float:
         """One SGD step on the mean squared error of the chosen actions.
@@ -116,15 +186,13 @@ class QNetwork:
         The gradient flows only through each sample's chosen output;
         targets are constants.  Returns the pre-step loss.
         """
-        loss, grads_w, grads_b = self._loss_and_grads(states, actions, targets)
-        if not np.isfinite(loss) or any(
-            not np.all(np.isfinite(g)) for g in (*grads_w, *grads_b)
-        ):
-            raise TrainingError(f"non-finite loss or gradient (loss={loss!r})")
-        for w, g in zip(self.weights, grads_w):
-            w -= learning_rate * g
-        for b, g in zip(self.biases, grads_b):
-            b -= learning_rate * g
+        loss = self._backward(states, actions, targets)
+        if not (math.isfinite(loss) and np.isfinite(self.grad).all()):
+            bad = [k + 1 for k, (gw, gb) in enumerate(zip(self.grad_weights, self.grad_biases))
+                   if not (np.isfinite(gw).all() and np.isfinite(gb).all())]
+            raise TrainingError(f"non-finite loss or gradient (loss={loss!r})",
+                                layer=bad[0] if bad else None)
+        self.theta -= learning_rate * self.grad
         return loss
 
     def loss(self, states, actions, targets) -> float:
@@ -134,48 +202,31 @@ class QNetwork:
         err = picked - np.asarray(targets, dtype=float)
         return float(np.mean(err ** 2))
 
-    def _loss_and_grads(self, states, actions, targets):
+    def _backward(self, states, actions, targets) -> float:
+        """Loss of the online set; writes its gradient into ``grad``."""
         X = np.asarray(states, dtype=float)
         a_idx = np.asarray(actions, dtype=int) - 1
         y = np.asarray(targets, dtype=float)
         n = X.shape[0]
-        hs = [X]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            hs.append(_relu(hs[-1] @ w + b))
-        q = hs[-1] @ self.weights[-1] + self.biases[-1]
-        picked = q[np.arange(n), a_idx]
-        err = picked - y
-        loss = float(np.mean(err ** 2))
+        rows = np.arange(n)
+        hs, q = self._layers(X)
+        err = q[rows, a_idx] - y
+        loss = float(np.add.reduce(err * err) / n)   # np.mean(err ** 2)'s bits, less overhead
         delta = np.zeros_like(q)
-        delta[np.arange(n), a_idx] = 2.0 * err / n
-        grads_w: list[np.ndarray] = []
-        grads_b: list[np.ndarray] = []
+        delta[rows, a_idx] = 2.0 * err / n
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w.append(hs[layer].T @ delta)
-            grads_b.append(delta.sum(axis=0))
+            np.matmul(hs[layer].T, delta, out=self.grad_weights[layer])
+            np.add.reduce(delta, axis=0, out=self.grad_biases[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (hs[layer] > 0.0)
-        return loss, grads_w[::-1], grads_b[::-1]
-
-    def _forward_with_masks(self, X: np.ndarray):
-        """Batch forward that also reports the hidden activation pattern."""
-        h = X
-        masks = []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w + b
-            masks.append(z > 0.0)
-            h = np.maximum(z, 0.0)
-        q = h @ self.weights[-1] + self.biases[-1]
-        return q, masks
+                delta = delta @ self.weights[layer].T
+                np.multiply(delta, hs[layer] > 0.0, out=delta)
+        return loss
 
     def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in (*self.weights, *self.biases)])
+        return self.theta.copy()
 
     def set_flat_params(self, theta: np.ndarray) -> None:
-        i = 0
-        for p in (*self.weights, *self.biases):
-            p[...] = theta[i:i + p.size].reshape(p.shape)
-            i += p.size
+        self.theta[:] = theta
 
 
 def gradient_check(net: QNetwork, states, actions, targets, delta: float = 1e-4):
@@ -193,14 +244,14 @@ def gradient_check(net: QNetwork, states, actions, targets, delta: float = 1e-4)
     a_idx = np.asarray(actions, dtype=int) - 1
     y = np.asarray(targets, dtype=float)
     n = X.shape[0]
-    _, gw, gb = net._loss_and_grads(X, np.asarray(actions), y)
-    analytic = np.concatenate([g.ravel() for g in (*gw, *gb)])
+    net._backward(X, np.asarray(actions), y)
+    analytic = net.grad.copy()
     theta = net.get_flat_params()
 
-    def picked_loss() -> float:
-        q, masks = net._forward_with_masks(X)
+    def picked_loss():
+        hs, q = net._layers(X)
         err = q[np.arange(n), a_idx] - y
-        return float(np.mean(err ** 2)), masks
+        return float(np.mean(err ** 2)), [h > 0.0 for h in hs[1:]]
 
     max_rel = 0.0
     checked = 0
@@ -270,8 +321,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.target_sync < 1:
             raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def epsilon_at(config: TrainConfig, episode: int) -> float:
@@ -286,24 +337,31 @@ def epsilon_at(config: TrainConfig, episode: int) -> float:
 
 def select_action(net: QNetwork, state_features, epsilon: float,
                   rng: Optional[np.random.Generator] = None) -> int:
-    """Epsilon-greedy finger choice; greedy ties break to the lowest finger."""
+    """Epsilon-greedy finger choice; greedy ties break to the lowest finger.
+
+    Raises TrainingError if the greedy pick's Q-value is not finite (a
+    NaN anywhere in the Q-vector is picked first)."""
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("exploration (epsilon > 0) needs an rng")
         if rng.random() < epsilon:
             return int(rng.integers(1, 6))
     q = net.forward(state_features)
-    return int(np.argmax(q)) + 1
+    a = int(np.argmax(q))
+    if not math.isfinite(q[a]):
+        raise TrainingError(f"non-finite Q-value {float(q[a])!r} for finger {a + 1}")
+    return a + 1
 
 
-def compute_targets(batch: Sequence[Transition], net: QNetwork, gamma: float) -> np.ndarray:
+def compute_targets(batch: Batch, net: QNetwork, gamma: float,
+                    env: FingeringEnv) -> np.ndarray:
     """Bootstrap targets: r for terminal transitions, else
     r + gamma * max target-network Q of the successor."""
-    y = np.array([t.r for t in batch], dtype=float)
-    live = [i for i, t in enumerate(batch) if not t.done]
-    if live:
-        nxt = np.stack([batch[i].s_next for i in live])
-        y[np.asarray(live)] += gamma * net.forward(nxt, target=True).max(axis=1)
+    y = batch.rewards.copy()
+    live = batch.next_states >= 0
+    if live.any():
+        nxt = env.features(batch.next_states[live])
+        y[live] += gamma * net.forward(nxt, target=True).max(axis=1)
     return y
 
 
@@ -324,7 +382,8 @@ def train(env: FingeringEnv, config: TrainConfig,
     regresses the online net toward the bootstrap targets, and copies the
     online weights into the target set every ``target_sync`` gradient
     steps.  ``episode_hook(episode, net)`` runs after each episode; it is
-    observation-only.
+    observation-only.  A TrainingError names the episode and the
+    gradient step it happened in.
     """
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
@@ -333,29 +392,26 @@ def train(env: FingeringEnv, config: TrainConfig,
     grad_steps = 0
     for episode in range(config.episodes):
         eps = epsilon_at(config, episode)
-        state = env.reset()
+        state = env.start_id
         total = 0.0
         losses: list[float] = []
-        while state is not None:
-            features = env.encode(state)
-            action = select_action(net, features, eps, rng)
-            outcome = env.step(state, action)
-            nxt_features = None if outcome.next_state is None else env.encode(outcome.next_state)
-            buffer.push(Transition(features, action, outcome.reward, nxt_features, outcome.done))
-            if len(buffer) >= config.batch_size:
-                batch = buffer.sample(config.batch_size, rng)
-                targets = compute_targets(batch, net, config.gamma)
-                losses.append(net.train_step(
-                    np.stack([t.s for t in batch]),
-                    [t.a for t in batch],
-                    targets,
-                    config.learning_rate,
-                ))
-                grad_steps += 1
-                if grad_steps % config.target_sync == 0:
-                    net.sync_target()
-            total += outcome.reward
-            state = outcome.next_state
+        try:
+            while state >= 0:
+                action = select_action(net, env.features(state), eps, rng)
+                reward, nxt = env.transition(state, action)
+                buffer.push(state, action, reward, nxt)
+                if len(buffer) >= config.batch_size:
+                    batch = buffer.sample(config.batch_size, rng)
+                    targets = compute_targets(batch, net, config.gamma, env)
+                    losses.append(net.train_step(env.features(batch.states), batch.actions,
+                                                 targets, config.learning_rate))
+                    grad_steps += 1
+                    if grad_steps % config.target_sync == 0:
+                        net.sync_target()
+                total += reward
+                state = nxt
+        except TrainingError as exc:
+            raise TrainingError(exc.problem, exc.layer, episode, grad_steps + 1) from exc
         history.append(EpisodeRecord(
             episode, total, eps, float(np.mean(losses)) if losses else 0.0
         ))
@@ -372,11 +428,10 @@ def greedy_rollout(net: QNetwork, env: FingeringEnv):
     """
     fingering = [env.score.first_finger]
     total = 0.0
-    state = env.reset()
-    while state is not None:
-        action = select_action(net, env.encode(state), 0.0)
+    state = env.start_id
+    while state >= 0:
+        action = select_action(net, env.features(state), 0.0)
         fingering.append(action)
-        outcome = env.step(state, action)
-        total += outcome.reward
-        state = outcome.next_state
+        reward, state = env.transition(state, action)
+        total += reward
     return fingering, total

@@ -172,7 +172,10 @@ def _cmd_solve(args) -> int:
     reward_kwargs = {}
     if args.config:
         _, reward_kwargs, _ = _split_config(read_config_file(args.config))
-    model = RewardModel(**reward_kwargs)
+    try:
+        model = RewardModel(**reward_kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     fingering, total = dp_optimal(score, model)
     changes = count_position_changes(score, fingering, model)
     print(f"score: {score.name} ({len(score)} notes)")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .agent import TrainConfig, epsilon_at
 from .env import FingeringEnv
-from .reward import RewardModel, is_feasible
+from .reward import RewardModel, is_feasible, reward_table
 from .score import FINGERS, Score, ScoreSizeError
 
 _EXHAUSTIVE_MAX_LEN = 12
@@ -25,20 +25,6 @@ _EXHAUSTIVE_MAX_LEN = 12
 
 class FingeringError(ValueError):
     """Raised for malformed or infeasible complete fingerings."""
-
-
-def _reward_table(score: Score, model: RewardModel) -> np.ndarray:
-    """R[t, f-1, g-1] = reward for playing note t+1 with finger g when
-    note t is held by finger f."""
-    pitches = score.pitches
-    n = len(pitches)
-    table = np.empty((n - 1, 5, 5), dtype=float)
-    for t in range(n - 1):
-        for f in FINGERS:
-            state = (f, pitches[t], pitches[t + 1])
-            for g in FINGERS:
-                table[t, f - 1, g - 1] = model.reward(state, g)
-    return table
 
 
 def dp_optimal(score: Score, model: Optional[RewardModel] = None):
@@ -50,7 +36,7 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     the fingering including the score's fixed first finger.
     """
     model = model if model is not None else RewardModel()
-    table = _reward_table(score, model)
+    table = reward_table(score, model)
     n_steps = table.shape[0]
     # value[t][f-1] = best total reward from note t onward, holding finger f
     value = np.zeros(5)
@@ -86,7 +72,7 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
             f"got {len(score)}"
         )
     model = model if model is not None else RewardModel()
-    table = _reward_table(score, model)
+    table = reward_table(score, model)
     totals = table[0, score.first_finger - 1].copy()
     for t in range(1, table.shape[0]):
         totals = (totals.reshape(-1, 5, 1) + table[t][None, :, :]).reshape(-1)

@@ -23,6 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .score import FINGERS, Score
+
 NATURAL_OFFSET = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7}
 
 
@@ -56,7 +60,7 @@ class RewardModel:
     r_infeasible: float = -10.0
 
     def __post_init__(self):
-        if self.anchor_tolerance < 0:
+        if not self.anchor_tolerance >= 0:   # also rejects nan
             raise ValueError(f"anchor_tolerance must be >= 0, got {self.anchor_tolerance}")
         if not self.r_infeasible < self.r_move < self.r_stay:
             raise ValueError(
@@ -72,3 +76,17 @@ class RewardModel:
         if is_position_change(cf, cn, action, nn, self.anchor_tolerance):
             return self.r_move
         return self.r_stay
+
+
+def reward_table(score: Score, model: RewardModel) -> np.ndarray:
+    """R[t, f-1, g-1] = reward for playing note t+1 with finger g when
+    note t is held by finger f."""
+    pitches = score.pitches
+    n = len(pitches)
+    table = np.empty((n - 1, 5, 5), dtype=float)
+    for t in range(n - 1):
+        for f in FINGERS:
+            state = (f, pitches[t], pitches[t + 1])
+            for g in FINGERS:
+                table[t, f - 1, g - 1] = model.reward(state, g)
+    return table

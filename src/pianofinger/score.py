@@ -4,12 +4,14 @@ A score file is UTF-8 text.  The first meaningful line must be a
 ``first_finger=<1-5>`` header; every later line holds one note, written
 either as a MIDI number (21..108) or as a scientific pitch name with
 C4 = 60 (``C4``, ``F#2``, ``Bb5``).  A comma-separated duration token may
-follow the pitch and is accepted but ignored.  ``#`` starts a comment and
-blank lines are skipped.
+follow the pitch and is accepted but ignored.  ``#`` starts a comment at
+the start of a line or after whitespace (elsewhere it is a sharp, as in
+``C#4``), and blank lines are skipped.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 PITCH_MIN = 21   # A0
@@ -40,6 +42,8 @@ class PitchRangeError(ScoreError):
 class ScoreSizeError(ScoreError):
     """A score length constraint was violated."""
 
+
+_COMMENT = re.compile(r"(?:^|\s)#")   # a sharp follows its letter, a comment does not
 
 _LETTER_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
@@ -129,7 +133,7 @@ def parse_score(text: str, name: str = "score") -> Score:
     header_finger = None
     notes: list[Note] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if header_finger is None:

@@ -26,10 +26,10 @@ import numpy as np
 import pytest
 
 from pianofinger.agent import (
+    Batch,
     QNetwork,
     ReplayBuffer,
     TrainConfig,
-    Transition,
     compute_targets,
     gradient_check,
     greedy_rollout,
@@ -242,29 +242,31 @@ def test_criterion_07_gradient_check(capsys):
 
 def test_criterion_08_replay_and_target_mechanics(capsys):
     checks = {}
+    score = Score.from_pitches([60, 62, 64, 65, 67], 1)
+    env = FingeringEnv(score, encoding=StateEncoding.for_score(score))
 
     # FIFO eviction at capacity
     buf = ReplayBuffer(5)
     for tag in range(8):
-        buf.push(Transition(np.zeros(2), 1, float(tag), np.zeros(2), False))
-    checks["fifo"] = [t.r for t in buf.items()] == [3.0, 4.0, 5.0, 6.0, 7.0]
+        buf.push(tag, 1, float(tag), tag + 1)
+    checks["fifo"] = buf.items().rewards.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     # targets read the delayed weights only: perturbing the online set
     # between two computations must not move y
-    net = QNetwork(6, hidden=(8,), rng=np.random.default_rng(0))
-    batch = [Transition(np.eye(6)[i], i % 5 + 1, -1.0, np.eye(6)[(i + 1) % 6], False)
-             for i in range(4)]
-    y_before = compute_targets(batch, net, 0.95)
+    net = QNetwork(env.input_dim, hidden=(8,), rng=np.random.default_rng(0))
+    ids = np.arange(4, dtype=np.intp)
+    batch = Batch(ids, ids % 5 + 1, np.full(4, -1.0), ids + 5)
+    y_before = compute_targets(batch, net, 0.95, env)
     for w in net.weights:
         w += 1.0
-    y_after = compute_targets(batch, net, 0.95)
+    y_after = compute_targets(batch, net, 0.95, env)
     checks["targets_from_delayed_copy"] = np.array_equal(y_before, y_after)
 
     # terminal targets are exactly r
-    terminal = [Transition(np.eye(6)[0], 2, -10.0, None, True),
-                Transition(np.eye(6)[1], 4, 1.0, None, True)]
+    terminal = Batch(np.array([15, 16]), np.array([2, 4]), np.array([-10.0, 1.0]),
+                     np.array([-1, -1]))
     checks["terminal_exact"] = np.array_equal(
-        compute_targets(terminal, net, 0.95), [-10.0, 1.0])
+        compute_targets(terminal, net, 0.95, env), [-10.0, 1.0])
 
     # sync copies the online set exactly
     net.sync_target()
@@ -277,8 +279,6 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     # sync cadence, seen from its endpoints: syncing after every
     # gradient step leaves the two sets equal when training stops;
     # never syncing leaves the delayed set at its initial value
-    score = Score.from_pitches([60, 62, 64, 65, 67], 1)
-    env = FingeringEnv(score, encoding=StateEncoding.for_score(score))
     net_every, _ = train(env, TrainConfig(
         episodes=6, seed=0, batch_size=4, target_sync=1, learning_rate=0.05))
     checks["sync_every_step"] = all(

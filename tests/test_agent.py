@@ -6,12 +6,12 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from pianofinger.agent import (
+    Batch,
     EpisodeRecord,
     QNetwork,
     ReplayBuffer,
     TrainConfig,
     TrainingError,
-    Transition,
     compute_targets,
     epsilon_at,
     gradient_check,
@@ -131,6 +131,46 @@ def test_non_finite_targets_raise_training_error():
         net.train_step(np.eye(4), [1, 2, 3, 4], np.array([1.0, np.nan, 0.0, 0.0]), 0.1)
 
 
+def test_training_error_names_the_first_non_finite_layer():
+    # input 1e-3 drives a hidden unit to 100 through a 1e5 weight; a target
+    # of -1e307 then overflows the loss and the output-layer gradient
+    # (100 * 2e307) while the hidden layer's gradient stays finite
+    net = _zero_net(input_dim=2, hidden=(3,))
+    net.weights[0][0, :] = 1e5
+    net.weights[1][:] = 1e-3
+    with np.errstate(over="ignore"), pytest.raises(TrainingError) as info:
+        net.train_step(np.array([[1e-3, 0.0]]), [1], np.array([-1e307]), 0.1)
+    assert info.value.layer == 2
+    assert "layer 2" in str(info.value)
+    assert np.isfinite(net.grad_weights[0]).all() and np.isfinite(net.grad_biases[0]).all()
+    assert not np.isfinite(net.grad_weights[1]).all()
+
+
+def test_non_finite_loss_with_finite_gradients_names_no_layer():
+    net = _zero_net(input_dim=2, hidden=(3,))
+    before = net.get_flat_params()
+    with np.errstate(over="ignore"), pytest.raises(TrainingError, match=r"loss=inf") as info:
+        net.train_step(np.array([[1.0, 0.0]]), [1], np.array([1e200]), 0.1)
+    assert info.value.layer is None
+    assert np.isfinite(net.grad).all()
+    assert np.array_equal(net.get_flat_params(), before)   # no step was taken
+
+
+def test_flat_buffers_back_the_layer_views():
+    net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
+    assert net.theta.size == 4 * 6 + 6 * 5 + 6 + 5
+    for views, buffer in ((net.weights + net.biases, net.theta),
+                          (net.target_weights + net.target_biases, net.target_theta),
+                          (net.grad_weights + net.grad_biases, net.grad)):
+        assert all(np.shares_memory(v, buffer) for v in views)
+    assert np.array_equal(net.get_flat_params(), np.concatenate(
+        [p.ravel() for p in (*net.weights, *net.biases)]))
+    theta = np.arange(net.theta.size, dtype=float)
+    net.set_flat_params(theta)
+    assert net.weights[0][0, 1] == 1.0 and net.biases[-1][-1] == theta[-1]
+    assert not np.shares_memory(net.get_flat_params(), net.theta)
+
+
 def test_gradient_check_small_net():
     net = QNetwork(7, hidden=(9, 8), rng=np.random.default_rng(42))
     rng = np.random.default_rng(43)
@@ -184,6 +224,18 @@ def test_full_exploration_is_uniform_and_skips_the_net():
     assert scipy.stats.chisquare(counts).pvalue > 0.01
 
 
+def test_non_finite_greedy_q_raises_training_error():
+    # argmax picks the first NaN, so a NaN head must not pass as finger 1
+    net = _fixed_q_net([0.0] * 5)
+    net.weights[-1][:] = np.nan
+    with pytest.raises(TrainingError, match="non-finite Q-value"):
+        select_action(net, np.ones(4), 0.0)
+    with pytest.raises(TrainingError):
+        select_action(_fixed_q_net([0.0, np.inf, 0.0, 0.0, 0.0]), np.zeros(4), 0.0)
+    # a non-finite value that is not picked is no error
+    assert select_action(_fixed_q_net([0.0, -np.inf, 1.0, 0.0, 0.0]), np.zeros(4), 0.0) == 3
+
+
 @given(st.floats(0.0, 1.0), st.integers(0, 10_000))
 @settings(max_examples=50)
 def test_selected_action_is_always_a_finger(epsilon, seed):
@@ -194,81 +246,122 @@ def test_selected_action_is_always_a_finger(epsilon, seed):
 
 # --- bootstrap targets -----------------------------------------------------
 
+def _batch(rewards, next_states, actions=None):
+    """Replayed transitions from state 0; next id -1 marks a terminal step."""
+    k = len(rewards)
+    return Batch(np.zeros(k, dtype=np.intp),
+                 np.asarray(actions if actions is not None else [1] * k, dtype=np.intp),
+                 np.asarray(rewards, dtype=float),
+                 np.asarray(next_states, dtype=np.intp))
+
+
 def test_terminal_target_is_the_reward():
-    net = _fixed_q_net([100.0] * 5)   # must be ignored for terminal transitions
-    batch = [Transition(np.zeros(4), 1, -10.0, None, True),
-             Transition(np.zeros(4), 2, 1.0, None, True)]
-    assert np.array_equal(compute_targets(batch, net, 0.95), [-10.0, 1.0])
+    env = _small_env()
+    net = _fixed_q_net([100.0] * 5, input_dim=env.input_dim)
+    net.sync_target()                  # must be ignored for terminal transitions
+    batch = _batch([-10.0, 1.0], [-1, -1], actions=[1, 2])
+    assert np.array_equal(compute_targets(batch, net, 0.95, env), [-10.0, 1.0])
 
 
 def test_bootstrap_uses_target_network_only():
-    net = _zero_net()
+    env = _small_env()
+    net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [2.0, 0.0, 0.0, 0.0, 0.0]
     net.sync_target()                  # target says max Q = 2
     net.biases[-1][:] = 0.0            # online says max Q = 0
-    batch = [Transition(np.zeros(4), 3, -1.0, np.zeros(4), False)]
-    y = compute_targets(batch, net, 0.95)
+    batch = _batch([-1.0], [5], actions=[3])
+    y = compute_targets(batch, net, 0.95, env)
     assert y.shape == (1,)
     assert y[0] == pytest.approx(-1.0 + 0.95 * 2.0)
 
 
 def test_gamma_zero_targets_are_rewards():
-    net = _fixed_q_net([7.0] * 5)
+    env = _small_env()
+    net = _fixed_q_net([7.0] * 5, input_dim=env.input_dim)
     net.sync_target()
-    batch = [Transition(np.zeros(4), 1, 1.0, np.zeros(4), False),
-             Transition(np.zeros(4), 2, -1.0, np.zeros(4), False)]
-    assert np.array_equal(compute_targets(batch, net, 0.0), [1.0, -1.0])
+    batch = _batch([1.0, -1.0], [5, 6], actions=[1, 2])
+    assert np.array_equal(compute_targets(batch, net, 0.0, env), [1.0, -1.0])
 
 
 def test_mixed_batch_targets():
-    net = _zero_net()
+    env = _small_env()
+    net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [0.0, 3.0, 0.0, 0.0, 0.0]
     net.sync_target()
     net.biases[-1][:] = 0.0
-    batch = [
-        Transition(np.zeros(4), 1, 1.0, np.zeros(4), False),
-        Transition(np.zeros(4), 1, -10.0, None, True),
-        Transition(np.zeros(4), 5, -1.0, np.zeros(4), False),
-    ]
-    y = compute_targets(batch, net, 0.5)
+    batch = _batch([1.0, -10.0, -1.0], [5, -1, 9], actions=[1, 1, 5])
+    y = compute_targets(batch, net, 0.5, env)
     assert y == pytest.approx([1.0 + 0.5 * 3.0, -10.0, -1.0 + 0.5 * 3.0])
+
+
+def test_targets_read_the_successor_features():
+    # the bootstrap term is the target net's max Q at the successor's
+    # features, one row per live transition
+    env = _small_env()
+    net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(2))
+    batch = _batch([0.5, 0.25, -1.0], [7, -1, 13], actions=[2, 4, 1])
+    y = compute_targets(batch, net, 0.9, env)
+    expected = [0.5 + 0.9 * net.forward(env.features(7), target=True).max(),
+                0.25,
+                -1.0 + 0.9 * net.forward(env.features(13), target=True).max()]
+    assert y == pytest.approx(expected, rel=1e-12)
 
 
 # --- replay buffer ---------------------------------------------------------
 
-def _tagged(tag, done=False):
-    return Transition(np.zeros(2), 1, float(tag), None if done else np.zeros(2), done)
+def _push_tagged(buf, tag, done=False):
+    buf.push(tag, 1, float(tag), -1 if done else tag + 1)
 
 
 def test_buffer_overwrites_oldest_first():
     buf = ReplayBuffer(5)
     for tag in range(8):
-        buf.push(_tagged(tag))
+        _push_tagged(buf, tag)
     assert len(buf) == 5
-    assert [t.r for t in buf.items()] == [3.0, 4.0, 5.0, 6.0, 7.0]
+    items = buf.items()
+    assert items.rewards.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
+    assert items.states.tolist() == [3, 4, 5, 6, 7]
+    assert items.next_states.tolist() == [4, 5, 6, 7, 8]
 
 
 def test_buffer_items_before_wraparound():
     buf = ReplayBuffer(5)
     for tag in range(3):
-        buf.push(_tagged(tag))
-    assert [t.r for t in buf.items()] == [0.0, 1.0, 2.0]
+        _push_tagged(buf, tag, done=tag == 2)
+    items = buf.items()
+    assert items.rewards.tolist() == [0.0, 1.0, 2.0]
+    assert items.next_states.tolist() == [1, 2, -1]
 
 
 def test_buffer_sample_with_replacement():
     buf = ReplayBuffer(4)
-    buf.push(_tagged(9))
+    _push_tagged(buf, 9)
     out = buf.sample(10, np.random.default_rng(0))     # k > len is fine
-    assert len(out) == 10
-    assert all(t.r == 9.0 for t in out)
+    assert len(out.rewards) == 10
+    assert all(r == 9.0 for r in out.rewards)
+    assert all(len(column) == 10 for column in out)
 
 
 def test_buffer_sample_draws_only_stored_items():
     buf = ReplayBuffer(16)
     for tag in range(6):
-        buf.push(_tagged(tag))
+        _push_tagged(buf, tag)
     out = buf.sample(200, np.random.default_rng(1))
-    assert {t.r for t in out} <= {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
+    assert set(out.rewards.tolist()) <= {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
+    # the columns of one draw stay together
+    assert np.array_equal(out.states.astype(float), out.rewards)
+    assert np.array_equal(out.next_states, out.states + 1)
+
+
+def test_buffer_sample_indexes_ring_slots_with_one_draw():
+    # sample draws rng.integers(0, len, size=k) once and returns those ring
+    # slots; slot i holds the i-th push until the ring wraps
+    buf = ReplayBuffer(4)
+    for tag in range(6):                 # slots now hold 4, 5, 2, 3
+        _push_tagged(buf, tag)
+    out = buf.sample(9, np.random.default_rng(3))
+    idx = np.random.default_rng(3).integers(0, 4, size=9)
+    assert out.rewards.tolist() == [[4.0, 5.0, 2.0, 3.0][i] for i in idx]
 
 
 def test_empty_buffer_sample_raises():
@@ -318,6 +411,9 @@ def test_config_validation():
         TrainConfig(episodes=10, target_sync=0)
     with pytest.raises(ValueError):
         TrainConfig(episodes=10, learning_rate=-0.01)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(episodes=10, learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(episodes=10, replay_capacity=0)
 

@@ -153,6 +153,29 @@ def test_train_rejects_invalid_hyperparameters(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf",
+                                  "anchor_tolerance=nan", "r_stay=nan"])
+def test_train_rejects_non_finite_config_values(tmp_path, capsys, line):
+    score = _write_score(tmp_path, TINY_SCORE)
+    config = tmp_path / "nan.cfg"
+    config.write_text(f"episodes=3\n{line}\n")
+    assert main(["train", score, "--config", str(config)]) == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+
+
+def test_train_rejects_nan_learning_rate_flag(tmp_path, capsys):
+    score = _write_score(tmp_path, TINY_SCORE)
+    assert main(["train", score, "--episodes", "3", "--learning-rate", "nan"]) == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
+def test_solve_rejects_nan_anchor_tolerance(tmp_path, capsys):
+    config = tmp_path / "nan.cfg"
+    config.write_text("anchor_tolerance=nan\n")
+    assert main(["solve", "--ex", "2", "--config", str(config)]) == 2
+    assert "anchor_tolerance" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_3(tmp_path, capsys):
     import warnings
 

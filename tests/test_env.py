@@ -9,7 +9,7 @@ from pianofinger.env import (
     StateEncoding,
     encode_state,
 )
-from pianofinger.reward import RewardModel
+from pianofinger.reward import RewardModel, reward_table
 from pianofinger.score import MelodicRange, Score
 
 
@@ -164,3 +164,56 @@ def test_reward_is_encoding_independent():
         b = env_range.step(env_range.reset(), action)
         assert a.reward == b.reward
         assert a.done == b.done
+
+
+# --- per-score tables ------------------------------------------------------
+
+def _all_states(score):
+    """(state id, FingerState) for every state of the score."""
+    p = score.pitches
+    return [(5 * t + f - 1, FingerState(f, p[t], p[t + 1], t))
+            for t in range(len(p) - 1) for f in range(1, 6)]
+
+
+@given(st.lists(st.integers(55, 79), min_size=2, max_size=12), st.integers(1, 5),
+       st.booleans())
+def test_tables_match_step_and_encode(pitches, first, full_piano):
+    score = Score.from_pitches(pitches, first)
+    enc = StateEncoding.full_piano() if full_piano else StateEncoding.for_score(score)
+    env = FingeringEnv(score, encoding=enc)
+    states = _all_states(score)
+    assert env.columns.shape == (5 * (len(score) - 1), 3)
+    assert env.columns.dtype.kind == "i"
+    assert env.reset() == states[env.start_id][1]
+    for sid, state in states:
+        assert np.array_equal(env.features(sid), env.encode(state))
+        for action in range(1, 6):
+            out = env.step(state, action)
+            reward, nxt = env.transition(sid, action)
+            assert reward == out.reward and type(reward) is float
+            if out.done:
+                assert nxt == -1
+            else:
+                assert states[nxt][1] == out.next_state
+    ids = np.array([sid for sid, _ in states][::-1])
+    assert np.array_equal(env.features(ids),
+                          np.stack([env.encode(state) for _, state in states[::-1]]))
+
+
+def test_reward_rows_are_the_oracle_table():
+    score = Score.from_pitches([60, 59, 64, 64, 72], 2)
+    model = RewardModel(anchor_tolerance=1.0)
+    env = FingeringEnv(score, reward_model=model)
+    assert np.array_equal(env.rewards, reward_table(score, model).reshape(-1, 5))
+
+
+def test_transition_validates_its_input():
+    env = FingeringEnv(Score.from_pitches([60, 62], 1))
+    with pytest.raises(ValueError):
+        env.transition(env.start_id, 0)
+    with pytest.raises(ValueError):
+        env.transition(env.start_id, 6)
+    _, nxt = env.transition(env.start_id, 3)
+    assert nxt == -1
+    with pytest.raises(ValueError):
+        env.transition(nxt, 1)

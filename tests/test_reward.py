@@ -50,6 +50,8 @@ def test_reward_ordering_enforced():
         RewardModel(r_infeasible=0.0)
     with pytest.raises(ValueError):
         RewardModel(anchor_tolerance=-1.0)
+    with pytest.raises(ValueError, match="anchor_tolerance"):
+        RewardModel(anchor_tolerance=float("nan"))
 
 
 def test_same_finger_new_pitch_is_always_a_change():

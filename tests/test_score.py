@@ -173,6 +173,39 @@ def test_serialize_parse_round_trip(pitches, ff):
     assert back.first_finger == s.first_finger
 
 
+def test_parse_sharps_are_not_comments():
+    assert parse_score("first_finger=1\nC#4\nD4\n").pitches == (61, 62)
+    assert parse_score("first_finger=2\nF##3\nC#4 # c-sharp\n").pitches == (55, 61)
+    assert parse_score("first_finger=2\n#C#4\n60\n\t# F#4\n61\n").pitches == (60, 61)
+
+
+_LETTERS = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
+
+
+@st.composite
+def _spelled_pitch(draw):
+    """A pitch and one of its spellings, up to three stacked accidentals."""
+    letter = draw(st.sampled_from(sorted(_LETTERS)))
+    shift = draw(st.integers(-3, 3))
+    base = _LETTERS[letter] + shift
+    octave = draw(st.integers(-(-(PITCH_MIN - base) // 12), (PITCH_MAX - base) // 12)) - 1
+    accidentals = "#" * shift if shift > 0 else "b" * -shift
+    return base + 12 * (octave + 1), f"{letter}{accidentals}{octave}"
+
+
+@given(st.lists(st.tuples(_spelled_pitch(), st.sampled_from(["", ", 0.5", ",1"]),
+                          st.sampled_from(["", " # note", "\t#C#4", "  #"])),
+                min_size=2, max_size=12),
+       fingers)
+def test_pitch_name_files_round_trip(lines, ff):
+    text = f"# written with pitch names\nfirst_finger={ff}\n" + "".join(
+        f"{name}{duration}{comment}\n" for (_, name), duration, comment in lines)
+    back = parse_score(text)
+    assert back.pitches == tuple(pitch for (pitch, _), _, _ in lines)
+    assert back.first_finger == ff
+    assert parse_score(serialize_score(back)) == back
+
+
 @given(st.lists(st.integers(40, 90), min_size=2, max_size=12), fingers,
        st.integers(55, 75))
 def test_mirror_is_involution(pitches, ff, axis):
