@@ -28,9 +28,10 @@ from .oracle import (
     FingeringError,
     count_position_changes,
     dp_optimal,
+    fingering_rewards,
     fingering_total_reward,
 )
-from .reward import RewardModel, is_feasible
+from .reward import RewardModel
 from .score import Score, ScoreError, mirror_for_left_hand, parse_score, serialize_score
 
 DEFAULT_EPISODES = 500
@@ -261,10 +262,8 @@ def _cmd_eval(args) -> int:
         )
     fingering = [f for _, f in pairs]
     total = fingering_total_reward(score, fingering)
-    feasible = all(
-        is_feasible(fingering[t], score.pitches[t], fingering[t + 1], score.pitches[t + 1])
-        for t in range(len(score) - 1)
-    )
+    # the reward ordering is strict: r_infeasible marks exactly the crossings
+    feasible = not (fingering_rewards(score, fingering) == RewardModel().r_infeasible).any()
     print(f"total_reward: {total:.6f}")
     print(f"feasible: {'true' if feasible else 'false'}")
     if feasible:

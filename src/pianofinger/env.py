@@ -122,11 +122,13 @@ class FingeringEnv:
         return FingerState(self.score.first_finger, self._pitches[0], self._pitches[1], 0)
 
     def step(self, state: FingerState, action: int) -> StepOutcome:
+        """Reads the reward from ``rewards`` at the state's index and
+        finger, so ``state`` must come from this env's ``reset``/``step``."""
         if state is None:
             raise ValueError("cannot step a terminal state")
         if action not in (1, 2, 3, 4, 5):
             raise ValueError(f"action must be a finger in 1..5, got {action}")
-        r = self.reward_model.reward(state, action)
+        r = float(self.rewards[5 * state.index + state.cf - 1, action - 1])
         nxt = state.index + 1
         if nxt + 1 < len(self._pitches):
             return StepOutcome(

@@ -3,10 +3,16 @@
 Because the reward for a transition depends only on (current finger,
 current pitch, next pitch, chosen finger), the best total reward from any
 position is a function of (note index, finger) and backward induction
-over that 5-wide table is exact.  ``exhaustive_optimal`` recomputes the
-same answer by scoring every finger sequence outright, so the two routes
-validate each other; a tabular Q-learner on the raw state tuples gives a
-third, learning-based route to the same optimum.
+over that 5-wide table is exact.  ``dp_optimal`` keeps each step's best
+next finger during the backward pass, so the forward pass is a walk
+over those choices.  ``exhaustive_optimal`` recomputes the same answer by
+scoring every finger sequence outright, so the two routes validate each
+other; a tabular Q-learner on the raw state tuples gives a third,
+learning-based route to the same optimum.
+
+Everything here reads ``reward.reward_table``.  Totals of a fingering
+are added one transition at a time, left to right, so ``dp_optimal`` and
+``fingering_total_reward`` agree to the last bit.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ import numpy as np
 
 from .agent import TrainConfig, epsilon_at
 from .env import FingeringEnv
-from .reward import RewardModel, is_feasible, reward_table
+from .reward import RewardModel, reward_table
 from .score import FINGERS, Score, ScoreSizeError
 
 _EXHAUSTIVE_MAX_LEN = 12
+_ROW_START = np.arange(0, 25, 5)   # flat index of each row of a 5x5 block
 
 
 class FingeringError(ValueError):
@@ -30,31 +37,30 @@ class FingeringError(ValueError):
 def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     """Best achievable total reward and one optimal fingering.
 
-    Backward induction on (note index, finger); the forward pass breaks
-    ties toward the lowest finger, so the result is the lexicographically
-    smallest optimal fingering.  Returns (fingering, total_reward) with
-    the fingering including the score's fixed first finger.
+    Backward induction on (note index, finger) over ``reward_table``.
+    Each step keeps, for every held finger, the first best next finger
+    (the lowest on ties); walking those choices forward from the fixed
+    first finger gives the lexicographically smallest optimal fingering.
+    Returns (fingering, total_reward) with the fingering including the
+    score's fixed first finger; the total is the fingering's rewards
+    added left to right, as ``fingering_total_reward`` adds them.
     """
     model = model if model is not None else RewardModel()
     table = reward_table(score, model)
-    n_steps = table.shape[0]
-    # value[t][f-1] = best total reward from note t onward, holding finger f
+    # value[f-1] = best total reward from note t onward, holding finger f
     value = np.zeros(5)
-    values = [value]
-    for t in range(n_steps - 1, -1, -1):
-        value = (table[t] + value[None, :]).max(axis=1)
-        values.append(value)
-    values.reverse()
+    continuation = np.empty((5, 5))
+    choice = np.empty((table.shape[0], 5), dtype=np.intp)
+    for row, step in zip(choice[::-1], table[::-1]):
+        np.add(step, value, out=continuation)
+        continuation.argmax(axis=1, out=row)   # first max = lowest finger
+        value = continuation.take(row + _ROW_START)
     fingering = [score.first_finger]
     f = score.first_finger
-    total = 0.0
-    for t in range(n_steps):
-        continuation = table[t, f - 1] + values[t + 1]
-        g = int(np.argmax(continuation)) + 1   # first max = lowest finger
-        total += table[t, f - 1, g - 1]
-        fingering.append(g)
-        f = g
-    return fingering, float(total)
+    for row in choice.tolist():
+        f = row[f - 1] + 1
+        fingering.append(f)
+    return fingering, _left_to_right_sum(_path_rewards(table, fingering))
 
 
 def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
@@ -85,16 +91,17 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
     return fingering, float(totals.max())
 
 
-def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None) -> float:
-    """Total reward of a complete fingering (first entry must match the
-    score's fixed first finger)."""
+def fingering_rewards(score: Score, fingering, model: Optional[RewardModel] = None) -> np.ndarray:
+    """Reward of each transition of a complete fingering (first entry must
+    match the score's fixed first finger): entry t is note t -> t+1."""
     model = model if model is not None else RewardModel()
     _validate_fingering(score, fingering)
-    pitches = score.pitches
-    total = 0.0
-    for t in range(len(pitches) - 1):
-        total += model.reward((fingering[t], pitches[t], pitches[t + 1]), fingering[t + 1])
-    return total
+    return _path_rewards(reward_table(score, model), fingering)
+
+
+def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None) -> float:
+    """Total reward of a complete fingering, added as ``dp_optimal`` adds it."""
+    return _left_to_right_sum(fingering_rewards(score, fingering, model))
 
 
 def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None) -> int:
@@ -104,19 +111,30 @@ def count_position_changes(score: Score, fingering, model: Optional[RewardModel]
     has no meaningful relocation count.
     """
     model = model if model is not None else RewardModel()
-    _validate_fingering(score, fingering)
-    pitches = score.pitches
-    changes = 0
-    for t in range(len(pitches) - 1):
-        state = (fingering[t], pitches[t], pitches[t + 1])
-        if not is_feasible(fingering[t], pitches[t], fingering[t + 1], pitches[t + 1]):
-            raise FingeringError(
-                f"transition {t} ({fingering[t]} on {pitches[t]} -> "
-                f"{fingering[t + 1]} on {pitches[t + 1]}) is infeasible"
-            )
-        if model.reward(state, fingering[t + 1]) == model.r_move:
-            changes += 1
-    return changes
+    rewards = fingering_rewards(score, fingering, model)
+    infeasible = np.flatnonzero(rewards == model.r_infeasible)
+    if len(infeasible):
+        t = int(infeasible[0])
+        pitches = score.pitches
+        raise FingeringError(
+            f"transition {t} ({fingering[t]} on {pitches[t]} -> "
+            f"{fingering[t + 1]} on {pitches[t + 1]}) is infeasible"
+        )
+    return int(np.count_nonzero(rewards == model.r_move))
+
+
+def _path_rewards(table: np.ndarray, fingering) -> np.ndarray:
+    f = np.asarray(fingering, dtype=np.intp) - 1
+    return table[np.arange(len(table)), f[:-1], f[1:]]
+
+
+def _left_to_right_sum(rewards: np.ndarray) -> float:
+    """One addition at a time from 0.0: ``np.sum`` adds pairwise and
+    Python 3.12's ``sum`` compensates, and either can round differently."""
+    total = 0.0
+    for r in rewards.tolist():
+        total += r
+    return total
 
 
 def _validate_fingering(score: Score, fingering) -> None:

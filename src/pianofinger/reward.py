@@ -17,6 +17,11 @@ Crossing one non-thumb finger over another against the direction of the
 melody is anatomically infeasible and earns ``r_infeasible``; transitions
 that involve the thumb, keep the finger, or repeat the pitch are always
 feasible.
+
+The scalar functions state the rules.  ``reward_table`` applies the same
+rules to a whole score at once: one numpy broadcast of its L-1 intervals
+against the 5x5 grid of (held finger, next finger), which the oracle,
+the environment and the scorers all read.
 """
 
 from __future__ import annotations
@@ -28,6 +33,15 @@ import numpy as np
 from .score import FINGERS, Score
 
 NATURAL_OFFSET = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7}
+
+# Finger facts over the 5x5 grid [held finger - 1, next finger - 1]
+_HELD = np.array(FINGERS)[:, None]
+_NEXT = np.array(FINGERS)[None, :]
+_SAME_FINGER = _HELD == _NEXT
+_ALWAYS_FEASIBLE = _SAME_FINGER | (_HELD == 1) | (_NEXT == 1)
+_FINGERS_ASCEND = _NEXT > _HELD
+_OFFSET = np.array([NATURAL_OFFSET[f] for f in FINGERS])
+_SPAN = _OFFSET[None, :] - _OFFSET[:, None]   # NATURAL_OFFSET[next] - NATURAL_OFFSET[held]
 
 
 def anchor(finger: int, pitch: int) -> int:
@@ -80,13 +94,17 @@ class RewardModel:
 
 def reward_table(score: Score, model: RewardModel) -> np.ndarray:
     """R[t, f-1, g-1] = reward for playing note t+1 with finger g when
-    note t is held by finger f."""
-    pitches = score.pitches
-    n = len(pitches)
-    table = np.empty((n - 1, 5, 5), dtype=float)
-    for t in range(n - 1):
-        for f in FINGERS:
-            state = (f, pitches[t], pitches[t + 1])
-            for g in FINGERS:
-                table[t, f - 1, g - 1] = model.reward(state, g)
-    return table
+    note t is held by finger f.
+
+    The rules of ``is_feasible`` and ``is_position_change`` as one numpy
+    broadcast of the score's intervals against the 5x5 finger grid; equal
+    to ``model.reward`` cell by cell.
+    """
+    step = np.diff(score.pitches)[:, None, None]   # nn - cn
+    repeat = step == 0
+    feasible = _ALWAYS_FEASIBLE | repeat | ((step > 0) == _FINGERS_ASCEND)
+    # |anchor(g, nn) - anchor(f, cn)| = |step - (offset[g] - offset[f])|
+    drift = np.abs(step - _SPAN)
+    move = np.where(_SAME_FINGER, ~repeat, repeat | (drift > model.anchor_tolerance))
+    outcome = np.where(feasible, move, 2)   # 0 stay, 1 move, 2 infeasible
+    return np.array([model.r_stay, model.r_move, model.r_infeasible], dtype=float)[outcome]

@@ -4,13 +4,15 @@ A score file is UTF-8 text.  The first meaningful line must be a
 ``first_finger=<1-5>`` header; every later line holds one note, written
 either as a MIDI number (21..108) or as a scientific pitch name with
 C4 = 60 (``C4``, ``F#2``, ``Bb5``).  A comma-separated duration token may
-follow the pitch and is accepted but ignored.  ``#`` starts a comment at
-the start of a line or after whitespace (elsewhere it is a sharp, as in
-``C#4``), and blank lines are skipped.
+follow the pitch; it must be a finite number >= 0 and is otherwise
+ignored.  ``#`` starts a comment at the start of a line or after
+whitespace (elsewhere it is a sharp, as in ``C#4``), and blank lines are
+skipped.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -158,9 +160,12 @@ def parse_score(text: str, name: str = "score") -> Score:
         duration = duration.strip()
         if duration:
             try:
-                float(duration)
+                length = float(duration)
             except ValueError:
                 raise ScoreParseError(line_no, f"bad duration token {duration!r}") from None
+            if not (math.isfinite(length) and length >= 0):
+                raise ScoreParseError(
+                    line_no, f"duration must be finite and >= 0, got {duration!r}")
         try:
             pitch = int(token)
         except ValueError:

@@ -1,6 +1,8 @@
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 from pianofinger.cli import main, read_config_file, ConfigError
@@ -227,6 +229,37 @@ def test_eval_bad_fingering_file_exits_2(tmp_path, capsys):
     fingering.write_text("60 1\n62 7\n64 3\n")
     assert main(["eval", score, str(fingering)]) == 2
     assert "finger 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-3"])
+def test_bad_duration_exits_2(tmp_path, capsys, command, token):
+    score = _write_score(tmp_path, f"first_finger=1\n60\n62, {token}\n64\n")
+    fingering = tmp_path / "fingering.txt"
+    fingering.write_text("60 1\n62 2\n64 3\n")
+    argv = [command, score] + ([str(fingering)] if command == "eval" else [])
+    assert main(argv) == 2
+    assert f"line 3: duration must be finite and >= 0, got '{token}'" in capsys.readouterr().err
+
+
+def test_eval_long_score_in_linear_time(tmp_path, capsys):
+    # a 20k-note walk fingered by the DP: eval must agree with solve, and
+    # a rebuild of score.pitches per transition once made it quadratic
+    rng = np.random.default_rng(0)
+    pitches = np.clip(60 + np.cumsum(rng.integers(-5, 6, size=20_000)), 21, 108).tolist()
+    score = _write_score(tmp_path, "first_finger=3\n" + "".join(f"{p}\n" for p in pitches))
+    assert main(["solve", score]) == 0
+    solved = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    fingering = tmp_path / "fingering.txt"
+    fingering.write_text("".join(f"{p} {f}\n" for p, f in
+                                 zip(pitches, solved["fingering"].split())))
+    start = time.perf_counter()
+    assert main(["eval", score, str(fingering)]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == (f"total_reward: {solved['total_reward']}\n"
+                                       "feasible: true\n"
+                                       f"position_changes: {solved['position_changes']}\n")
+    assert elapsed < 5.0
 
 
 # --- mirror ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from pianofinger.oracle import (
 )
 from pianofinger.reward import RewardModel
 from pianofinger.score import Score, ScoreSizeError
+
+from strategies import reward_models, scores
 
 # The five study melodies, written out as plain pitch lists so these
 # checks do not depend on the experiment bundle.
@@ -87,6 +91,20 @@ def test_dp_matches_exhaustive_on_random_scores():
         ex_fingering, ex_total = exhaustive_optimal(score)
         assert dp_total == ex_total
         assert dp_fingering == ex_fingering   # shared lowest-finger tie-break
+
+
+# Sixteenths keep every path total exact, so equal totals are real ties.
+# With arbitrary floats the two routes add in different orders and can
+# round a tie apart: under r_stay=85.5572113248941, r_move=0.05 the paths
+# 1 5 5 5 1 and 1 1 1 1 1 over 108 108 108 108 101 both score 3 stays and
+# a move, and the DP and the brute force each pick a different one.
+_SIXTEENTHS = st.integers(-1600, 1600).map(lambda k: k / 16)
+
+
+@given(scores(max_notes=8), reward_models(rewards=_SIXTEENTHS))
+@settings(max_examples=300)
+def test_dp_matches_exhaustive_under_non_integer_rewards(score, model):
+    assert dp_optimal(score, model) == exhaustive_optimal(score, model)
 
 
 def test_dp_matches_exhaustive_on_the_short_melodies():
@@ -175,6 +193,26 @@ def test_count_position_changes_rejects_infeasible_transitions():
     score = Score.from_pitches([60, 59], 2)
     with pytest.raises(FingeringError, match="transition 0"):
         count_position_changes(score, [2, 3])
+    score = Score.from_pitches([60, 62, 61, 60, 59], 1)
+    with pytest.raises(FingeringError, match=r"^transition 1 \(2 on 62 -> 3 on 61\) is infeasible$"):
+        count_position_changes(score, [1, 2, 3, 4, 5])
+
+
+def test_scorers_count_and_add_left_to_right():
+    # these rewards added one at a time round differently from a pairwise
+    # sum (np.sum) and from a compensated one (math.fsum, Python 3.12's sum)
+    model = RewardModel(r_stay=0.1, r_move=-0.25, r_infeasible=-10.0, anchor_tolerance=0.0)
+    p = [60, 62, 64, 64, 65, 60, 62, 64, 65, 67, 67, 60, 61, 60, 62, 64, 64]
+    fingering = [1, 2, 3, 3, 1, 1, 2, 3, 4, 5, 5, 1, 2, 1, 2, 3, 3]
+    score = Score.from_pitches(p, 1)
+    rewards = [model.reward((fingering[t], p[t], p[t + 1]), fingering[t + 1])
+               for t in range(len(p) - 1)]
+    total = 0.0
+    for r in rewards:
+        total += r
+    assert total != math.fsum(rewards) and total != np.sum(rewards)
+    assert fingering_total_reward(score, fingering, model) == total
+    assert count_position_changes(score, fingering, model) == rewards.count(model.r_move) == 4
 
 
 # --- tabular learner ---------------------------------------------------------

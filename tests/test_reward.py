@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +8,11 @@ from pianofinger.reward import (
     anchor,
     is_feasible,
     is_position_change,
+    reward_table,
 )
+from pianofinger.score import FINGERS
+
+from strategies import reward_models, scores
 
 MODEL = RewardModel()
 
@@ -126,3 +131,24 @@ def test_infeasible_reward_iff_infeasible(state, action):
     cf, cn, nn = state
     r = MODEL.reward(state, action)
     assert (r == MODEL.r_infeasible) == (not is_feasible(cf, cn, action, nn))
+
+
+# --- the tabulated rules ------------------------------------------------------
+
+def _reward_loop(score, model):
+    """The table cell by cell from ``model.reward``: the reference."""
+    p = score.pitches
+    table = np.empty((len(p) - 1, 5, 5))
+    for t in range(len(p) - 1):
+        for f in FINGERS:
+            for g in FINGERS:
+                table[t, f - 1, g - 1] = model.reward((f, p[t], p[t + 1]), g)
+    return table
+
+
+@given(scores(), reward_models())
+def test_reward_table_is_the_rules_cell_by_cell(score, model):
+    table = reward_table(score, model)
+    assert table.dtype == np.float64
+    assert np.array_equal(table, _reward_loop(score, model))
+

@@ -94,7 +94,7 @@ def test_parse_comments_blanks_and_durations():
         "\n"
         "60,0.5\n"
         "62,1.0   # inline comment\n"
-        "E4\n"
+        "E4, 0\n"
     )
     s = parse_score(text)
     assert s.pitches == (60, 62, 64)
@@ -120,6 +120,12 @@ def test_parse_bad_duration_names_line_number():
     with pytest.raises(ScoreParseError) as err:
         parse_score("first_finger=1\n60\n62,abc")
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-3"])
+def test_parse_rejects_non_finite_and_negative_durations(token):
+    with pytest.raises(ScoreParseError, match=f"^line 4: duration .*'{token}'"):
+        parse_score(f"first_finger=1\n60\n62, 1\n64, {token}\n65\n")
 
 
 def test_parse_out_of_range_pitch():
