@@ -1,125 +1,27 @@
-"""Right-hand piano fingering via Q-learning with an exact DP baseline."""
+"""Right-hand piano fingering via Q-learning with an exact DP baseline.
 
-from .agent import (
-    Batch,
-    EpisodeRecord,
-    QNetwork,
-    ReplayBuffer,
-    TrainConfig,
-    TrainingError,
-    compute_targets,
-    epsilon_at,
-    gradient_check,
-    greedy_rollout,
-    select_action,
-    train,
-)
-from .env import (
-    EncodingError,
-    FingeringEnv,
-    FingerState,
-    StateEncoding,
-    StepOutcome,
-    encode_state,
-)
-from .experiments import (
-    EXPERIMENT_IDS,
-    ExperimentSpec,
-    RunResult,
-    build_experiment,
-    default_train_config,
-    encoding_for,
-    export_fingering,
-    export_history,
-    read_fingering,
-    run,
-)
-from .oracle import (
-    FingeringError,
-    TabularQ,
-    count_position_changes,
-    dp_optimal,
-    exhaustive_optimal,
-    fingering_total_reward,
-    tabular_q_train,
-)
-from .reward import NATURAL_OFFSET, RewardModel, anchor, is_feasible, is_position_change
-from .score import (
-    FINGERS,
-    PITCH_MAX,
-    PITCH_MIN,
-    HeaderError,
-    MelodicRange,
-    Note,
-    PitchRangeError,
-    Score,
-    ScoreError,
-    ScoreParseError,
-    ScoreSizeError,
-    melodic_range,
-    mirror_for_left_hand,
-    parse_score,
-    pitch_from_name,
-    serialize_score,
-)
+The package root holds the names the README's library quickstart uses;
+everything else is imported from its submodule (``pianofinger.oracle``,
+``pianofinger.experiments``, ...).
+"""
+
+from .agent import Batch, ReplayBuffer, TrainConfig, TrainingError, greedy_rollout, train
+from .env import FingeringEnv, FingerState, StateEncoding
+from .oracle import dp_optimal
+from .score import Score
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Batch",
-    "EXPERIMENT_IDS",
-    "EncodingError",
-    "EpisodeRecord",
-    "ExperimentSpec",
-    "FINGERS",
     "FingerState",
     "FingeringEnv",
-    "FingeringError",
-    "HeaderError",
-    "MelodicRange",
-    "NATURAL_OFFSET",
-    "Note",
-    "PITCH_MAX",
-    "PITCH_MIN",
-    "PitchRangeError",
-    "QNetwork",
     "ReplayBuffer",
-    "RewardModel",
-    "RunResult",
     "Score",
-    "ScoreError",
-    "ScoreParseError",
-    "ScoreSizeError",
     "StateEncoding",
-    "StepOutcome",
-    "TabularQ",
     "TrainConfig",
     "TrainingError",
-    "anchor",
-    "build_experiment",
-    "compute_targets",
-    "count_position_changes",
-    "default_train_config",
     "dp_optimal",
-    "encode_state",
-    "encoding_for",
-    "epsilon_at",
-    "exhaustive_optimal",
-    "export_fingering",
-    "export_history",
-    "fingering_total_reward",
-    "gradient_check",
     "greedy_rollout",
-    "is_feasible",
-    "is_position_change",
-    "melodic_range",
-    "mirror_for_left_hand",
-    "parse_score",
-    "pitch_from_name",
-    "read_fingering",
-    "run",
-    "select_action",
-    "serialize_score",
-    "tabular_q_train",
     "train",
 ]

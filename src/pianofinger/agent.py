@@ -195,13 +195,6 @@ class QNetwork:
         self.theta -= learning_rate * self.grad
         return loss
 
-    def loss(self, states, actions, targets) -> float:
-        """Mean squared error of the chosen actions, no gradients."""
-        q = np.atleast_2d(self.forward(np.asarray(states, dtype=float)))
-        picked = q[np.arange(q.shape[0]), np.asarray(actions, dtype=int) - 1]
-        err = picked - np.asarray(targets, dtype=float)
-        return float(np.mean(err ** 2))
-
     def _backward(self, states, actions, targets) -> float:
         """Loss of the online set; writes its gradient into ``grad``."""
         X = np.asarray(states, dtype=float)
@@ -323,6 +316,8 @@ class TrainConfig:
             raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def epsilon_at(config: TrainConfig, episode: int) -> float:

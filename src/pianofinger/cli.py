@@ -10,39 +10,33 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .agent import TrainConfig, TrainingError
-from .env import EncodingError, FingeringEnv
+from .env import EncodingError
 from .experiments import (
+    ENCODINGS,
     EXPERIMENT_IDS,
     ExperimentSpec,
     build_experiment,
     default_train_config,
-    encoding_for,
     export_fingering,
     export_history,
     read_fingering,
+    run,
 )
-from .oracle import (
-    FingeringError,
-    count_position_changes,
-    dp_optimal,
-    fingering_rewards,
-    fingering_total_reward,
-)
+from .oracle import FingeringError, count_position_changes, dp_optimal, fingering_total_reward
 from .reward import RewardModel
-from .score import Score, ScoreError, mirror_for_left_hand, parse_score, serialize_score
+from .score import Score, ScoreError, mirror_for_left_hand, parse_score, read_text, serialize_score
 
 DEFAULT_EPISODES = 500
 DEFAULT_ENCODING = "range"
 
-_CONFIG_INT_KEYS = ("episodes", "replay_capacity", "batch_size", "target_sync", "seed")
-_CONFIG_FLOAT_KEYS = (
-    "gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction",
-    "learning_rate", "r_stay", "r_move", "r_infeasible", "anchor_tolerance",
-)
-_CONFIG_STR_KEYS = ("encoding",)
+_TRAIN_FIELDS = dataclasses.fields(TrainConfig)
+_REWARD_FIELDS = dataclasses.fields(RewardModel)
+# config key -> value parser for every TrainConfig and RewardModel field
+# (the one other key, `encoding`, is checked against ENCODINGS)
+_CONFIG_KEYS = {f.name: {"int": int, "float": float}[f.type]
+                for f in _TRAIN_FIELDS + _REWARD_FIELDS}
 
 
 class ConfigError(ValueError):
@@ -61,10 +55,7 @@ class _Parser(argparse.ArgumentParser):
 def read_config_file(path) -> dict:
     """Parse a key=value config file with # comments."""
     values: dict = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_text(path, "config file", ConfigError)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,50 +65,53 @@ def read_config_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        try:
-            if key in _CONFIG_INT_KEYS:
-                values[key] = int(value)
-            elif key in _CONFIG_FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _CONFIG_STR_KEYS:
-                if value not in ("88", "range"):
-                    raise ConfigError(
-                        f"config line {line_no}: encoding must be '88' or 'range', got {value!r}"
-                    )
-                values[key] = value
-            else:
-                raise ConfigError(f"config line {line_no}: unknown key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(
-                f"config line {line_no}: bad value for {key}: {value!r}"
-            ) from None
+        if key == "encoding":
+            if value not in ENCODINGS:
+                raise ConfigError(
+                    f"config line {line_no}: encoding must be '88' or 'range', got {value!r}"
+                )
+            values[key] = value
+        elif key in _CONFIG_KEYS:
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError:
+                raise ConfigError(
+                    f"config line {line_no}: bad value for {key}: {value!r}"
+                ) from None
+        else:
+            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
     return values
 
 
 def _split_config(values: dict):
     """Split file values into (TrainConfig kwargs, RewardModel kwargs, encoding)."""
-    train_kwargs = {k: v for k, v in values.items()
-                    if k in {f.name for f in dataclasses.fields(TrainConfig)}}
-    reward_kwargs = {k: v for k, v in values.items()
-                     if k in ("r_stay", "r_move", "r_infeasible", "anchor_tolerance")}
+    train_kwargs = {f.name: values[f.name] for f in _TRAIN_FIELDS if f.name in values}
+    reward_kwargs = {f.name: values[f.name] for f in _REWARD_FIELDS if f.name in values}
     return train_kwargs, reward_kwargs, values.get("encoding")
 
 
-def _load_score(args) -> tuple[Score, Optional[ExperimentSpec]]:
-    """Resolve the score argument (file path or --ex N)."""
-    if getattr(args, "ex", None) is not None:
-        spec = build_experiment(f"EX{args.ex}")
-        return spec.score, spec
+def _read_score(path) -> Score:
+    path = Path(path)
+    return parse_score(read_text(path, "score file"), name=path.stem)
+
+
+def _load_spec(args) -> ExperimentSpec:
+    """Bundled experiment N, or the score file at the CLI's defaults."""
+    if args.ex is not None:
+        return build_experiment(f"EX{args.ex}")
     if args.score is None:
         raise ConfigError("a score file or --ex N is required")
-    path = Path(args.score)
+    score = _read_score(args.score)
+    return ExperimentSpec(id=score.name, score=score, episodes=DEFAULT_EPISODES,
+                          encoding=DEFAULT_ENCODING)
+
+
+def _position_changes(score: Score, fingering, model: RewardModel) -> str:
+    """The fingering's position-change count, or 'n/a' if a transition is infeasible."""
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScoreError(f"cannot read score file {path}: {exc}") from exc
-    return parse_score(text, name=path.stem), None
+        return str(count_position_changes(score, fingering, model))
+    except FingeringError:
+        return "n/a"
 
 
 def _build_parser() -> _Parser:
@@ -139,22 +133,14 @@ def _build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train the Q-network on a score")
     add_score_arg(p_train)
     p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--episodes", type=int, help="training episodes")
-    p_train.add_argument("--seed", type=int, help="base RNG seed")
     p_train.add_argument("--seeds", type=int, default=1, metavar="K",
                          help="run K seeds (seed, seed+1, ...)")
-    p_train.add_argument("--encoding", choices=("88", "range"),
+    p_train.add_argument("--encoding", choices=ENCODINGS,
                          help="state encoding: full keyboard or melodic range")
     p_train.add_argument("--out-dir", help="write history CSVs and fingering files here")
-    p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--epsilon-start", type=float, dest="epsilon_start")
-    p_train.add_argument("--epsilon-end", type=float, dest="epsilon_end")
-    p_train.add_argument("--epsilon-decay-fraction", type=float,
-                         dest="epsilon_decay_fraction")
-    p_train.add_argument("--replay-capacity", type=int, dest="replay_capacity")
-    p_train.add_argument("--batch-size", type=int, dest="batch_size")
-    p_train.add_argument("--target-sync", type=int, dest="target_sync")
-    p_train.add_argument("--learning-rate", type=float, dest="learning_rate")
+    for f in _TRAIN_FIELDS:
+        p_train.add_argument("--" + f.name.replace("_", "-"), type=_CONFIG_KEYS[f.name],
+                             help=f"TrainConfig.{f.name}")
 
     p_eval = sub.add_parser("eval", help="score a fingering file against a score")
     p_eval.add_argument("score", help="path to a score file")
@@ -169,7 +155,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
-    score, _ = _load_score(args)
+    score = _load_spec(args).score
     reward_kwargs = {}
     if args.config:
         _, reward_kwargs, _ = _split_config(read_config_file(args.config))
@@ -187,74 +173,52 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    score, spec = _load_score(args)
+    spec = _load_spec(args)
     file_values = read_config_file(args.config) if args.config else {}
     train_kwargs, reward_kwargs, file_encoding = _split_config(file_values)
 
     # defaults <- experiment baseline <- config file <- explicit flags
-    if spec is None:
-        base = {"episodes": DEFAULT_EPISODES}
-        encoding_mode = DEFAULT_ENCODING
+    if args.ex is None:
+        base = {"episodes": spec.episodes}
     else:
-        base = {f.name: getattr(default_train_config(spec.id), f.name)
-                for f in dataclasses.fields(TrainConfig)}
-        encoding_mode = spec.encoding
+        base = dataclasses.asdict(default_train_config(spec.id))
     base.update(train_kwargs)
-    if file_encoding is not None:
-        encoding_mode = file_encoding
-    if args.episodes is not None:
-        base["episodes"] = args.episodes
-    if args.encoding is not None:
-        encoding_mode = args.encoding
-    for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction",
-                 "replay_capacity", "batch_size", "target_sync", "learning_rate",
-                 "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
-
+    base.update((f.name, getattr(args, f.name)) for f in _TRAIN_FIELDS
+                if getattr(args, f.name) is not None)
+    spec = dataclasses.replace(spec, encoding=args.encoding or file_encoding or spec.encoding)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     try:
         model = RewardModel(**reward_kwargs)
         base_config = TrainConfig(**base)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    from .agent import greedy_rollout, train as train_loop
-
-    encoding = encoding_for(score, encoding_mode)
-    env = FingeringEnv(score, reward_model=model, encoding=encoding)
+    score = spec.score
     oracle_fingering, oracle_total = dp_optimal(score, model)
-
     out_dir = None
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         export_fingering(score, oracle_fingering, out_dir / "oracle_fingering.txt")
 
-    print(f"score: {score.name} ({len(score)} notes), encoding={encoding_mode}, "
+    print(f"score: {score.name} ({len(score)} notes), encoding={spec.encoding}, "
           f"episodes={base_config.episodes}")
     print(f"oracle: " + " ".join(str(f) for f in oracle_fingering)
           + f"  total {oracle_total:.6f}")
-    for k in range(args.seeds):
-        seed = base_config.seed + k
-        config = dataclasses.replace(base_config, seed=seed)
-        net, records = train_loop(env, config)
-        fingering, total = greedy_rollout(net, env)
-        gap = oracle_total - total
-        print(f"seed {seed}: rollout " + " ".join(str(f) for f in fingering)
-              + f"  total {total:.6f}  gap {gap:.6f}")
+    for seed in range(base_config.seed, base_config.seed + args.seeds):
+        result = run(spec, dataclasses.replace(base_config, seed=seed), model)
+        print(f"seed {seed}: rollout " + " ".join(str(f) for f in result.fingering)
+              + f"  total {result.total_reward:.6f}  gap {result.gap:.6f}"
+              + f"  changes {_position_changes(score, result.fingering, model)}")
         if out_dir is not None:
-            export_history(records, out_dir / f"history_seed{seed}.csv")
-            export_fingering(score, fingering, out_dir / f"fingering_seed{seed}.txt")
+            export_history(result.records, out_dir / f"history_seed{seed}.csv")
+            export_fingering(score, result.fingering, out_dir / f"fingering_seed{seed}.txt")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    path = Path(args.score)
-    try:
-        score = parse_score(path.read_text(), name=path.stem)
-    except OSError as exc:
-        raise ScoreError(f"cannot read score file {path}: {exc}") from exc
+    score = _read_score(args.score)
     pairs = read_fingering(args.fingering)
     if [p for p, _ in pairs] != list(score.pitches):
         raise FingeringError(
@@ -262,24 +226,15 @@ def _cmd_eval(args) -> int:
         )
     fingering = [f for _, f in pairs]
     total = fingering_total_reward(score, fingering)
-    # the reward ordering is strict: r_infeasible marks exactly the crossings
-    feasible = not (fingering_rewards(score, fingering) == RewardModel().r_infeasible).any()
+    changes = _position_changes(score, fingering, RewardModel())
     print(f"total_reward: {total:.6f}")
-    print(f"feasible: {'true' if feasible else 'false'}")
-    if feasible:
-        print(f"position_changes: {count_position_changes(score, fingering)}")
-    else:
-        print("position_changes: n/a")
+    print(f"feasible: {'false' if changes == 'n/a' else 'true'}")
+    print(f"position_changes: {changes}")
     return 0
 
 
 def _cmd_mirror(args) -> int:
-    path = Path(args.score)
-    try:
-        score = parse_score(path.read_text(), name=path.stem)
-    except OSError as exc:
-        raise ScoreError(f"cannot read score file {path}: {exc}") from exc
-    mirrored = mirror_for_left_hand(score, args.axis)
+    mirrored = mirror_for_left_hand(_read_score(args.score), args.axis)
     sys.stdout.write(serialize_score(mirrored))
     return 0
 

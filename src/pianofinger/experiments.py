@@ -11,6 +11,7 @@ EX5  a turn figure feeding into the octave climb with a
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -19,22 +20,31 @@ from .agent import EpisodeRecord, QNetwork, TrainConfig, greedy_rollout, train
 from .env import FingeringEnv, StateEncoding
 from .oracle import FingeringError, dp_optimal
 from .reward import RewardModel
-from .score import FINGERS, Score
+from .score import FINGERS, Score, read_text
 
-EXPERIMENT_IDS = ("EX1", "EX2", "EX3", "EX4", "EX5")
+# Baseline training overrides for the long in-position melodies.  EX3 and
+# EX5 judge the learning curve itself (the smoothed training reward must
+# approach the oracle), which needs a calmer tail than the snappy global
+# defaults give: a gentler step size, a slightly faster target refresh,
+# and exploration annealed all the way to zero so the late-episode reward
+# reflects the learned policy rather than exploration noise.
+_CURVE = {"learning_rate": 0.06, "target_sync": 75, "epsilon_end": 0.0}
 
-_EX_NOTES = {
-    "EX1": [60] * 8,
-    "EX2": [60, 62, 64, 65, 67, 67, 65, 64, 62, 60],
-    "EX3": [64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62, 62],
-    "EX4": [60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64, 62, 60],
-    "EX5": [60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
-            71, 72, 72, 71, 69, 67, 65, 64, 62, 60],
+# id: (pitches, first finger, encoding, baseline training config)
+_EXPERIMENTS = {
+    "EX1": ([60] * 8, 3, "88", TrainConfig(episodes=1000)),
+    "EX2": ([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1, "range",
+            TrainConfig(episodes=100)),
+    "EX3": ([64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62, 62], 3, "range",
+            TrainConfig(episodes=200, **_CURVE)),
+    "EX4": ([60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, "range",
+            TrainConfig(episodes=5000)),
+    "EX5": ([60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
+             71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, "range",
+            TrainConfig(episodes=500, **_CURVE)),
 }
-_EX_FIRST_FINGER = {"EX1": 3, "EX2": 1, "EX3": 3, "EX4": 1, "EX5": 1}
-_EX_EPISODES = {"EX1": 1000, "EX2": 100, "EX3": 200, "EX4": 5000, "EX5": 500}
-_EX_ENCODING = {"EX1": "88", "EX2": "range", "EX3": "range", "EX4": "range",
-                "EX5": "range"}
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
+ENCODINGS = ("88", "range")
 
 
 @dataclass(frozen=True)
@@ -45,35 +55,24 @@ class ExperimentSpec:
     encoding: str   # "88" or "range"
 
 
-# Baseline training overrides for the long in-position melodies.  EX3 and
-# EX5 judge the learning curve itself (the smoothed training reward must
-# approach the oracle), which needs a calmer tail than the snappy global
-# defaults give: a gentler step size, a slightly faster target refresh,
-# and exploration annealed all the way to zero so the late-episode reward
-# reflects the learned policy rather than exploration noise.
-_EX_TRAIN_OVERRIDES: dict[str, dict] = {
-    "EX3": {"learning_rate": 0.06, "target_sync": 75, "epsilon_end": 0.0},
-    "EX5": {"learning_rate": 0.06, "target_sync": 75, "epsilon_end": 0.0},
-}
+def _entry(exp_id: str):
+    if exp_id not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {exp_id!r}, expected one of {EXPERIMENT_IDS}")
+    return _EXPERIMENTS[exp_id]
 
 
 def default_train_config(exp_id: str, seed: int = 0) -> TrainConfig:
     """The bundled experiment's baseline training configuration."""
-    if exp_id not in EXPERIMENT_IDS:
-        raise ValueError(f"unknown experiment {exp_id!r}, expected one of {EXPERIMENT_IDS}")
-    return TrainConfig(episodes=_EX_EPISODES[exp_id], seed=seed,
-                       **_EX_TRAIN_OVERRIDES.get(exp_id, {}))
+    return dataclasses.replace(_entry(exp_id)[3], seed=seed)
 
 
 def build_experiment(exp_id: str) -> ExperimentSpec:
-    if exp_id not in EXPERIMENT_IDS:
-        raise ValueError(f"unknown experiment {exp_id!r}, expected one of {EXPERIMENT_IDS}")
+    pitches, first_finger, encoding, _ = _entry(exp_id)
     return ExperimentSpec(
         id=exp_id,
-        score=Score.from_pitches(_EX_NOTES[exp_id], _EX_FIRST_FINGER[exp_id],
-                                 name=exp_id),
-        episodes=_EX_EPISODES[exp_id],
-        encoding=_EX_ENCODING[exp_id],
+        score=Score.from_pitches(pitches, first_finger, name=exp_id),
+        episodes=default_train_config(exp_id).episodes,
+        encoding=encoding,
     )
 
 
@@ -82,7 +81,7 @@ def encoding_for(score: Score, mode: str) -> StateEncoding:
         return StateEncoding.full_piano()
     if mode == "range":
         return StateEncoding.for_score(score)
-    raise ValueError(f"unknown encoding mode {mode!r}, expected '88' or 'range'")
+    raise ValueError(f"unknown encoding mode {mode!r}, expected one of {ENCODINGS}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,20 @@ class RunResult:
 def run(spec: ExperimentSpec, train_config: Optional[TrainConfig] = None,
         reward_model: Optional[RewardModel] = None,
         track_rollouts: bool = False) -> RunResult:
-    """Train on one benchmark melody and compare against the exact optimum."""
+    """Train on one melody and compare the greedy rollout against the exact
+    optimum.
+
+    Without ``train_config`` a bundled experiment trains at its baseline
+    (``default_train_config``) and any other spec at the global defaults
+    for ``spec.episodes`` episodes.
+    """
     model = reward_model if reward_model is not None else RewardModel()
     env = FingeringEnv(spec.score, reward_model=model,
                        encoding=encoding_for(spec.score, spec.encoding))
-    config = train_config if train_config is not None else TrainConfig(
-        episodes=spec.episodes, **_EX_TRAIN_OVERRIDES.get(spec.id, {}))
+    config = train_config
+    if config is None:
+        config = (default_train_config(spec.id) if spec.id in _EXPERIMENTS
+                  else TrainConfig(episodes=spec.episodes))
     rollout_totals: list[float] = []
     hook = None
     if track_rollouts:
@@ -155,7 +162,7 @@ def export_fingering(score: Score, fingering, path) -> None:
 def read_fingering(path) -> list[tuple[int, int]]:
     """Read a '<pitch> <finger>' file back as (pitch, finger) pairs."""
     pairs: list[tuple[int, int]] = []
-    text = Path(path).read_text()
+    text = read_text(path, "fingering file", FingeringError)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -40,8 +40,11 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     Backward induction on (note index, finger) over ``reward_table``.
     Each step keeps, for every held finger, the first best next finger
     (the lowest on ties); walking those choices forward from the fixed
-    first finger gives the lexicographically smallest optimal fingering.
-    Returns (fingering, total_reward) with the fingering including the
+    first finger gives the lexicographically smallest optimal fingering
+    when path sums are exact, as with integer or dyadic rewards (the
+    defaults among them).  With arbitrary float rewards the backward
+    pass adds right to left, so rounding can break a mathematical tie
+    and another optimal fingering may come back.  Returns (fingering, total_reward) with the fingering including the
     score's fixed first finger; the total is the fingering's rewards
     added left to right, as ``fingering_total_reward`` adds them.
     """

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 PITCH_MIN = 21   # A0
 PITCH_MAX = 108  # C8
@@ -128,6 +129,18 @@ class MelodicRange:
     @property
     def size(self) -> int:
         return self.max_pitch - self.min_pitch + 1
+
+
+def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
+    """The contents of a UTF-8 text file, for every input file of the CLI.
+
+    A file that cannot be opened or is not valid UTF-8 raises ``error``
+    with a message naming ``what`` and the path.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def parse_score(text: str, name: str = "score") -> Score:

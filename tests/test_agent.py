@@ -112,9 +112,10 @@ def test_train_step_reduces_loss():
     states = np.eye(4)
     actions = [1, 2, 3, 4]
     targets = np.array([1.0, -1.0, 0.5, 0.0])
-    before = net.loss(states, actions, targets)
+    # a zero step returns the loss and leaves the parameters as they are
+    before = net.train_step(states, actions, targets, learning_rate=0.0)
     net.train_step(states, actions, targets, learning_rate=0.05)
-    assert net.loss(states, actions, targets) < before
+    assert net.train_step(states, actions, targets, learning_rate=0.0) < before
 
 
 def test_train_step_leaves_target_weights_alone():
@@ -416,6 +417,8 @@ def test_config_validation():
             TrainConfig(episodes=10, learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(episodes=10, replay_capacity=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(episodes=10, seed=-1)
 
 
 # --- training loop ---------------------------------------------------------

@@ -1,11 +1,19 @@
+import argparse
+import contextlib
+import dataclasses
+import io
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pianofinger.cli import main, read_config_file, ConfigError
+from pianofinger.agent import TrainConfig
+from pianofinger.cli import _CONFIG_KEYS, _build_parser, main, read_config_file, ConfigError
 
 
 def _write_score(tmp_path, text, name="score.txt"):
@@ -74,6 +82,7 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "episodes=5" in out
     assert "oracle: 1 2 3  total 2.000000" in out
     assert "seed 3: rollout" in out
+    assert out.splitlines()[-1].split("  ")[-1].startswith("changes ")
     assert (out_dir / "oracle_fingering.txt").read_text() == "60 1\n62 2\n64 3\n"
     history = (out_dir / "history_seed3.csv").read_text().splitlines()
     assert history[0] == "episode,total_reward,epsilon,mean_loss"
@@ -102,6 +111,30 @@ def test_train_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name in ("history_seed5.csv", "fingering_seed5.txt", "oracle_fingering.txt"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_train_reports_na_changes_for_an_infeasible_rollout(tmp_path, capsys):
+    # an untrained net's rollout crosses fingers on this scale
+    score = _write_score(tmp_path, "first_finger=1\n60\n62\n64\n65\n67\n65\n64\n62\n60\n")
+    assert main(["train", score, "--episodes", "0", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("  changes n/a")
+
+
+@pytest.mark.parametrize("argv,config,value", [
+    (["--seed", "-1"], None, "got -1"),
+    ([], "seed=-1\n", "got -1"),
+    (["--seeds", "0"], None, "--seeds must be >= 1, got 0"),
+    (["--seeds", "-3"], None, "--seeds must be >= 1, got -3"),
+])
+def test_train_rejects_negative_seed_and_no_seeds(tmp_path, capsys, argv, config, value):
+    score = _write_score(tmp_path, TINY_SCORE)
+    if config is not None:
+        (tmp_path / "seed.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "seed.cfg")]
+    assert main(["train", score, "--episodes", "2"] + argv) == 2
+    captured = capsys.readouterr()
+    assert value in captured.err
+    assert captured.out == ""
 
 
 def test_train_bundled_experiment_defaults(capsys):
@@ -262,6 +295,20 @@ def test_eval_long_score_in_linear_time(tmp_path, capsys):
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize("kind", ["score", "config", "fingering"])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"first_finger=1\n60\n\xff62\n")
+    score = _write_score(tmp_path, TINY_SCORE)
+    argv = {
+        "score": ["solve", str(bad)],
+        "config": ["solve", "--ex", "2", "--config", str(bad)],
+        "fingering": ["eval", score, str(bad)],
+    }[kind]
+    assert main(argv) == 2
+    assert f"error: cannot read {kind} file {bad}" in capsys.readouterr().err
+
+
 # --- mirror ---------------------------------------------------------------------
 
 def test_mirror_writes_a_parseable_score(tmp_path, capsys):
@@ -340,3 +387,47 @@ def test_module_entry_point_usage_error():
     )
     assert proc.returncode == 1
     assert "usage" in proc.stderr.lower()
+
+
+# --- the option surface ---------------------------------------------------------
+
+def test_train_flags_are_the_train_config_fields():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices["train"]._actions for s in a.option_strings}
+    fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
+    assert flags - {"-h", "--help"} == fields | {"--config", "--seeds", "--encoding",
+                                                 "--out-dir", "--ex"}
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("pianofinger ")]
+    assert len(commands) >= 4
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "88", "range", "", "lots",
+                     "0x10", "1_0", "= 3"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+).map(str.encode) | st.binary(max_size=6)
+_CONFIG_LINES = st.builds(
+    lambda key, value: key.encode() + b"=" + value,
+    st.sampled_from(sorted(_CONFIG_KEYS) + ["encoding", "momentum", "Seed", ""]),
+    _VALUES,
+)
+
+
+@given(st.lists(_CONFIG_LINES, max_size=6))
+def test_solve_with_fuzzed_config_exits_0_or_2(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+    path.write_bytes(b"\n".join(lines))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["solve", "--ex", "2", "--config", str(path)]) in (0, 2)
