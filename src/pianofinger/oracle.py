@@ -8,7 +8,9 @@ next finger during the backward pass, so the forward pass is a walk
 over those choices.  ``exhaustive_optimal`` recomputes the same answer by
 scoring every finger sequence outright, so the two routes validate each
 other; a tabular Q-learner on the raw state tuples gives a third,
-learning-based route to the same optimum.
+learning-based route to the same optimum.  It walks the state ids
+5t + (f-1) over plain-float rows, one row per (finger, pitch, next
+pitch) key, which every state with that key shares.
 
 Everything here reads ``reward.reward_table``.  Totals of a fingering
 are added one transition at a time, left to right, so ``dp_optimal`` and
@@ -171,16 +173,18 @@ class TabularQ:
         return int(np.argmax(self.values(state))) + 1
 
     def greedy_fingering(self, score: Score, env: Optional[FingeringEnv] = None):
-        env = env if env is not None else FingeringEnv(score)
+        """The greedy walk from the score's first finger and its total,
+        rewarded by ``env``'s table or, without one, the default model's."""
+        table = env.rewards if env is not None else reward_table(score, RewardModel())
+        rewards = table.reshape(-1, 5).tolist()
+        pitches = score.pitches
         fingering = [score.first_finger]
         total = 0.0
-        state = env.reset()
-        while state is not None:
-            action = self.greedy_action(state)
+        for t in range(len(pitches) - 1):
+            held = fingering[-1]
+            action = self.greedy_action((held, pitches[t], pitches[t + 1]))
             fingering.append(action)
-            outcome = env.step(state, action)
-            total += outcome.reward
-            state = outcome.next_state
+            total += rewards[5 * t + held - 1][action - 1]
         return fingering, total
 
 
@@ -189,25 +193,37 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     """One-step Q-learning on the raw state tuples (no function
     approximation, no replay) under the same exploration schedule as the
     network learner.  Serves as an independent learning-based route to
-    the optimum."""
+    the optimum.
+
+    Episodes walk state ids 5t + (f-1) over the reward table as nested
+    lists; each id points at the five-float Q row of its (f, pitch t,
+    pitch t+1) key, shared by every state with that key.  Greedy takes
+    the first maximum, as ``np.argmax`` does, and Python floats round as
+    numpy's do, so the table equals an ``env.step`` walk's bit for bit."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    env = FingeringEnv(score, reward_model=reward_model)
-    q = TabularQ()
+    model = reward_model if reward_model is not None else RewardModel()
+    rewards = reward_table(score, model).reshape(-1, 5).tolist()
+    pitches = score.pitches
+    rows: dict[tuple[int, int, int], list[float]] = {}
+    row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
+              for t in range(len(pitches) - 1) for f in FINGERS]
+    end = len(row_of)
     rng = np.random.default_rng(config.seed)
     for episode in range(config.episodes):
         eps = epsilon_at(config, episode)
-        state = env.reset()
-        while state is not None:
+        state = score.first_finger - 1
+        while state < end:
+            row = row_of[state]
             if rng.random() < eps:
-                action = int(rng.integers(1, 6))
+                action = int(rng.integers(1, 6)) - 1
             else:
-                action = q.greedy_action(state)
-            outcome = env.step(state, action)
-            target = outcome.reward
-            if not outcome.done:
-                target += config.gamma * float(np.max(q.values(outcome.next_state)))
-            values = q.values(state)
-            values[action - 1] += alpha * (target - values[action - 1])
-            state = outcome.next_state
+                action = row.index(max(row))   # the first maximum
+            target = rewards[state][action]
+            state += 5 - state % 5 + action    # 5(t + 1) + action
+            if state < end:
+                target += config.gamma * max(row_of[state])
+            row[action] += alpha * (target - row[action])
+    q = TabularQ()
+    q._table = {key: np.array(row) for key, row in rows.items()}
     return q

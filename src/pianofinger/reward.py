@@ -26,11 +26,13 @@ the environment and the scorers all read.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .score import FINGERS, Score
+from .score import FINGERS, Score, ScoreSizeError
 
 NATURAL_OFFSET = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7}
 
@@ -74,6 +76,9 @@ class RewardModel:
     r_infeasible: float = -10.0
 
     def __post_init__(self):
+        for name in ("r_stay", "r_move", "r_infeasible"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.anchor_tolerance >= 0:   # also rejects nan
             raise ValueError(f"anchor_tolerance must be >= 0, got {self.anchor_tolerance}")
         if not self.r_infeasible < self.r_move < self.r_stay:
@@ -99,7 +104,15 @@ def reward_table(score: Score, model: RewardModel) -> np.ndarray:
     The rules of ``is_feasible`` and ``is_position_change`` as one numpy
     broadcast of the score's intervals against the 5x5 finger grid; equal
     to ``model.reward`` cell by cell.
+
+    Raises ScoreSizeError unless (L-1) times the largest reward, the
+    largest path total, is at most a quarter of the largest float64, so
+    that path totals and Q-learning updates stay finite with room to spare.
     """
+    largest = max(abs(model.r_stay), abs(model.r_infeasible))
+    if largest > sys.float_info.max / (4 * (len(score) - 1)):
+        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
+                             "can overflow float64 totals")
     step = np.diff(score.pitches)[:, None, None]   # nn - cn
     repeat = step == 0
     feasible = _ALWAYS_FEASIBLE | repeat | ((step > 0) == _FINGERS_ASCEND)

@@ -211,6 +211,22 @@ def test_solve_rejects_nan_anchor_tolerance(tmp_path, capsys):
     assert "anchor_tolerance" in capsys.readouterr().err
 
 
+_HUGE_REWARDS = "r_stay=1e308\nr_move=-1e308\nr_infeasible=-1.5e308\n"
+
+
+@pytest.mark.parametrize("command", [["solve"], ["train", "--episodes", "3"]])
+@pytest.mark.parametrize("rewards, message", [
+    (_HUGE_REWARDS, "overflow float64"),
+    ("r_stay=inf\nr_infeasible=-inf\n", "r_stay must be finite"),
+])
+def test_rewards_that_overflow_exit_2(tmp_path, capsys, command, rewards, message):
+    config = tmp_path / "huge.cfg"
+    config.write_text(rewards)
+    assert main(command + ["--ex", "4", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_train_divergence_exits_3(tmp_path, capsys):
     import warnings
 

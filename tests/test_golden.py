@@ -7,6 +7,10 @@ final online parameter vector must match the values recorded here, so
 any change to the training loop that moves a single bit of any seed's
 history shows up as a failure.  A speedup has to keep these; a change
 that means to alter histories has to say so and record new values.
+
+The tabular learner is pinned the same way: criterion 10's run on each
+melody (seed 0, 2000 episodes, gamma 1, alpha 0.5) hashed over its
+Q-values of every state, in state-id order, as little-endian float64.
 """
 
 import dataclasses
@@ -16,9 +20,11 @@ import warnings
 
 import pytest
 
-from pianofinger.agent import TrainingError, train
+from pianofinger.agent import TrainConfig, TrainingError, train
 from pianofinger.env import FingeringEnv
 from pianofinger.experiments import build_experiment, default_train_config, encoding_for
+from pianofinger.oracle import tabular_q_train
+from pianofinger.score import FINGERS
 
 GOLDEN = {
     "EX1": ("d2b5df5e3d52ba931d7841c370c02c08dbc1241367a181c82b834fdd36a7ac06",
@@ -33,6 +39,14 @@ GOLDEN = {
             "d8cde1c9785a6ad474e4e25972a3e2509f1cb674e38bed73478785cf538f53a8"),
 }
 GOLDEN_EPISODES = 40
+
+GOLDEN_TABULAR = {
+    "EX1": "346df3f535c5d43ee796ce7cf66df5318803090301f5593f1d2c6e3153a28992",
+    "EX2": "f840a45425e4a5487796f2cf4fbfb33d021769d378b2b4806ee3478cd1c35228",
+    "EX3": "d4146910997e5b0c749cf4eda4e5712ae4732261625f2a0f5cb14b895c6ba8d1",
+    "EX4": "e9fcf68ed89f80f33e590f8705b29c2fcb48d2584eac731a0aca2ab8253e64d9",
+    "EX5": "ac676b24bff301f1e4f2823fdafcc5af502b41203cdc654c9219583cd6678b6a",
+}
 
 
 def _env_and_config(exp_id, episodes, seed=0):
@@ -56,6 +70,18 @@ def test_golden_history_and_weights(exp_id):
     assert len(history) == GOLDEN_EPISODES
     assert history_digest(history) == GOLDEN[exp_id][0]
     assert hashlib.sha256(net.get_flat_params().tobytes()).hexdigest() == GOLDEN[exp_id][1]
+
+
+@pytest.mark.parametrize("exp_id", sorted(GOLDEN_TABULAR))
+def test_golden_tabular_q_table(exp_id):
+    score = build_experiment(exp_id).score
+    q = tabular_q_train(score, None, TrainConfig(episodes=2000, gamma=1.0, seed=0), alpha=0.5)
+    h = hashlib.sha256()
+    p = score.pitches
+    for t in range(len(p) - 1):
+        for f in FINGERS:
+            h.update(q.values((f, p[t], p[t + 1])).astype("<f8").tobytes())
+    assert h.hexdigest() == GOLDEN_TABULAR[exp_id]
 
 
 def diverge_ex4_seed0():

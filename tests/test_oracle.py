@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pianofinger.agent import TrainConfig
+from pianofinger.agent import TrainConfig, epsilon_at
+from pianofinger.env import FingeringEnv
 from pianofinger.oracle import (
     FingeringError,
     TabularQ,
@@ -15,7 +17,7 @@ from pianofinger.oracle import (
     tabular_q_train,
 )
 from pianofinger.reward import RewardModel
-from pianofinger.score import Score, ScoreSizeError
+from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, ScoreSizeError
 
 from strategies import reward_models, scores
 
@@ -127,12 +129,14 @@ def test_two_note_score_is_a_single_max():
 
 # --- structural properties --------------------------------------------------
 
-def test_dp_is_translation_invariant():
-    pitches = [60, 62, 64, 65, 67, 65, 64, 62]
-    base = dp_optimal(Score.from_pitches(pitches, 1))
-    for k in (-12, -5, 7, 24):
-        shifted = dp_optimal(Score.from_pitches([p + k for p in pitches], 1))
-        assert shifted == base
+@given(scores(), reward_models(), st.data())
+@settings(max_examples=200)
+def test_dp_is_translation_invariant(score, model, data):
+    # any shift that keeps the score within 21-108
+    pitches = score.pitches
+    shift = data.draw(st.integers(PITCH_MIN - min(pitches), PITCH_MAX - max(pitches)))
+    shifted = Score.from_pitches([p + shift for p in pitches], score.first_finger)
+    assert dp_optimal(shifted, model) == dp_optimal(score, model)
 
 
 @pytest.mark.parametrize("first_finger", [1, 2, 3, 4, 5])
@@ -143,17 +147,14 @@ def test_constant_pitch_score_never_moves(first_finger):
     assert total == 5 * RewardModel().r_stay
 
 
-@given(
-    st.lists(st.integers(55, 80), min_size=2, max_size=6),
-    st.integers(1, 5),
-    st.lists(st.integers(1, 5), min_size=6, max_size=6),
-)
-@settings(max_examples=60)
-def test_dp_total_is_an_upper_bound(pitches, first_finger, fingers):
-    score = Score.from_pitches(pitches, first_finger)
-    candidate = [first_finger] + fingers[: len(pitches) - 1]
-    _, best = dp_optimal(score)
-    assert fingering_total_reward(score, candidate) <= best
+@given(scores(), reward_models(rewards=_SIXTEENTHS), st.data())
+@settings(max_examples=200)
+def test_dp_total_is_an_upper_bound(score, model, data):
+    # sixteenths keep every total exact, so no rounding can tip the bound
+    fingers = data.draw(st.lists(st.integers(1, 5), min_size=len(score) - 1,
+                                 max_size=len(score) - 1))
+    _, best = dp_optimal(score, model)
+    assert fingering_total_reward(score, [score.first_finger] + fingers, model) <= best
 
 
 def test_dp_respects_a_custom_reward_model():
@@ -253,3 +254,66 @@ def test_fresh_table_is_zero_and_greedy_prefers_finger_one():
     q = TabularQ()
     assert np.array_equal(q.values((3, 60, 62)), np.zeros(5))
     assert q.greedy_action((3, 60, 62)) == 1
+
+
+def test_greedy_fingering_without_an_env_reads_the_default_rewards():
+    score = Score.from_pitches([60, 64, 62, 67, 65, 60, 60], 2)
+    q = tabular_q_train(score, None, TrainConfig(episodes=300, seed=1))
+    assert q.greedy_fingering(score) == q.greedy_fingering(score, FingeringEnv(score))
+    # with an env, its own reward model scores the walk
+    model = RewardModel(r_stay=0.5, r_move=-0.25, r_infeasible=-4.0)
+    fingering, total = q.greedy_fingering(score, FingeringEnv(score, reward_model=model))
+    assert fingering == q.greedy_fingering(score)[0]
+    assert total == fingering_total_reward(score, fingering, model)
+
+
+def _reference_tabular_q(score, model, config, alpha):
+    """One-step Q-learning as an ``env.reset``/``env.step`` walk over a
+    dict of numpy rows: the loop ``tabular_q_train`` replaced."""
+    env = FingeringEnv(score, reward_model=model)
+    q = TabularQ()
+    rng = np.random.default_rng(config.seed)
+    for episode in range(config.episodes):
+        eps = epsilon_at(config, episode)
+        state = env.reset()
+        while state is not None:
+            if rng.random() < eps:
+                action = int(rng.integers(1, 6))
+            else:
+                action = q.greedy_action(state)
+            outcome = env.step(state, action)
+            target = outcome.reward
+            if not outcome.done:
+                target += config.gamma * float(np.max(q.values(outcome.next_state)))
+            values = q.values(state)
+            values[action - 1] += alpha * (target - values[action - 1])
+            state = outcome.next_state
+    return q
+
+
+def _all_states(score):
+    p = score.pitches
+    return [(f, p[t], p[t + 1]) for t in range(len(p) - 1) for f in FINGERS]
+
+
+@given(scores(max_notes=16), reward_models(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.95, 1.0]),
+       st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_tabular_q_matches_the_env_step_reference_bit_for_bit(
+        score, model, seed, alpha, gamma, episodes):
+    config = TrainConfig(episodes=episodes, gamma=gamma, seed=seed)
+    q = tabular_q_train(score, model, config, alpha)
+    ref = _reference_tabular_q(score, model, config, alpha)
+    for state in _all_states(score):
+        assert q.values(state).tobytes() == ref.values(state).tobytes(), state
+
+
+def test_tabular_q_stays_finite_at_the_largest_accepted_rewards():
+    # rewards as large as reward_table accepts for this score length:
+    # every update subtracts two path totals and must not overflow
+    score = Score.from_pitches([60, 67, 59, 60, 72, 55, 60, 60], 4)
+    big = sys.float_info.max / (4 * (len(score) - 1))
+    model = RewardModel(r_stay=big, r_move=-big / 2, r_infeasible=-big)
+    q = tabular_q_train(score, model, TrainConfig(episodes=300, gamma=1.0, seed=0), 1.0)
+    assert all(np.isfinite(q.values(state)).all() for state in _all_states(score))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ from pianofinger.reward import (
     is_position_change,
     reward_table,
 )
-from pianofinger.score import FINGERS
+from pianofinger.score import FINGERS, Score, ScoreSizeError
 
 from strategies import reward_models, scores
 
@@ -57,6 +59,28 @@ def test_reward_ordering_enforced():
         RewardModel(anchor_tolerance=-1.0)
     with pytest.raises(ValueError, match="anchor_tolerance"):
         RewardModel(anchor_tolerance=float("nan"))
+
+
+@pytest.mark.parametrize("rewards, name", [
+    ({"r_stay": float("inf")}, "r_stay"),
+    ({"r_infeasible": float("-inf")}, "r_infeasible"),
+    ({"r_stay": float("inf"), "r_infeasible": float("-inf")}, "r_stay"),
+    ({"r_move": float("nan")}, "r_move"),
+])
+def test_non_finite_rewards_are_rejected(rewards, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        RewardModel(**rewards)
+
+
+def test_reward_table_rejects_rewards_whose_path_totals_overflow():
+    score = Score.from_pitches([60, 62, 64, 65], 1)   # 3 transitions
+    limit = sys.float_info.max / 12                    # 3 * limit is a quarter of the largest float
+    reward_table(score, RewardModel(r_stay=limit, r_move=0.0, r_infeasible=-limit))
+    for model in (RewardModel(r_stay=limit * 1.01, r_move=0.0, r_infeasible=-1.0),
+                  RewardModel(r_stay=1.0, r_move=0.0, r_infeasible=-limit * 1.01),
+                  RewardModel(r_stay=1e308, r_move=-1e308, r_infeasible=-1.5e308)):
+        with pytest.raises(ScoreSizeError, match="overflow"):
+            reward_table(score, model)
 
 
 def test_same_finger_new_pitch_is_always_a_change():
