@@ -14,7 +14,21 @@ state's one-hot feature columns.  The replay ring is four preallocated
 arrays (state id, action, reward, next state id; next id -1 marks a
 terminal step), and the network keeps each parameter set and its
 gradient in one flat float64 buffer, so an SGD step, its finiteness
-check and a target sync are one array operation each.
+check and a target sync are one array operation each.  A training
+step writes its one-hot batch, activations and deltas into arrays the
+network allocates once per batch size, with ``out=``.
+
+The delayed network changes only at a sync, so ``train`` caches
+max_a Q_target(s, a) per state id (``TargetMaxima``), each entry
+stamped with the target version it was computed at; a step runs the
+target forward only over the successors whose entry is stale.  That
+keeps every history bit for bit: a fill is a gemm like the per-batch
+forward it replaces, and a gemm row does not depend on how many rows
+share the product (a lone stale row is padded to two to stay one).  A
+batch with a single live row is the exception: numpy multiplies one row
+along its vector path, which rounds differently from gemm rows, so that
+row takes the direct one-row forward, as the per-batch code did, and
+leaves the cache alone.
 """
 
 from __future__ import annotations
@@ -104,11 +118,14 @@ class ReplayBuffer:
         return Batch(*(column[order] for column in self._ring))
 
 
-def _dense_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """relu(h @ w + b), computed in place in the product."""
-    z = h @ w
-    z += b
-    return np.maximum(z, 0.0, out=z)
+class _BatchBuffers(NamedTuple):
+    """Arrays one training batch writes instead of allocating."""
+
+    x: np.ndarray               # one-hot input
+    outs: list[np.ndarray]      # each layer's output
+    deltas: list[np.ndarray]    # each layer's output gradient
+    active: list[np.ndarray]    # each hidden layer's ReLU mask
+    rows: np.ndarray            # 0..rows-1
 
 
 def _layer_views(buffer: np.ndarray, sizes: Sequence[int]):
@@ -134,7 +151,8 @@ class QNetwork:
     ``grad_weights``/``grad_biases`` view the gradient buffer ``grad``
     that ``train_step`` fills.  Weights and biases start uniform in
     [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn from the given generator;
-    the target set starts as an exact copy of the online set.
+    the target set starts as an exact copy of the online set, and
+    ``target_version`` counts the syncs since.
     """
 
     def __init__(self, input_dim: int, hidden: Sequence[int] = (64, 64),
@@ -154,10 +172,40 @@ class QNetwork:
         self.target_weights, self.target_biases = _layer_views(self.target_theta, sizes)
         self.grad = np.zeros(n_params)
         self.grad_weights, self.grad_biases = _layer_views(self.grad, sizes)
+        self.target_version = 0
+        self._sizes = sizes
+        self._step = np.empty(n_params)      # learning_rate * grad
+        self._finite = np.empty(n_params, dtype=bool)
+        self._batch_buffers: Optional[_BatchBuffers] = None
+
+    def _buffers(self, rows: int) -> _BatchBuffers:
+        """The preallocated arrays of a ``rows``-row batch, made anew only
+        when the batch size differs from the last one's."""
+        buffers = self._batch_buffers
+        if buffers is None or len(buffers.rows) != rows:
+            sizes = self._sizes
+            buffers = self._batch_buffers = _BatchBuffers(
+                np.zeros((rows, sizes[0])),
+                [np.empty((rows, k)) for k in sizes[1:]],
+                [np.empty((rows, k)) for k in sizes[1:]],
+                [np.empty((rows, k), dtype=bool) for k in sizes[1:-1]],
+                np.arange(rows),
+            )
+        return buffers
+
+    def _one_hot(self, columns: np.ndarray) -> np.ndarray:
+        """Rows of 1.0 at each row's ``columns`` and 0.0 elsewhere, in the
+        batch's input buffer: valid until the next call."""
+        buffers = self._buffers(len(columns))
+        x = buffers.x
+        x.fill(0.0)
+        x[buffers.rows[:, None], columns] = 1.0
+        return x
 
     def sync_target(self) -> None:
         """Copy the online parameters into the target set."""
         np.copyto(self.target_theta, self.theta)
+        self.target_version += 1
 
     def forward(self, features, target: bool = False) -> np.ndarray:
         """Q-values for one feature vector or a (batch, dim) array."""
@@ -168,17 +216,20 @@ class QNetwork:
         _, q = self._layers(h, target)
         return q[0] if x.ndim == 1 else q
 
-    def _layers(self, X: np.ndarray, target: bool = False):
+    def _layers(self, X: np.ndarray, target: bool = False, outs=None):
         """Each layer's input (X, then every hidden activation) and the
-        Q-values, for a (batch, dim) array."""
+        Q-values, for a (batch, dim) array.  Each layer's output goes
+        into its entry of ``outs`` if given, else into a new array."""
         ws = self.target_weights if target else self.weights
         bs = self.target_biases if target else self.biases
         hs = [X]
-        for w, b in zip(ws[:-1], bs[:-1]):
-            hs.append(_dense_relu(hs[-1], w, b))
-        q = hs[-1] @ ws[-1]
-        q += bs[-1]
-        return hs, q
+        for w, b, out in zip(ws, bs, outs or [None] * len(ws)):
+            z = np.matmul(hs[-1], w, out=out)
+            z += b
+            if len(hs) < len(ws):   # every layer but the head is rectified
+                np.maximum(z, 0.0, out=z)
+            hs.append(z)
+        return hs[:-1], hs[-1]
 
     def train_step(self, states, actions, targets, learning_rate: float) -> float:
         """One SGD step on the mean squared error of the chosen actions.
@@ -187,12 +238,12 @@ class QNetwork:
         targets are constants.  Returns the pre-step loss.
         """
         loss = self._backward(states, actions, targets)
-        if not (math.isfinite(loss) and np.isfinite(self.grad).all()):
+        if not (math.isfinite(loss) and np.isfinite(self.grad, out=self._finite).all()):
             bad = [k + 1 for k, (gw, gb) in enumerate(zip(self.grad_weights, self.grad_biases))
                    if not (np.isfinite(gw).all() and np.isfinite(gb).all())]
             raise TrainingError(f"non-finite loss or gradient (loss={loss!r})",
                                 layer=bad[0] if bad else None)
-        self.theta -= learning_rate * self.grad
+        self.theta -= np.multiply(learning_rate, self.grad, out=self._step)
         return loss
 
     def _backward(self, states, actions, targets) -> float:
@@ -201,18 +252,21 @@ class QNetwork:
         a_idx = np.asarray(actions, dtype=int) - 1
         y = np.asarray(targets, dtype=float)
         n = X.shape[0]
-        rows = np.arange(n)
-        hs, q = self._layers(X)
+        buffers = self._buffers(n)
+        hs, q = self._layers(X, outs=buffers.outs)
+        rows = buffers.rows
         err = q[rows, a_idx] - y
         loss = float(np.add.reduce(err * err) / n)   # np.mean(err ** 2)'s bits, less overhead
-        delta = np.zeros_like(q)
+        delta = buffers.deltas[-1]
+        delta.fill(0.0)
         delta[rows, a_idx] = 2.0 * err / n
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(hs[layer].T, delta, out=self.grad_weights[layer])
             np.add.reduce(delta, axis=0, out=self.grad_biases[layer])
             if layer > 0:
-                delta = delta @ self.weights[layer].T
-                np.multiply(delta, hs[layer] > 0.0, out=delta)
+                delta = np.matmul(delta, self.weights[layer].T, out=buffers.deltas[layer - 1])
+                active = np.greater(hs[layer], 0.0, out=buffers.active[layer - 1])
+                np.multiply(delta, active, out=delta)
         return loss
 
     def get_flat_params(self) -> np.ndarray:
@@ -342,21 +396,47 @@ def select_action(net: QNetwork, state_features, epsilon: float,
         if rng.random() < epsilon:
             return int(rng.integers(1, 6))
     q = net.forward(state_features)
-    a = int(np.argmax(q))
+    a = int(q.argmax())
     if not math.isfinite(q[a]):
         raise TrainingError(f"non-finite Q-value {float(q[a])!r} for finger {a + 1}")
     return a + 1
 
 
-def compute_targets(batch: Batch, net: QNetwork, gamma: float,
-                    env: FingeringEnv) -> np.ndarray:
+class TargetMaxima:
+    """max_a Q_target(s, a) for each state id of one env under one
+    network, each entry stamped with the ``target_version`` it was
+    computed at (-1: never)."""
+
+    def __init__(self, n_states: int):
+        self.values = np.empty(n_states)
+        self.version = np.full(n_states, -1)
+
+
+def compute_targets(batch: Batch, net: QNetwork, gamma: float, env: FingeringEnv,
+                    cache: Optional[TargetMaxima] = None) -> np.ndarray:
     """Bootstrap targets: r for terminal transitions, else
-    r + gamma * max target-network Q of the successor."""
+    r + gamma * max target-network Q of the successor.
+
+    Successor maxima come from ``cache`` where it holds them for the
+    current target version, and the stale ones are computed and stored;
+    without a cache every successor is stale.  The targets equal the
+    per-batch forward's bit for bit either way."""
     y = batch.rewards.copy()
     live = batch.next_states >= 0
-    if live.any():
-        nxt = env.features(batch.next_states[live])
-        y[live] += gamma * net.forward(nxt, target=True).max(axis=1)
+    ids = batch.next_states[live]
+    if len(ids) == 1:
+        # numpy multiplies one row along its vector path, which rounds
+        # differently from gemm rows: compute it directly, uncached
+        y[live] += gamma * net.forward(env.features(ids), target=True).max(axis=1)
+    elif len(ids):
+        cache = cache if cache is not None else TargetMaxima(len(env.columns))
+        todo = ids[cache.version[ids] != net.target_version]   # duplicates are harmless
+        if len(todo):
+            if len(todo) == 1:
+                todo = todo.repeat(2)   # keep the fill on the gemm path
+            cache.values[todo] = net.forward(env.features(todo), target=True).max(axis=1)
+            cache.version[todo] = net.target_version
+        y[live] += gamma * cache.values[ids]
     return y
 
 
@@ -369,20 +449,24 @@ class EpisodeRecord:
 
 
 def train(env: FingeringEnv, config: TrainConfig,
-          episode_hook: Optional[Callable[[int, QNetwork], None]] = None):
+          episode_hook: Optional[Callable[[int, QNetwork], object]] = None):
     """Run the replay-based Q-learning loop; returns (net, history).
 
     Every environment step acts epsilon-greedily, stores its transition,
     and (once the ring holds one full batch) samples a minibatch,
     regresses the online net toward the bootstrap targets, and copies the
     online weights into the target set every ``target_sync`` gradient
-    steps.  ``episode_hook(episode, net)`` runs after each episode; it is
-    observation-only.  A TrainingError names the episode and the
-    gradient step it happened in.
+    steps.  ``episode_hook(episode, net)`` runs after each episode and
+    must not change the net; a truthy return ends training there, so a
+    run stopped after episode k has the first k+1 records of the full
+    run.  A TrainingError names the episode and the gradient step it
+    happened in.
     """
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
     buffer = ReplayBuffer(config.replay_capacity)
+    maxima = TargetMaxima(len(env.columns))
+    columns = env.columns
     history: list[EpisodeRecord] = []
     grad_steps = 0
     for episode in range(config.episodes):
@@ -397,9 +481,10 @@ def train(env: FingeringEnv, config: TrainConfig,
                 buffer.push(state, action, reward, nxt)
                 if len(buffer) >= config.batch_size:
                     batch = buffer.sample(config.batch_size, rng)
-                    targets = compute_targets(batch, net, config.gamma, env)
-                    losses.append(net.train_step(env.features(batch.states), batch.actions,
-                                                 targets, config.learning_rate))
+                    targets = compute_targets(batch, net, config.gamma, env, maxima)
+                    losses.append(net.train_step(net._one_hot(columns[batch.states]),
+                                                 batch.actions, targets,
+                                                 config.learning_rate))
                     grad_steps += 1
                     if grad_steps % config.target_sync == 0:
                         net.sync_target()
@@ -410,8 +495,8 @@ def train(env: FingeringEnv, config: TrainConfig,
         history.append(EpisodeRecord(
             episode, total, eps, float(np.mean(losses)) if losses else 0.0
         ))
-        if episode_hook is not None:
-            episode_hook(episode, net)
+        if episode_hook is not None and episode_hook(episode, net):
+            break
     return net, history
 
 

@@ -25,7 +25,7 @@ from .experiments import (
     run,
 )
 from .oracle import FingeringError, count_position_changes, dp_optimal, fingering_total_reward
-from .reward import RewardModel
+from .reward import RewardModel, reward_table
 from .score import Score, ScoreError, mirror_for_left_hand, parse_score, read_text, serialize_score
 
 DEFAULT_EPISODES = 500
@@ -106,10 +106,10 @@ def _load_spec(args) -> ExperimentSpec:
                           encoding=DEFAULT_ENCODING)
 
 
-def _position_changes(score: Score, fingering, model: RewardModel) -> str:
+def _position_changes(score: Score, fingering, model: RewardModel, table=None) -> str:
     """The fingering's position-change count, or 'n/a' if a transition is infeasible."""
     try:
-        return str(count_position_changes(score, fingering, model))
+        return str(count_position_changes(score, fingering, model, table=table))
     except FingeringError:
         return "n/a"
 
@@ -163,8 +163,9 @@ def _cmd_solve(args) -> int:
         model = RewardModel(**reward_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    fingering, total = dp_optimal(score, model)
-    changes = count_position_changes(score, fingering, model)
+    table = reward_table(score, model)   # one table for the DP and the count
+    fingering, total = dp_optimal(score, model, table=table)
+    changes = count_position_changes(score, fingering, model, table=table)
     print(f"score: {score.name} ({len(score)} notes)")
     print("fingering: " + " ".join(str(f) for f in fingering))
     print(f"total_reward: {total:.6f}")
@@ -225,8 +226,10 @@ def _cmd_eval(args) -> int:
             "fingering file pitches do not match the score"
         )
     fingering = [f for _, f in pairs]
-    total = fingering_total_reward(score, fingering)
-    changes = _position_changes(score, fingering, RewardModel())
+    model = RewardModel()
+    table = reward_table(score, model)
+    total = fingering_total_reward(score, fingering, model, table=table)
+    changes = _position_changes(score, fingering, model, table)
     print(f"total_reward: {total:.6f}")
     print(f"feasible: {'false' if changes == 'n/a' else 'true'}")
     print(f"position_changes: {changes}")

@@ -12,9 +12,12 @@ learning-based route to the same optimum.  It walks the state ids
 5t + (f-1) over plain-float rows, one row per (finger, pitch, next
 pitch) key, which every state with that key shares.
 
-Everything here reads ``reward.reward_table``.  Totals of a fingering
-are added one transition at a time, left to right, so ``dp_optimal`` and
-``fingering_total_reward`` agree to the last bit.
+Everything here reads ``reward.reward_table``; a caller that already
+holds a score's table (``solve`` builds one for the DP and the
+position-change count) passes it as ``table=`` instead of having each
+function rebuild it.  Totals of a fingering are added one transition at
+a time, left to right, so ``dp_optimal`` and ``fingering_total_reward``
+agree to the last bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ class FingeringError(ValueError):
     """Raised for malformed or infeasible complete fingerings."""
 
 
-def dp_optimal(score: Score, model: Optional[RewardModel] = None):
+def dp_optimal(score: Score, model: Optional[RewardModel] = None, *,
+               table: Optional[np.ndarray] = None):
     """Best achievable total reward and one optimal fingering.
 
     Backward induction on (note index, finger) over ``reward_table``.
@@ -50,8 +54,8 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     score's fixed first finger; the total is the fingering's rewards
     added left to right, as ``fingering_total_reward`` adds them.
     """
-    model = model if model is not None else RewardModel()
-    table = reward_table(score, model)
+    if table is None:
+        table = reward_table(score, model if model is not None else RewardModel())
     # value[f-1] = best total reward from note t onward, holding finger f
     value = np.zeros(5)
     continuation = np.empty((5, 5))
@@ -96,27 +100,31 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
     return fingering, float(totals.max())
 
 
-def fingering_rewards(score: Score, fingering, model: Optional[RewardModel] = None) -> np.ndarray:
+def fingering_rewards(score: Score, fingering, model: Optional[RewardModel] = None, *,
+                      table: Optional[np.ndarray] = None) -> np.ndarray:
     """Reward of each transition of a complete fingering (first entry must
     match the score's fixed first finger): entry t is note t -> t+1."""
-    model = model if model is not None else RewardModel()
     _validate_fingering(score, fingering)
-    return _path_rewards(reward_table(score, model), fingering)
+    if table is None:
+        table = reward_table(score, model if model is not None else RewardModel())
+    return _path_rewards(table, fingering)
 
 
-def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None) -> float:
+def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None, *,
+                           table: Optional[np.ndarray] = None) -> float:
     """Total reward of a complete fingering, added as ``dp_optimal`` adds it."""
-    return _left_to_right_sum(fingering_rewards(score, fingering, model))
+    return _left_to_right_sum(fingering_rewards(score, fingering, model, table=table))
 
 
-def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None) -> int:
+def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None, *,
+                           table: Optional[np.ndarray] = None) -> int:
     """Number of hand relocations along a fingering.
 
     Raises FingeringError if any transition is infeasible — a crossing
     has no meaningful relocation count.
     """
     model = model if model is not None else RewardModel()
-    rewards = fingering_rewards(score, fingering, model)
+    rewards = fingering_rewards(score, fingering, model, table=table)
     infeasible = np.flatnonzero(rewards == model.r_infeasible)
     if len(infeasible):
         t = int(infeasible[0])

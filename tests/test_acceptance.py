@@ -64,14 +64,16 @@ def _env_for(exp_id):
 
 def _first_hit(env, config, is_hit):
     """Earliest episode whose post-episode greedy snapshot satisfies is_hit,
-    or None if no episode within the budget does."""
+    or None if no episode within the budget does.  Training stops at the
+    hit: the episodes before it are the same either way."""
     hits = []
 
     def hook(episode, net):
-        if not hits:
-            fingering, total = greedy_rollout(net, env)
-            if is_hit(fingering, total):
-                hits.append(episode)
+        fingering, total = greedy_rollout(net, env)
+        if is_hit(fingering, total):
+            hits.append(episode)
+            return True
+        return False
 
     train(env, config, episode_hook=hook)
     return hits[0] if hits else None

@@ -10,6 +10,7 @@ from pianofinger.agent import (
     EpisodeRecord,
     QNetwork,
     ReplayBuffer,
+    TargetMaxima,
     TrainConfig,
     TrainingError,
     compute_targets,
@@ -20,8 +21,11 @@ from pianofinger.agent import (
     train,
 )
 from pianofinger.env import FingeringEnv, StateEncoding
+from pianofinger.experiments import ENCODINGS, encoding_for
 from pianofinger.oracle import dp_optimal
 from pianofinger.score import Score
+
+from strategies import scores
 
 
 def _zero_net(input_dim=4, hidden=(3,)):
@@ -81,8 +85,10 @@ def test_sync_target_copies_current_online_weights():
     net = QNetwork(4, hidden=(3,), rng=np.random.default_rng(0))
     net.weights[0][0, 0] += 1.0
     assert not np.array_equal(net.weights[0], net.target_weights[0])
+    assert net.target_version == 0
     net.sync_target()
     assert np.array_equal(net.weights[0], net.target_weights[0])
+    assert net.target_version == 1   # what stamps the cached target maxima
 
 
 def test_train_step_at_fixpoint_is_a_noop():
@@ -423,6 +429,71 @@ def test_config_validation():
 
 # --- training loop ---------------------------------------------------------
 
+def _reference_targets(batch, net, gamma, env):
+    """The per-batch forward of every live successor, uncached."""
+    y = batch.rewards.copy()
+    live = batch.next_states >= 0
+    if live.any():
+        y[live] += gamma * net.forward(env.features(batch.next_states[live]),
+                                       target=True).max(axis=1)
+    return y
+
+
+@given(scores(max_notes=30), st.sampled_from(ENCODINGS), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       st.lists(st.one_of(st.sampled_from(["sync", "step"]),
+                          # (rows, live rows, successors not seen before)
+                          st.integers(1, 32).flatmap(lambda k: st.tuples(
+                              st.just(k), st.one_of(st.just(1), st.just(k), st.integers(0, k)),
+                              st.sampled_from([0, 1, 2, k])))),
+                min_size=4, max_size=16))
+@settings(max_examples=100, deadline=None)
+def test_cached_targets_equal_the_per_batch_forward_bit_for_bit(score, encoding, seed,
+                                                                gamma, ops):
+    # syncs, online steps and batches in any order; live counts 0..32,
+    # one live row, and batches whose only stale successor is one row
+    env = FingeringEnv(score, encoding=encoding_for(score, encoding))
+    rng = np.random.default_rng(seed)
+    net = QNetwork(env.input_dim, rng=rng)
+    cache = TargetMaxima(len(env.columns))
+    n_states = len(env.columns)
+    seen = np.empty(0, dtype=np.intp)
+    for op in ops:
+        if op == "sync":
+            net.sync_target()
+        elif op == "step":   # moves the online set only
+            net.theta += rng.normal(scale=0.05, size=net.theta.size)
+        else:
+            k, m, new = op
+            unseen = np.setdiff1d(np.arange(n_states), seen)
+            new = m if not len(seen) else min(new, m) if len(unseen) else 0
+            ids = np.concatenate([rng.choice(seen, m - new), rng.choice(unseen, new)])
+            next_states = np.full(k, -1, dtype=np.intp)
+            next_states[rng.permutation(k)[:m]] = ids
+            # rewards small beside the Q-values, so a last-bit change survives the sum
+            batch = Batch(rng.integers(0, n_states, k), rng.integers(1, 6, k),
+                          rng.normal(scale=1e-3, size=k), next_states)
+            expected = _reference_targets(batch, net, gamma, env)
+            assert np.array_equal(compute_targets(batch, net, gamma, env, cache), expected)
+            assert np.array_equal(compute_targets(batch, net, gamma, env), expected)
+            if m >= 2:
+                assert (cache.version[ids] == net.target_version).all()
+            seen = np.union1d(seen, ids)
+
+
+def test_targets_read_fresh_entries_and_refill_after_a_sync():
+    env = _small_env()
+    net = QNetwork(env.input_dim, rng=np.random.default_rng(5))
+    cache = TargetMaxima(len(env.columns))
+    batch = _batch([0.0, 0.0, 0.0], [5, 6, 7])
+    compute_targets(batch, net, 0.9, env, cache)
+    cache.values[[5, 6, 7]] = [1.0, 2.0, 3.0]   # fresh entries are read, not recomputed
+    assert np.array_equal(compute_targets(batch, net, 1.0, env, cache), [1.0, 2.0, 3.0])
+    net.sync_target()                            # a sync makes every entry stale
+    assert np.array_equal(compute_targets(batch, net, 0.9, env, cache),
+                          _reference_targets(batch, net, 0.9, env))
+
+
 def _small_env():
     return FingeringEnv(
         Score.from_pitches([60, 62, 64, 65, 67], 1),
@@ -473,6 +544,23 @@ def test_episode_hook_runs_once_per_episode():
     train(_small_env(), TrainConfig(episodes=6, seed=1),
           episode_hook=lambda ep, net: seen.append((ep, isinstance(net, QNetwork))))
     assert seen == [(ep, True) for ep in range(6)]
+
+
+def test_truthy_hook_stops_training_after_that_episode():
+    cfg = TrainConfig(episodes=12, seed=3, batch_size=6, replay_capacity=64,
+                      learning_rate=0.05)
+    full_net, full = train(_small_env(), cfg)
+    for k in (0, 5, 11):
+        seen = []
+
+        def hook(episode, net):
+            seen.append(episode)
+            return episode == k
+
+        net, history = train(_small_env(), cfg, episode_hook=hook)
+        assert seen == list(range(k + 1))
+        assert history == full[:k + 1]
+    assert np.array_equal(net.get_flat_params(), full_net.get_flat_params())
 
 
 def test_divergent_learning_rate_raises_training_error():

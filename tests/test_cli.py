@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pianofinger import cli, oracle
 from pianofinger.agent import TrainConfig
 from pianofinger.cli import _CONFIG_KEYS, _build_parser, main, read_config_file, ConfigError
+from pianofinger.reward import reward_table
 
 
 def _write_score(tmp_path, text, name="score.txt"):
@@ -33,6 +35,20 @@ def test_solve_bundled_scale(capsys):
     assert "fingering: 1 2 3 4 5 5 4 3 2 1" in out
     assert "total_reward: 9.000000" in out
     assert "position_changes: 0" in out
+
+
+def test_solve_builds_one_reward_table(monkeypatch, capsys):
+    calls = []
+
+    def counted(score, model):
+        calls.append(len(score))
+        return reward_table(score, model)
+
+    monkeypatch.setattr(cli, "reward_table", counted)
+    monkeypatch.setattr(oracle, "reward_table", counted)
+    assert main(["solve", "--ex", "4"]) == 0
+    assert calls == [16]
+    assert "position_changes: 2" in capsys.readouterr().out
 
 
 def test_solve_reports_relocations(capsys):

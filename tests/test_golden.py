@@ -8,6 +8,12 @@ any change to the training loop that moves a single bit of any seed's
 history shows up as a failure.  A speedup has to keep these; a change
 that means to alter histories has to say so and record new values.
 
+Three more runs pin the edges of the per-state target cache: EX2 with
+one-row batches (every bootstrap takes numpy's vector path), EX2 with a
+sync after every gradient step (the cache goes stale every step), and a
+seeded 200-note random walk under the full-keyboard encoding (995
+states, more than one sync window fills).
+
 The tabular learner is pinned the same way: criterion 10's run on each
 melody (seed 0, 2000 episodes, gamma 1, alpha 0.5) hashed over its
 Q-values of every state, in state-id order, as little-endian float64.
@@ -18,13 +24,14 @@ import hashlib
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from pianofinger.agent import TrainConfig, TrainingError, train
 from pianofinger.env import FingeringEnv
 from pianofinger.experiments import build_experiment, default_train_config, encoding_for
 from pianofinger.oracle import tabular_q_train
-from pianofinger.score import FINGERS
+from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score
 
 GOLDEN = {
     "EX1": ("d2b5df5e3d52ba931d7841c370c02c08dbc1241367a181c82b834fdd36a7ac06",
@@ -39,6 +46,15 @@ GOLDEN = {
             "d8cde1c9785a6ad474e4e25972a3e2509f1cb674e38bed73478785cf538f53a8"),
 }
 GOLDEN_EPISODES = 40
+
+GOLDEN_EDGES = {
+    "EX2-batch1": ("2686f5ec3b273ab892bba315603b66b533d5aced5591e7ac26641b80f61f8fba",
+                   "ed7db56395ecf79a69c32fb322a35c85dc21fb799b3cc26dcbee8b97536ff3c1"),
+    "EX2-sync1": ("4a58839e2813853d18e10e8e6f5848a20aa52564397347103740dd1eeb8519ee",
+                  "18aafc37f859c3702b05004ae08a86cbaba475141ce4fb89e9bc84899097d6ed"),
+    "walk200-88": ("34c8b2fcbd5340ab352ad80412ec7ff17fe4d01fd6d8079391b698a6b05c2655",
+                   "077e41076aa3164ef11a7f36f154e2ede31ee1d77593f2ea79cba1fb16bbabcd"),
+}
 
 GOLDEN_TABULAR = {
     "EX1": "346df3f535c5d43ee796ce7cf66df5318803090301f5593f1d2c6e3153a28992",
@@ -70,6 +86,35 @@ def test_golden_history_and_weights(exp_id):
     assert len(history) == GOLDEN_EPISODES
     assert history_digest(history) == GOLDEN[exp_id][0]
     assert hashlib.sha256(net.get_flat_params().tobytes()).hexdigest() == GOLDEN[exp_id][1]
+
+
+def _random_walk(n_notes, seed):
+    """Steps of -5..+5 semitones from middle C, held inside the keyboard."""
+    pitches = [60]
+    for step in np.random.default_rng(seed).integers(-5, 6, size=n_notes - 1).tolist():
+        pitches.append(min(PITCH_MAX, max(PITCH_MIN, pitches[-1] + step)))
+    return Score.from_pitches(pitches, 1, name="walk")
+
+
+def _edge_case(name):
+    if name == "walk200-88":
+        score = _random_walk(200, seed=0)
+        return (FingeringEnv(score, encoding=encoding_for(score, "88")),
+                TrainConfig(episodes=15, seed=0))
+    # the step sizes keep these two EX2 runs from diverging
+    overrides = {"EX2-batch1": {"batch_size": 1, "learning_rate": 0.02},
+                 "EX2-sync1": {"target_sync": 1, "learning_rate": 0.05}}[name]
+    env, config = _env_and_config("EX2", GOLDEN_EPISODES)
+    return env, dataclasses.replace(config, **overrides)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EDGES))
+def test_golden_target_cache_edges(name):
+    env, config = _edge_case(name)
+    net, history = train(env, config)
+    assert len(history) == config.episodes
+    assert history_digest(history) == GOLDEN_EDGES[name][0]
+    assert hashlib.sha256(net.get_flat_params().tobytes()).hexdigest() == GOLDEN_EDGES[name][1]
 
 
 @pytest.mark.parametrize("exp_id", sorted(GOLDEN_TABULAR))

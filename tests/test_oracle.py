@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from pianofinger.oracle import (
     fingering_total_reward,
     tabular_q_train,
 )
-from pianofinger.reward import RewardModel
+from pianofinger.reward import RewardModel, reward_table
 from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, ScoreSizeError
 
 from strategies import reward_models, scores
@@ -107,6 +108,23 @@ _SIXTEENTHS = st.integers(-1600, 1600).map(lambda k: k / 16)
 @settings(max_examples=300)
 def test_dp_matches_exhaustive_under_non_integer_rewards(score, model):
     assert dp_optimal(score, model) == exhaustive_optimal(score, model)
+
+
+@given(scores(), reward_models(), st.data())
+def test_a_passed_table_gives_what_a_built_one_does(score, model, data):
+    table = reward_table(score, model)
+    fingering = [score.first_finger] + data.draw(
+        st.lists(st.sampled_from(FINGERS), min_size=len(score) - 1, max_size=len(score) - 1))
+    assert dp_optimal(score, model, table=table) == dp_optimal(score, model)
+    assert (fingering_total_reward(score, fingering, model, table=table)
+            == fingering_total_reward(score, fingering, model))
+    try:
+        expected = count_position_changes(score, fingering, model)
+    except FingeringError as exc:
+        with pytest.raises(FingeringError, match=f"^{re.escape(str(exc))}$"):
+            count_position_changes(score, fingering, model, table=table)
+    else:
+        assert count_position_changes(score, fingering, model, table=table) == expected
 
 
 def test_dp_matches_exhaustive_on_the_short_melodies():

@@ -232,3 +232,35 @@ def test_mirror_flips_interval_signs(pitches, ff):
     orig = [b - a for a, b in zip(s.pitches, s.pitches[1:])]
     mirrored = [b - a for a, b in zip(m.pitches, m.pitches[1:])]
     assert mirrored == [-d for d in orig]
+
+
+_TOKENS = st.sampled_from([
+    "C4", "C#4", "Db4", "F##3", "Bbb5", "A0", "C8", "B#8", "Cb0", "H2", "C", "#4", "4C",
+    "60", "21", "108", "20", "109", "-1", "0", "1e2", "60.0", "0x3c", "1" * 30,
+    "#", "##", ",", ",,", "nan", "NaN", "inf", "-inf", "1e309", "0.5", "-3", "+7",
+    "first_finger=1", "first_finger=5", "first_finger=9", "first_finger=", "first_finger",
+    "=", "==", "x", "١٢", "é", "\x00", "﻿",
+])
+
+
+@st.composite
+def _score_like_text(draw):
+    """Lines of pitch names, numbers, comments, commas, non-finite
+    durations and junk, joined by the separators a score file uses."""
+    lines = []
+    for tokens in draw(st.lists(st.lists(_TOKENS, max_size=4), max_size=8)):
+        seps = draw(st.lists(st.sampled_from(["", " ", ",", ", ", "\t", " #", "#"]),
+                             min_size=len(tokens), max_size=len(tokens)))
+        lines.append("".join(sep + tok for sep, tok in zip(seps, tokens)))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+@given(st.one_of(st.text(), _score_like_text(),
+                 _score_like_text().map(lambda body: "first_finger=1\n" + body)))
+def test_parse_raises_only_score_errors(text):
+    try:
+        score = parse_score(text)
+    except ScoreError:
+        return
+    assert len(score) >= 2 and score.first_finger in FINGERS
+    assert all(PITCH_MIN <= p <= PITCH_MAX for p in score.pitches)
