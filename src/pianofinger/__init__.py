@@ -6,7 +6,7 @@ everything else is imported from its submodule (``pianofinger.oracle``,
 """
 
 from .agent import Batch, ReplayBuffer, TrainConfig, TrainingError, greedy_rollout, train
-from .env import FingeringEnv, FingerState, StateEncoding
+from .env import FingeringEnv, StateEncoding
 from .oracle import dp_optimal
 from .score import Score
 
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Batch",
-    "FingerState",
     "FingeringEnv",
     "ReplayBuffer",
     "Score",

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .agent import TrainConfig, epsilon_at
-from .env import FingeringEnv
 from .reward import RewardModel, reward_table
 from .score import FINGERS, Score, ScoreSizeError
 
@@ -166,33 +165,37 @@ def _validate_fingering(score: Score, fingering) -> None:
 
 
 class TabularQ:
-    """Q-table keyed by the raw (finger, pitch, next pitch) tuples."""
+    """The Q-table ``tabular_q_train`` learned on one score: a row of five
+    values per (finger, pitch, next pitch) key, the row of each state id,
+    and the score's reward table under the model it was trained with."""
 
-    def __init__(self):
-        self._table: dict[tuple[int, int, int], np.ndarray] = {}
+    def __init__(self, score: Score, table: np.ndarray, rows: dict, row_of: list):
+        self.score = score
+        self._table = table
+        self._rows = rows
+        self._row_of = row_of
 
     def values(self, state) -> np.ndarray:
-        key = (state[0], state[1], state[2])
-        if key not in self._table:
-            self._table[key] = np.zeros(5)
-        return self._table[key]
+        """The row of a (finger, pitch, next pitch) key; zeros for a key
+        the score does not have."""
+        return np.array(self._rows.get((state[0], state[1], state[2]), [0.0] * 5))
 
-    def greedy_action(self, state) -> int:
-        return int(np.argmax(self.values(state))) + 1
-
-    def greedy_fingering(self, score: Score, env: Optional[FingeringEnv] = None):
-        """The greedy walk from the score's first finger and its total,
-        rewarded by ``env``'s table or, without one, the default model's."""
-        table = env.rewards if env is not None else reward_table(score, RewardModel())
-        rewards = table.reshape(-1, 5).tolist()
-        pitches = score.pitches
+    def greedy_fingering(self, score: Score):
+        """The greedy walk from the score's first finger (the first maximum
+        of each row, as in training) and its total under the trained
+        model.  ``score`` must be the score the table was trained on."""
+        if (score.pitches, score.first_finger) != (self.score.pitches, self.score.first_finger):
+            raise ValueError("greedy_fingering walks the score the table was trained on")
+        rewards = self._table.reshape(-1, 5).tolist()
+        state = score.first_finger - 1
         fingering = [score.first_finger]
         total = 0.0
-        for t in range(len(pitches) - 1):
-            held = fingering[-1]
-            action = self.greedy_action((held, pitches[t], pitches[t + 1]))
-            fingering.append(action)
-            total += rewards[5 * t + held - 1][action - 1]
+        while state < len(self._row_of):
+            row = self._row_of[state]
+            action = row.index(max(row))
+            total += rewards[state][action]
+            fingering.append(action + 1)
+            state += 5 - state % 5 + action
         return fingering, total
 
 
@@ -207,11 +210,13 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     lists; each id points at the five-float Q row of its (f, pitch t,
     pitch t+1) key, shared by every state with that key.  Greedy takes
     the first maximum, as ``np.argmax`` does, and Python floats round as
-    numpy's do, so the table equals an ``env.step`` walk's bit for bit."""
+    numpy's do, so the rows equal those of a walk over (finger, pitch,
+    next pitch) keys with ``RewardModel.reward`` bit for bit."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     model = reward_model if reward_model is not None else RewardModel()
-    rewards = reward_table(score, model).reshape(-1, 5).tolist()
+    table = reward_table(score, model)
+    rewards = table.reshape(-1, 5).tolist()
     pitches = score.pitches
     rows: dict[tuple[int, int, int], list[float]] = {}
     row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
@@ -232,6 +237,4 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
             if state < end:
                 target += config.gamma * max(row_of[state])
             row[action] += alpha * (target - row[action])
-    q = TabularQ()
-    q._table = {key: np.array(row) for key, row in rows.items()}
-    return q
+    return TabularQ(score, table, rows, row_of)

@@ -75,60 +75,41 @@ def pitch_from_name(name: str) -> int:
     return semitone + 12 * (octave + 1)
 
 
-@dataclass(frozen=True)
-class Note:
-    """One note; only the pitch matters for fingering."""
-
-    pitch: int
-
-    def __post_init__(self):
-        if not PITCH_MIN <= self.pitch <= PITCH_MAX:
-            raise PitchRangeError(
-                f"pitch {self.pitch} outside piano range [{PITCH_MIN}, {PITCH_MAX}]"
-            )
+def _piano_pitch(p) -> int:
+    """``p`` as a MIDI number on the piano, or the error that says why not."""
+    try:
+        pitch = int(p)
+        whole = pitch == p
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ScoreError(f"pitch {p!r} is not a whole number")
+    if not PITCH_MIN <= pitch <= PITCH_MAX:
+        raise PitchRangeError(f"pitch {pitch} outside piano range [{PITCH_MIN}, {PITCH_MAX}]")
+    return pitch
 
 
 @dataclass(frozen=True)
 class Score:
-    """A monophonic note sequence plus the finger that plays its first note."""
+    """A monophonic pitch sequence plus the finger that plays its first note."""
 
-    notes: tuple[Note, ...]
+    pitches: tuple[int, ...]
     first_finger: int
     name: str = "score"
 
     def __post_init__(self):
-        object.__setattr__(self, "notes", tuple(self.notes))
-        if len(self.notes) < 2:
-            raise ScoreSizeError(f"score needs at least 2 notes, got {len(self.notes)}")
+        object.__setattr__(self, "pitches", tuple(map(_piano_pitch, self.pitches)))
+        if len(self.pitches) < 2:
+            raise ScoreSizeError(f"score needs at least 2 notes, got {len(self.pitches)}")
         if self.first_finger not in FINGERS:
             raise HeaderError(f"first_finger must be in 1..5, got {self.first_finger}")
 
     @classmethod
     def from_pitches(cls, pitches, first_finger: int, name: str = "score") -> "Score":
-        return cls(tuple(Note(int(p)) for p in pitches), first_finger, name)
-
-    @property
-    def pitches(self) -> tuple[int, ...]:
-        return tuple(n.pitch for n in self.notes)
+        return cls(pitches, first_finger, name)
 
     def __len__(self) -> int:
-        return len(self.notes)
-
-
-@dataclass(frozen=True)
-class MelodicRange:
-    """Closed pitch interval [min_pitch, max_pitch]."""
-
-    min_pitch: int
-    max_pitch: int
-
-    def __post_init__(self):
-        if self.min_pitch > self.max_pitch:
-            raise ScoreError(f"empty range [{self.min_pitch}, {self.max_pitch}]")
-
-    @property
-    def size(self) -> int:
-        return self.max_pitch - self.min_pitch + 1
+        return len(self.pitches)
 
 
 def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
@@ -146,7 +127,7 @@ def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
 def parse_score(text: str, name: str = "score") -> Score:
     """Parse the score file format described in the module docstring."""
     header_finger = None
-    notes: list[Note] = []
+    pitches: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
         if not line:
@@ -190,12 +171,10 @@ def parse_score(text: str, name: str = "score") -> Score:
             raise PitchRangeError(
                 f"line {line_no}: pitch {pitch} outside piano range [{PITCH_MIN}, {PITCH_MAX}]"
             )
-        notes.append(Note(pitch))
+        pitches.append(pitch)
     if header_finger is None:
         raise HeaderError("missing first_finger=<1-5> header")
-    if len(notes) < 2:
-        raise ScoreSizeError(f"score needs at least 2 notes, got {len(notes)}")
-    return Score(tuple(notes), header_finger, name)
+    return Score(pitches, header_finger, name)
 
 
 def serialize_score(score: Score) -> str:
@@ -203,11 +182,6 @@ def serialize_score(score: Score) -> str:
     lines = [f"first_finger={score.first_finger}"]
     lines.extend(str(p) for p in score.pitches)
     return "\n".join(lines) + "\n"
-
-
-def melodic_range(score: Score) -> MelodicRange:
-    pitches = score.pitches
-    return MelodicRange(min(pitches), max(pitches))
 
 
 def mirror_for_left_hand(score: Score, axis_pitch: int) -> Score:

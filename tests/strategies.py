@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the reward and oracle tests."""
+"""Hypothesis strategies shared by the score, reward, oracle and CLI tests."""
 
 from hypothesis import strategies as st
 
@@ -30,3 +30,31 @@ def reward_models(draw, rewards=st.floats(-100, 100)):
     tolerance = draw(st.one_of(st.sampled_from([0.0, 1.5, 30.0]), st.floats(0, 90)))
     low, mid, high = sorted(draw(st.lists(rewards, min_size=3, max_size=3, unique=True)))
     return RewardModel(tolerance, r_stay=high, r_move=mid, r_infeasible=low)
+
+
+_SCORE_TOKENS = st.sampled_from([
+    "C4", "C#4", "Db4", "F##3", "Bbb5", "A0", "C8", "B#8", "Cb0", "H2", "C", "#4", "4C",
+    "60", "21", "108", "20", "109", "-1", "0", "1e2", "60.0", "0x3c", "1" * 30,
+    "#", "##", ",", ",,", "nan", "NaN", "inf", "-inf", "1e309", "0.5", "-3", "+7",
+    "first_finger=1", "first_finger=5", "first_finger=9", "first_finger=", "first_finger",
+    "=", "==", "x", "١٢", "é", "\x00", "﻿",
+])
+
+
+@st.composite
+def _score_like_text(draw):
+    """Lines of pitch names, numbers, comments, commas, non-finite
+    durations and junk, joined by the separators a score file uses."""
+    lines = []
+    for tokens in draw(st.lists(st.lists(_SCORE_TOKENS, max_size=4), max_size=8)):
+        seps = draw(st.lists(st.sampled_from(["", " ", ",", ", ", "\t", " #", "#"]),
+                             min_size=len(tokens), max_size=len(tokens)))
+        lines.append("".join(sep + tok for sep, tok in zip(seps, tokens)))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def score_texts():
+    """Score-file text: arbitrary, score-like, and score-like under a
+    valid header."""
+    return st.one_of(st.text(), _score_like_text(),
+                     _score_like_text().map(lambda body: "first_finger=1\n" + body))

@@ -6,16 +6,19 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pianofinger import cli, oracle
 from pianofinger.agent import TrainConfig
 from pianofinger.cli import _CONFIG_KEYS, _build_parser, main, read_config_file, ConfigError
 from pianofinger.reward import reward_table
+
+from strategies import score_texts
 
 
 def _write_score(tmp_path, text, name="score.txt"):
@@ -463,3 +466,97 @@ def test_solve_with_fuzzed_config_exits_0_or_2(tmp_path_factory, lines):
     path.write_bytes(b"\n".join(lines))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["solve", "--ex", "2", "--config", str(path)]) in (0, 2)
+
+
+_PITCHES = st.sampled_from(["60", "62", "64", "C4", "20", "109", "x", "60.5", ""])
+_FINGERING_LINES = st.builds(" ".join, st.lists(
+    _PITCHES | st.sampled_from(["1", "2", "3", "5", "0", "6", "-1", "nan"]), max_size=3))
+# small train values only: these files and flags never ask for a long run
+_SMALL_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-1, 60).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "88", "range", "", "lots"]),
+)
+_SMALL_CONFIG_LINES = st.builds(
+    "{}={}".format, st.sampled_from(sorted(_CONFIG_KEYS) + ["encoding", "momentum"]),
+    _SMALL_VALUES)
+_FILES = ("score", "scale", "fingering", "config", "missing")
+_COMMANDS = {   # positional files and optional flags of each command
+    "solve": (["score"], ["--ex", "--config"]),
+    "train": (["score"], ["--ex", "--config", "--encoding", "--seed"]),
+    "eval": (["score", "fingering"], []),
+    "mirror": (["score"], ["--axis"]),
+}
+_FLAG_VALUES = {
+    "--ex": ["1", "2", "4", "0", "x"],
+    "--axis": ["60", "64", "100", "-5", "x"],
+    "--encoding": ["88", "range", "range", "x"],
+    "--seed": ["0", "3", "0", "-1", "x"],
+}
+
+
+@st.composite
+def _argv(draw, paths):
+    """A mostly well-formed command line over the fuzzed files, with one
+    usage slip in some; a `train` line caps its run at 5 episodes and 2
+    seeds."""
+    command = draw(st.sampled_from(["train", "solve", "mirror", "eval"]))
+    positional, optional = _COMMANDS[command]
+    argv = [command] + [paths[draw(st.sampled_from(
+        ["score", "scale", "scale", "missing"] if kind == "score" else [kind, kind, "missing"]))]
+        for kind in positional]
+    for flag in draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []:
+        value = paths["config"] if flag == "--config" else draw(st.sampled_from(_FLAG_VALUES[flag]))
+        argv += [flag, value]
+    if command == "mirror" and "--axis" not in argv:
+        argv += ["--axis", "62"]
+    if command == "train":
+        argv += ["--episodes", draw(st.sampled_from(["5", "5", "1", "0", "-1", "x"])),
+                 "--seeds", draw(st.sampled_from(["1", "2", "1", "2", "0", "x"])),
+                 # 1e6 diverges within 5 episodes on the bundled melodies and the scale
+                 "--learning-rate", draw(st.sampled_from(["1e6", "0.2", "1e6", "nan", "-1"]))]
+    slip = draw(st.sampled_from([None] * 6 + ["drop", "extra", "--bogus", "command"]))
+    if slip == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif slip == "command":
+        argv[0] = "transcribe"
+    elif slip is not None:
+        argv.append(slip)
+    return argv
+
+
+_SCALE = "first_finger=1\n60\n62\n64\n65\n67\n67\n65\n64\n62\n60\n"
+_SCALE_FINGERINGS = ["\n".join(f"{p} {f}" for p, f in zip(_SCALE.split()[1:], fingers))
+                     for fingers in ("1234554321", "1324554321")]   # the second crosses
+
+
+@given(st.data(), score_texts(),
+       st.lists(_FINGERING_LINES, max_size=4).map("\n".join)
+       | st.sampled_from(_SCALE_FINGERINGS),
+       st.lists(_SMALL_CONFIG_LINES, max_size=4).map("\n".join) | st.just("batch_size=1"))
+@settings(max_examples=150, deadline=None)
+def test_exit_codes_follow_the_contract_on_fuzzed_input(tmp_path_factory, data, score_text,
+                                                        fingering_text, config_text):
+    # 0 success, 1 usage error (raised by the parser), 2 input error,
+    # 3 training failure, and 2 and 3 name the problem on stderr
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {kind: str(tmp / kind) for kind in _FILES}
+    Path(paths["score"]).write_text(score_text, encoding="utf-8")
+    Path(paths["scale"]).write_text(_SCALE)
+    Path(paths["fingering"]).write_text(fingering_text)
+    Path(paths["config"]).write_text(config_text)
+    argv = data.draw(_argv(paths))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 1), argv
+            return
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: "), argv
+    if code == 3:
+        assert err.getvalue().startswith("training error: "), argv

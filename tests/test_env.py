@@ -2,61 +2,67 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pianofinger.env import (
-    EncodingError,
-    FingeringEnv,
-    FingerState,
-    StateEncoding,
-    encode_state,
-)
+from pianofinger.env import EncodingError, FingeringEnv, StateEncoding
 from pianofinger.reward import RewardModel, reward_table
-from pianofinger.score import MelodicRange, Score
+from pianofinger.score import FINGERS, PITCH_MIN, Score
+
+from strategies import reward_models
 
 
-def test_reset_examples():
+def _hot(env, state_id):
+    return set(np.flatnonzero(env.features(state_id)).tolist())
+
+
+def _random_walk(env, rng):
+    """Rewards of one episode under uniformly random fingers."""
+    rewards = []
+    state = env.start_id
+    while state != -1:
+        reward, state = env.transition(state, int(rng.integers(1, 6)))
+        rewards.append(reward)
+    return rewards
+
+
+def test_start_id_examples():
     env = FingeringEnv(Score.from_pitches([60, 62, 64], 1))
-    assert env.reset() == FingerState(1, 60, 62, 0)
+    assert env.start_id == 0
+    assert _hot(env, env.start_id) == {0, 5 + 60 - PITCH_MIN, 5 + 88 + 62 - PITCH_MIN}
     env2 = FingeringEnv(Score.from_pitches([67, 67], 5))
-    assert env2.reset() == FingerState(5, 67, 67, 0)
-    assert env.reset() == env.reset()
+    assert env2.start_id == 4
+    assert _hot(env2, env2.start_id) == {4, 5 + 67 - PITCH_MIN, 5 + 88 + 67 - PITCH_MIN}
 
 
 def test_step_advances_and_terminates():
     env = FingeringEnv(Score.from_pitches([60, 62, 64], 1))
-    s0 = env.reset()
-    out = env.step(s0, 2)
-    assert out.next_state == FingerState(2, 62, 64, 1)
-    assert out.reward == 1.0
-    assert out.done is False
-    out2 = env.step(out.next_state, 3)
-    assert out2.next_state is None
-    assert out2.reward == 1.0
-    assert out2.done is True
+    reward, nxt = env.transition(env.start_id, 2)
+    assert (reward, nxt) == (1.0, 6)   # note 1 held by finger 2
+    assert _hot(env, nxt) == {1, 5 + 62 - PITCH_MIN, 5 + 88 + 64 - PITCH_MIN}
+    assert env.transition(nxt, 3) == (1.0, -1)
 
 
 def test_infeasible_action_penalized_but_continues():
     env = FingeringEnv(Score.from_pitches([60, 59, 60], 2))
-    s0 = env.reset()  # (2, 60, 59)
-    out = env.step(s0, 3)  # non-thumb crossing while descending
-    assert out.reward == -10.0
-    assert out.done is False
-    assert out.next_state.cf == 3   # the chosen finger is where the hand ends up
+    # (2, 60, 59) answered by 3: a non-thumb crossing while descending
+    reward, nxt = env.transition(env.start_id, 3)
+    assert reward == -10.0
+    assert nxt == 5 + 3 - 1   # the chosen finger is where the hand ends up
 
 
 def test_stepping_terminal_state_raises():
     env = FingeringEnv(Score.from_pitches([60, 62], 1))
-    out = env.step(env.reset(), 1)
-    assert out.done
+    _, nxt = env.transition(env.start_id, 1)
+    assert nxt == -1
     with pytest.raises(ValueError):
-        env.step(out.next_state, 1)
+        env.transition(nxt, 1)
 
 
 def test_step_validates_action():
-    env = FingeringEnv(Score.from_pitches([60, 62], 1))
-    with pytest.raises(ValueError):
-        env.step(env.reset(), 0)
-    with pytest.raises(ValueError):
-        env.step(env.reset(), 6)
+    env = FingeringEnv(Score.from_pitches([60, 62, 64], 1))
+    for state in (env.start_id, 5 + 4):
+        with pytest.raises(ValueError):
+            env.transition(state, 0)
+        with pytest.raises(ValueError):
+            env.transition(state, 6)
 
 
 def test_episode_length_is_fixed():
@@ -64,13 +70,7 @@ def test_episode_length_is_fixed():
     env = FingeringEnv(score)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        steps = 0
-        state = env.reset()
-        while state is not None:
-            out = env.step(state, int(rng.integers(1, 6)))
-            steps += 1
-            state = out.next_state
-        assert steps == len(score) - 1
+        assert len(_random_walk(env, rng)) == len(score) - 1
 
 
 def test_total_reward_bounds():
@@ -80,30 +80,26 @@ def test_total_reward_bounds():
     rng = np.random.default_rng(1)
     n = len(score) - 1
     for _ in range(50):
-        total = 0.0
-        state = env.reset()
-        while state is not None:
-            out = env.step(state, int(rng.integers(1, 6)))
-            total += out.reward
-            state = out.next_state
-        assert n * model.r_infeasible <= total <= n * model.r_stay
+        assert n * model.r_infeasible <= sum(_random_walk(env, rng)) <= n * model.r_stay
 
 
 # --- encodings -------------------------------------------------------------
 
 def test_melodic_range_encoding_example():
-    enc = StateEncoding.for_range(MelodicRange(60, 72))
+    score = Score.from_pitches([60, 62, 72], 1)
+    enc = StateEncoding.for_score(score)
+    assert enc == StateEncoding(60, 13)
     assert enc.dim == 31
-    v = encode_state(FingerState(1, 60, 62, 0), enc)
-    assert v.shape == (31,)
-    assert set(np.flatnonzero(v)) == {0, 5, 20}
+    env = FingeringEnv(score, encoding=enc)
+    assert env.features(env.start_id).shape == (31,)
+    assert _hot(env, env.start_id) == {0, 5, 20}
 
 
 def test_full_piano_encoding_example():
     enc = StateEncoding.full_piano()
     assert enc.dim == 181
-    v = encode_state(FingerState(5, 21, 21, 0), enc)
-    assert set(np.flatnonzero(v)) == {4, 5, 93}
+    env = FingeringEnv(Score.from_pitches([21, 21], 5), encoding=enc)
+    assert _hot(env, env.start_id) == {4, 5, 93}
 
 
 def test_encoding_for_score():
@@ -114,34 +110,36 @@ def test_encoding_for_score():
 
 
 def test_pitch_outside_window_is_encoding_error():
-    enc = StateEncoding.for_range(MelodicRange(60, 67))
+    enc = StateEncoding(60, 8)
+    assert enc.pitch_index(60) == 0 and enc.pitch_index(67) == 7
     with pytest.raises(EncodingError):
-        encode_state(FingerState(1, 59, 60, 0), enc)
+        enc.pitch_index(59)
     with pytest.raises(EncodingError):
-        encode_state(FingerState(1, 60, 68, 0), enc)
+        enc.pitch_index(68)
 
 
 def test_env_rejects_score_outside_encoding():
     score = Score.from_pitches([60, 75], 1)
     with pytest.raises(EncodingError):
-        FingeringEnv(score, encoding=StateEncoding.for_range(MelodicRange(60, 67)))
+        FingeringEnv(score, encoding=StateEncoding(60, 8))
 
 
 @given(st.integers(1, 5), st.integers(60, 72), st.integers(60, 72))
 def test_encoding_sums_to_three(cf, cn, nn):
-    enc = StateEncoding.for_range(MelodicRange(60, 72))
-    v = encode_state(FingerState(cf, cn, nn, 0), enc)
+    env = FingeringEnv(Score.from_pitches([cn, nn], cf), encoding=StateEncoding(60, 13))
+    v = env.features(env.start_id)
     assert v.sum() == 3.0
     assert set(np.unique(v)) <= {0.0, 1.0}
 
 
 def test_encoding_injective_over_reachable_states():
-    enc = StateEncoding.for_range(MelodicRange(60, 67))
+    enc = StateEncoding(60, 8)
     seen = {}
-    for cf in range(1, 6):
-        for cn in range(60, 68):
-            for nn in range(60, 68):
-                key = encode_state(FingerState(cf, cn, nn, 0), enc).tobytes()
+    for cn in range(60, 68):
+        for nn in range(60, 68):
+            env = FingeringEnv(Score.from_pitches([cn, nn], 1), encoding=enc)
+            for cf, v in zip(FINGERS, env.features(np.arange(5))):
+                key = v.tobytes()
                 assert key not in seen, (cf, cn, nn, seen.get(key))
                 seen[key] = (cf, cn, nn)
 
@@ -149,55 +147,57 @@ def test_encoding_injective_over_reachable_states():
 def test_index_not_part_of_features():
     # repeated (cf, cn, nn) at different score positions encode identically:
     # the learner is deliberately position-blind
-    enc = StateEncoding.for_range(MelodicRange(60, 67))
-    a = encode_state(FingerState(3, 64, 64, 0), enc)
-    b = encode_state(FingerState(3, 64, 64, 11), enc)
-    assert np.array_equal(a, b)
+    env = FingeringEnv(Score.from_pitches([64, 64] + [60] * 10 + [64, 64], 1),
+                       encoding=StateEncoding(60, 8))
+    assert np.array_equal(env.features(5 * 0 + 2), env.features(5 * 12 + 2))
 
 
 def test_reward_is_encoding_independent():
     score = Score.from_pitches([60, 62, 64], 1)
     env88 = FingeringEnv(score, encoding=StateEncoding.full_piano())
     env_range = FingeringEnv(score, encoding=StateEncoding.for_score(score))
-    for action in range(1, 6):
-        a = env88.step(env88.reset(), action)
-        b = env_range.step(env_range.reset(), action)
-        assert a.reward == b.reward
-        assert a.done == b.done
+    assert np.array_equal(env88.rewards, env_range.rewards)
+    for action in FINGERS:
+        assert env88.transition(env88.start_id, action) == \
+            env_range.transition(env_range.start_id, action)
 
 
 # --- per-score tables ------------------------------------------------------
 
-def _all_states(score):
-    """(state id, FingerState) for every state of the score."""
+def _key_of_each_state(score):
+    """(finger, pitch, next pitch) of every state id, in id order."""
     p = score.pitches
-    return [(5 * t + f - 1, FingerState(f, p[t], p[t + 1], t))
-            for t in range(len(p) - 1) for f in range(1, 6)]
+    return [(f, p[t], p[t + 1]) for t in range(len(p) - 1) for f in FINGERS]
+
+
+def _one_hot(key, enc):
+    v = np.zeros(enc.dim)
+    v[[key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]] = 1.0
+    return v
 
 
 @given(st.lists(st.integers(55, 79), min_size=2, max_size=12), st.integers(1, 5),
-       st.booleans())
-def test_tables_match_step_and_encode(pitches, first, full_piano):
+       st.booleans(), reward_models())
+def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
     score = Score.from_pitches(pitches, first)
     enc = StateEncoding.full_piano() if full_piano else StateEncoding.for_score(score)
-    env = FingeringEnv(score, encoding=enc)
-    states = _all_states(score)
-    assert env.columns.shape == (5 * (len(score) - 1), 3)
+    env = FingeringEnv(score, reward_model=model, encoding=enc)
+    keys = _key_of_each_state(score)
+    assert env.columns.shape == (len(keys), 3)
     assert env.columns.dtype.kind == "i"
-    assert env.reset() == states[env.start_id][1]
-    for sid, state in states:
-        assert np.array_equal(env.features(sid), env.encode(state))
-        for action in range(1, 6):
-            out = env.step(state, action)
+    assert keys[env.start_id] == (first, pitches[0], pitches[1])
+    for sid, key in enumerate(keys):
+        assert np.array_equal(env.features(sid), _one_hot(key, enc))
+        for action in FINGERS:
             reward, nxt = env.transition(sid, action)
-            assert reward == out.reward and type(reward) is float
-            if out.done:
+            assert reward == model.reward(key, action) and type(reward) is float
+            if sid // 5 == len(pitches) - 2:
                 assert nxt == -1
             else:
-                assert states[nxt][1] == out.next_state
-    ids = np.array([sid for sid, _ in states][::-1])
-    assert np.array_equal(env.features(ids),
-                          np.stack([env.encode(state) for _, state in states[::-1]]))
+                assert nxt // 5 == sid // 5 + 1
+                assert keys[nxt][:2] == (action, key[2])
+    ids = np.arange(len(keys))[::-1]
+    assert np.array_equal(env.features(ids), np.stack([_one_hot(keys[i], enc) for i in ids]))
 
 
 def test_reward_rows_are_the_oracle_table():

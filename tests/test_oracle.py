@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pianofinger.agent import TrainConfig, epsilon_at
-from pianofinger.env import FingeringEnv
 from pianofinger.oracle import (
     FingeringError,
-    TabularQ,
     count_position_changes,
     dp_optimal,
     exhaustive_optimal,
@@ -18,7 +16,15 @@ from pianofinger.oracle import (
     tabular_q_train,
 )
 from pianofinger.reward import RewardModel, reward_table
-from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, ScoreSizeError
+from pianofinger.score import (
+    FINGERS,
+    PITCH_MAX,
+    PITCH_MIN,
+    PitchRangeError,
+    Score,
+    ScoreSizeError,
+    mirror_for_left_hand,
+)
 
 from strategies import reward_models, scores
 
@@ -157,6 +163,24 @@ def test_dp_is_translation_invariant(score, model, data):
     assert dp_optimal(shifted, model) == dp_optimal(score, model)
 
 
+@given(st.lists(st.integers(48, 84), min_size=2, max_size=20), st.integers(1, 5),
+       st.integers(40, 90), reward_models(rewards=_SIXTEENTHS))
+def test_dp_total_of_a_mirrored_score_stays_in_its_bounds(pitches, first, axis, model):
+    # sixteenths add exactly, so the bounds hold without rounding slack
+    score = Score.from_pitches(pitches, first)
+    reflected = [2 * axis - p for p in pitches]
+    if not all(PITCH_MIN <= q <= PITCH_MAX for q in reflected):
+        with pytest.raises(PitchRangeError):
+            mirror_for_left_hand(score, axis)
+        return
+    mirrored = mirror_for_left_hand(score, axis)
+    assert mirrored.pitches == tuple(reflected)
+    fingering, total = dp_optimal(mirrored, model)
+    n = len(pitches) - 1
+    assert n * model.r_infeasible <= total <= n * model.r_stay
+    assert fingering[0] == first and len(fingering) == len(pitches)
+
+
 @pytest.mark.parametrize("first_finger", [1, 2, 3, 4, 5])
 def test_constant_pitch_score_never_moves(first_finger):
     score = Score.from_pitches([65] * 6, first_finger)
@@ -269,43 +293,50 @@ def test_tabular_greedy_never_beats_the_exact_optimum():
 
 
 def test_fresh_table_is_zero_and_greedy_prefers_finger_one():
-    q = TabularQ()
+    q = tabular_q_train(SCALE_UP_DOWN, None, TrainConfig(episodes=20, seed=0), alpha=0.0)
+    values = q.values((3, 60, 62))
+    assert values.dtype == np.float64 and np.array_equal(values, np.zeros(5))
+    values[0] = 1.0   # a read: neither this nor a key the score lacks changes the table
     assert np.array_equal(q.values((3, 60, 62)), np.zeros(5))
-    assert q.greedy_action((3, 60, 62)) == 1
+    assert np.array_equal(q.values((3, 21, 108)), np.zeros(5))
+    fingering, total = q.greedy_fingering(SCALE_UP_DOWN)
+    assert fingering == [1] * len(SCALE_UP_DOWN)
+    assert total == fingering_total_reward(SCALE_UP_DOWN, fingering)
 
 
-def test_greedy_fingering_without_an_env_reads_the_default_rewards():
+def test_greedy_fingering_totals_under_the_trained_model():
     score = Score.from_pitches([60, 64, 62, 67, 65, 60, 60], 2)
-    q = tabular_q_train(score, None, TrainConfig(episodes=300, seed=1))
-    assert q.greedy_fingering(score) == q.greedy_fingering(score, FingeringEnv(score))
-    # with an env, its own reward model scores the walk
     model = RewardModel(r_stay=0.5, r_move=-0.25, r_infeasible=-4.0)
-    fingering, total = q.greedy_fingering(score, FingeringEnv(score, reward_model=model))
-    assert fingering == q.greedy_fingering(score)[0]
-    assert total == fingering_total_reward(score, fingering, model)
+    q = tabular_q_train(score, model, TrainConfig(episodes=300, seed=1))
+    fingering, total = q.greedy_fingering(score)
+    assert total == fingering_total_reward(score, fingering, model) == 3.0
+    assert total <= dp_optimal(score, model)[1]
+    with pytest.raises(ValueError, match="trained on"):
+        q.greedy_fingering(Score.from_pitches([60, 64], 2))
 
 
 def _reference_tabular_q(score, model, config, alpha):
-    """One-step Q-learning as an ``env.reset``/``env.step`` walk over a
-    dict of numpy rows: the loop ``tabular_q_train`` replaced."""
-    env = FingeringEnv(score, reward_model=model)
-    q = TabularQ()
+    """One-step Q-learning over (finger, pitch, next pitch) keys with
+    numpy rows and ``model.reward``, walking the score note by note."""
+    p = score.pitches
+    q = {}
     rng = np.random.default_rng(config.seed)
     for episode in range(config.episodes):
         eps = epsilon_at(config, episode)
-        state = env.reset()
-        while state is not None:
+        held = score.first_finger
+        for t in range(len(p) - 1):
+            key = (held, p[t], p[t + 1])
+            values = q.setdefault(key, np.zeros(5))
             if rng.random() < eps:
                 action = int(rng.integers(1, 6))
             else:
-                action = q.greedy_action(state)
-            outcome = env.step(state, action)
-            target = outcome.reward
-            if not outcome.done:
-                target += config.gamma * float(np.max(q.values(outcome.next_state)))
-            values = q.values(state)
+                action = int(np.argmax(values)) + 1
+            target = model.reward(key, action)
+            if t + 2 < len(p):
+                nxt = q.setdefault((action, p[t + 1], p[t + 2]), np.zeros(5))
+                target += config.gamma * float(np.max(nxt))
             values[action - 1] += alpha * (target - values[action - 1])
-            state = outcome.next_state
+            held = action
     return q
 
 
@@ -318,13 +349,13 @@ def _all_states(score):
        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.95, 1.0]),
        st.integers(1, 200))
 @settings(max_examples=200, deadline=None)
-def test_tabular_q_matches_the_env_step_reference_bit_for_bit(
+def test_tabular_q_matches_the_per_key_reference_bit_for_bit(
         score, model, seed, alpha, gamma, episodes):
     config = TrainConfig(episodes=episodes, gamma=gamma, seed=seed)
     q = tabular_q_train(score, model, config, alpha)
     ref = _reference_tabular_q(score, model, config, alpha)
     for state in _all_states(score):
-        assert q.values(state).tobytes() == ref.values(state).tobytes(), state
+        assert q.values(state).tobytes() == ref.get(state, np.zeros(5)).tobytes(), state
 
 
 def test_tabular_q_stays_finite_at_the_largest_accepted_rewards():

@@ -1,24 +1,26 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from pianofinger.env import StateEncoding
 from pianofinger.score import (
     FINGERS,
     PITCH_MAX,
     PITCH_MIN,
     HeaderError,
-    MelodicRange,
-    Note,
     PitchRangeError,
     Score,
     ScoreError,
     ScoreParseError,
     ScoreSizeError,
-    melodic_range,
     mirror_for_left_hand,
     parse_score,
     pitch_from_name,
     serialize_score,
 )
+
+from strategies import score_texts, scores
 
 # spot checks against a standard MIDI note chart (C4 = 60 convention)
 NAME_TABLE = {
@@ -45,11 +47,17 @@ def test_bad_pitch_names_rejected(bad):
 
 
 def test_note_range_enforced():
-    Note(21)
-    Note(108)
+    assert Score.from_pitches([21, 108.0], 1).pitches == (21, 108)
+    assert type(Score.from_pitches([60.0, 62], 1).pitches[0]) is int
     for bad in (20, 109, 0, -5, 300):
-        with pytest.raises(PitchRangeError):
-            Note(bad)
+        with pytest.raises(PitchRangeError, match=f"^pitch {bad} outside piano range"):
+            Score.from_pitches([60, bad], 1)
+    # the pitch check comes before the length check
+    with pytest.raises(PitchRangeError, match="^pitch 200 outside piano range"):
+        Score.from_pitches([200], 1)
+    for bad in (60.9, 62.2, float("nan"), float("inf"), "60", None):
+        with pytest.raises(ScoreError, match=rf"^pitch {re.escape(repr(bad))} is not a whole"):
+            Score.from_pitches([bad, 62], 1)
 
 
 def test_score_requires_two_notes():
@@ -136,15 +144,20 @@ def test_parse_out_of_range_pitch():
 # --- melodic range ---------------------------------------------------------
 
 def test_melodic_range_examples():
-    assert melodic_range(Score.from_pitches([60, 60, 60], 1)) == MelodicRange(60, 60)
-    assert melodic_range(Score.from_pitches([60, 62, 64, 65, 67], 1)) == MelodicRange(60, 67)
-    assert melodic_range(Score.from_pitches([21, 108], 1)) == MelodicRange(21, 108)
+    assert StateEncoding.for_score(Score.from_pitches([60, 60, 60], 1)) == StateEncoding(60, 1)
+    assert StateEncoding.for_score(
+        Score.from_pitches([62, 60, 64, 65, 67], 1)) == StateEncoding(60, 8)
+    assert StateEncoding.for_score(Score.from_pitches([108, 21], 1)) == \
+        StateEncoding.full_piano()
 
 
-def test_melodic_range_sizes():
-    assert MelodicRange(60, 60).size == 1
-    assert MelodicRange(60, 67).size == 8
-    assert MelodicRange(21, 108).size == 88
+@given(scores())
+def test_melodic_range_sizes(score):
+    # the window is as narrow as the score allows: its lowest and highest
+    # pitches sit at the two ends
+    enc = StateEncoding.for_score(score)
+    indices = [enc.pitch_index(p) for p in score.pitches]
+    assert min(indices) == 0 and max(indices) == enc.width - 1
 
 
 # --- mirroring -------------------------------------------------------------
@@ -234,29 +247,7 @@ def test_mirror_flips_interval_signs(pitches, ff):
     assert mirrored == [-d for d in orig]
 
 
-_TOKENS = st.sampled_from([
-    "C4", "C#4", "Db4", "F##3", "Bbb5", "A0", "C8", "B#8", "Cb0", "H2", "C", "#4", "4C",
-    "60", "21", "108", "20", "109", "-1", "0", "1e2", "60.0", "0x3c", "1" * 30,
-    "#", "##", ",", ",,", "nan", "NaN", "inf", "-inf", "1e309", "0.5", "-3", "+7",
-    "first_finger=1", "first_finger=5", "first_finger=9", "first_finger=", "first_finger",
-    "=", "==", "x", "١٢", "é", "\x00", "﻿",
-])
-
-
-@st.composite
-def _score_like_text(draw):
-    """Lines of pitch names, numbers, comments, commas, non-finite
-    durations and junk, joined by the separators a score file uses."""
-    lines = []
-    for tokens in draw(st.lists(st.lists(_TOKENS, max_size=4), max_size=8)):
-        seps = draw(st.lists(st.sampled_from(["", " ", ",", ", ", "\t", " #", "#"]),
-                             min_size=len(tokens), max_size=len(tokens)))
-        lines.append("".join(sep + tok for sep, tok in zip(seps, tokens)))
-    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
-
-
-@given(st.one_of(st.text(), _score_like_text(),
-                 _score_like_text().map(lambda body: "first_finger=1\n" + body)))
+@given(score_texts())
 def test_parse_raises_only_score_errors(text):
     try:
         score = parse_score(text)
