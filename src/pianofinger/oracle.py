@@ -12,12 +12,12 @@ learning-based route to the same optimum.  It walks the state ids
 5t + (f-1) over plain-float rows, one row per (finger, pitch, next
 pitch) key, which every state with that key shares.
 
-Everything here reads ``reward.reward_table``; a caller that already
-holds a score's table (``solve`` builds one for the DP and the
-position-change count) passes it as ``table=`` instead of having each
-function rebuild it.  Totals of a fingering are added one transition at
-a time, left to right, so ``dp_optimal`` and ``fingering_total_reward``
-agree to the last bit.
+Everything here reads ``reward.reward_table``, a gather from the model's
+cached blocks; a caller that already holds a score's table (``solve``
+builds one for the DP and the position-change count) passes it as
+``table=`` instead of having each function gather it again.  Totals of
+a fingering are added one transition at a time, left to right, so
+``dp_optimal`` and ``fingering_total_reward`` agree to the last bit.
 """
 
 from __future__ import annotations

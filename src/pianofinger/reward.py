@@ -18,21 +18,24 @@ melody is anatomically infeasible and earns ``r_infeasible``; transitions
 that involve the thumb, keep the finger, or repeat the pitch are always
 feasible.
 
-The scalar functions state the rules.  ``reward_table`` applies the same
-rules to a whole score at once: one numpy broadcast of its L-1 intervals
-against the 5x5 grid of (held finger, next finger), which the oracle,
-the environment and the scorers all read.
+The scalar functions state the rules.  A transition's 5x5 block of
+(held finger, next finger) rewards depends only on the model and the
+interval nn - cn, so each model's 175 blocks (intervals -87..+87) are
+built once, by one numpy broadcast, and ``reward_table`` gathers a
+score's table from them for the oracle, the environment and the scorers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .score import FINGERS, Score, ScoreSizeError
+from .score import FINGERS, PITCH_MAX, PITCH_MIN, Score, ScoreSizeError
 
 NATURAL_OFFSET = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7}
 
@@ -44,6 +47,8 @@ _ALWAYS_FEASIBLE = _SAME_FINGER | (_HELD == 1) | (_NEXT == 1)
 _FINGERS_ASCEND = _NEXT > _HELD
 _OFFSET = np.array([NATURAL_OFFSET[f] for f in FINGERS])
 _SPAN = _OFFSET[None, :] - _OFFSET[:, None]   # NATURAL_OFFSET[next] - NATURAL_OFFSET[held]
+
+_WIDEST = PITCH_MAX - PITCH_MIN   # block i is for the interval i - _WIDEST
 
 
 def anchor(finger: int, pitch: int) -> int:
@@ -101,9 +106,8 @@ def reward_table(score: Score, model: RewardModel) -> np.ndarray:
     """R[t, f-1, g-1] = reward for playing note t+1 with finger g when
     note t is held by finger f.
 
-    The rules of ``is_feasible`` and ``is_position_change`` as one numpy
-    broadcast of the score's intervals against the 5x5 finger grid; equal
-    to ``model.reward`` cell by cell.
+    A fresh array gathered from the model's blocks by the score's
+    intervals; equal to ``model.reward`` cell by cell.
 
     Raises ScoreSizeError unless (L-1) times the largest reward, the
     largest path total, is at most a quarter of the largest float64, so
@@ -113,11 +117,25 @@ def reward_table(score: Score, model: RewardModel) -> np.ndarray:
     if largest > sys.float_info.max / (4 * (len(score) - 1)):
         raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
                              "can overflow float64 totals")
-    step = np.diff(score.pitches)[:, None, None]   # nn - cn
+    # keyed on the fields' bits: r_move=0.0 and -0.0 compare equal, but not their tables
+    bits = struct.pack("4d", model.anchor_tolerance, model.r_stay, model.r_move,
+                       model.r_infeasible)
+    pitches = np.array(score.pitches)
+    return _blocks(bits).take(pitches[1:] - pitches[:-1] + _WIDEST, axis=0)
+
+
+@functools.lru_cache(maxsize=8)   # 35 KB of blocks per model
+def _blocks(bits: bytes) -> np.ndarray:
+    """The rules of ``is_feasible`` and ``is_position_change`` broadcast over
+    every piano interval and the 5x5 finger grid: read-only, (175, 5, 5)."""
+    tolerance, r_stay, r_move, r_infeasible = struct.unpack("4d", bits)
+    step = np.arange(-_WIDEST, _WIDEST + 1)[:, None, None]   # nn - cn
     repeat = step == 0
     feasible = _ALWAYS_FEASIBLE | repeat | ((step > 0) == _FINGERS_ASCEND)
     # |anchor(g, nn) - anchor(f, cn)| = |step - (offset[g] - offset[f])|
     drift = np.abs(step - _SPAN)
-    move = np.where(_SAME_FINGER, ~repeat, repeat | (drift > model.anchor_tolerance))
+    move = np.where(_SAME_FINGER, ~repeat, repeat | (drift > tolerance))
     outcome = np.where(feasible, move, 2)   # 0 stay, 1 move, 2 infeasible
-    return np.array([model.r_stay, model.r_move, model.r_infeasible], dtype=float)[outcome]
+    blocks = np.array([r_stay, r_move, r_infeasible])[outcome]
+    blocks.flags.writeable = False
+    return blocks

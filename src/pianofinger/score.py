@@ -101,8 +101,9 @@ class Score:
         object.__setattr__(self, "pitches", tuple(map(_piano_pitch, self.pitches)))
         if len(self.pitches) < 2:
             raise ScoreSizeError(f"score needs at least 2 notes, got {len(self.pitches)}")
-        if self.first_finger not in FINGERS:
-            raise HeaderError(f"first_finger must be in 1..5, got {self.first_finger}")
+        if self.first_finger not in FINGERS:   # "1", 1.5 and nan are not; 1.0 and True are
+            raise HeaderError(f"first_finger must be in 1..5, got {self.first_finger!r}")
+        object.__setattr__(self, "first_finger", int(self.first_finger))
 
     @classmethod
     def from_pitches(cls, pitches, first_finger: int, name: str = "score") -> "Score":

@@ -534,7 +534,7 @@ _SCALE_FINGERINGS = ["\n".join(f"{p} {f}" for p, f in zip(_SCALE.split()[1:], fi
        st.lists(_FINGERING_LINES, max_size=4).map("\n".join)
        | st.sampled_from(_SCALE_FINGERINGS),
        st.lists(_SMALL_CONFIG_LINES, max_size=4).map("\n".join) | st.just("batch_size=1"))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
 def test_exit_codes_follow_the_contract_on_fuzzed_input(tmp_path_factory, data, score_text,
                                                         fingering_text, config_text):
     # 0 success, 1 usage error (raised by the parser), 2 input error,

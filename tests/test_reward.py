@@ -1,18 +1,21 @@
+import dataclasses
+import struct
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pianofinger.reward import (
     NATURAL_OFFSET,
     RewardModel,
+    _blocks,
     anchor,
     is_feasible,
     is_position_change,
     reward_table,
 )
-from pianofinger.score import FINGERS, Score, ScoreSizeError
+from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, ScoreSizeError
 
 from strategies import reward_models, scores
 
@@ -170,9 +173,37 @@ def _reward_loop(score, model):
     return table
 
 
+_STEPS = Score.from_pitches([60, 62, 62, 67, 55, 60], 1)
+
+
+# r_move=0.0 and -0.0 compare equal but differ in the table's bytes; each
+# tolerance builds the two in the opposite order
+@example(_STEPS, RewardModel(2.0, r_move=0.0))
+@example(_STEPS, RewardModel(2.0, r_move=-0.0))
+@example(_STEPS, RewardModel(3.0, r_move=-0.0))
+@example(_STEPS, RewardModel(3.0, r_move=0.0))
 @given(scores(), reward_models())
 def test_reward_table_is_the_rules_cell_by_cell(score, model):
     table = reward_table(score, model)
     assert table.dtype == np.float64
-    assert np.array_equal(table, _reward_loop(score, model))
+    assert table.tobytes() == _reward_loop(score, model).tobytes()
+
+
+def test_reward_tables_are_fresh_over_every_interval():
+    # up from the lowest key by each interval and back, then one repeat
+    pitches = [PITCH_MIN]
+    for step in range(1, PITCH_MAX - PITCH_MIN + 1):
+        pitches += [PITCH_MIN + step, PITCH_MIN]
+    pitches.append(PITCH_MIN)
+    assert set(np.diff(pitches)) == set(range(PITCH_MIN - PITCH_MAX, PITCH_MAX - PITCH_MIN + 1))
+    score = Score.from_pitches(pitches, 1)
+    expected = _reward_loop(score, MODEL).tobytes()
+    table = reward_table(score, MODEL)
+    assert table.tobytes() == expected
+    table[:] = 0.0   # as a caller editing env.rewards might
+    assert reward_table(score, MODEL).tobytes() == expected
+    first_block = expected[:25 * 8]   # a step up by one semitone
+    assert reward_table(Score.from_pitches([60, 61], 1), MODEL).tobytes() == first_block
+    with pytest.raises(ValueError, match="read-only"):
+        _blocks(struct.pack("4d", *dataclasses.astuple(MODEL)))[0, 0, 0] = 0.0
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pianofinger.env import StateEncoding
+from pianofinger.oracle import dp_optimal
 from pianofinger.score import (
     FINGERS,
     PITCH_MAX,
@@ -69,11 +70,13 @@ def test_score_requires_two_notes():
 
 
 def test_score_first_finger_validated():
-    for bad in (0, 6, -1):
-        with pytest.raises(HeaderError):
+    for bad in (0, 6, -1, 1.5, float("nan"), "1"):
+        with pytest.raises(HeaderError, match=rf"got {re.escape(repr(bad))}$"):
             Score.from_pitches([60, 62], bad)
-    for ok in FINGERS:
-        Score.from_pitches([60, 62], ok)
+    for ok in (*FINGERS, 1.0, True):
+        score = Score.from_pitches([60, 62, 64], ok)
+        assert type(score.first_finger) is int and score.first_finger == ok
+        assert all(type(f) is int for f in dp_optimal(score)[0])
 
 
 # --- parsing ---------------------------------------------------------------
