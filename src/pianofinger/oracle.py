@@ -10,7 +10,9 @@ scoring every finger sequence outright, so the two routes validate each
 other; a tabular Q-learner on the raw state tuples gives a third,
 learning-based route to the same optimum.  It walks the state ids
 5t + (f-1) over plain-float rows, one row per (finger, pitch, next
-pitch) key, which every state with that key shares.
+pitch) key, which every state with that key shares, and reads its
+exploration draws from lists that numpy fills a block of raw PCG64
+words at a time, each draw the one ``default_rng(seed)`` would make.
 
 Everything here reads ``reward.reward_table``, a gather from the model's
 cached blocks; a caller that already holds a score's table (``solve``
@@ -199,6 +201,59 @@ class TabularQ:
         return fingering, total
 
 
+class _Draws:
+    """The draws of ``Generator(bits)`` that exploration makes, replayed
+    from blocks of raw PCG64 words.  ``random()`` is ``(w >> 11) * 2**-53``
+    of one word ``w``.  ``integers(1, 6)`` is Lemire's multiply-shift on
+    the next 32 bits: the low half of a fresh word, whose high half PCG64
+    keeps for the next such draw (its ``has_uint32`` buffer), and a zero
+    half is rejected for the 32 bits after it."""
+
+    def __init__(self, bits: np.random.PCG64, block: int = 4096):
+        self._bits, self._block = bits, block
+        self._uniform, self._low, self._high = [], [], []
+        self._next = 0
+        self._pending = None   # the buffered high half, as a pick
+
+    def _more(self) -> None:
+        """Append a block: each word's ``random()`` and the
+        ``integers(1, 6) - 1`` of its low and high halves (-1 if zero)."""
+        words = self._bits.random_raw(self._block)
+        self._uniform += ((words >> 11) * 2.0**-53).tolist()
+        for picks, half in ((self._low, words & 0xFFFFFFFF), (self._high, words >> 32)):
+            picks += np.where(half == 0, -1, (half * 5 >> 32).astype(np.int64)).tolist()
+
+    def episode(self, eps: float, steps: int) -> list:
+        """Each step's ``rng.integers(1, 6) - 1`` if ``rng.random() < eps``,
+        else -1 (greedy)."""
+        uniform, low, high = self._uniform, self._low, self._high
+        i, pending = self._next, self._pending
+        if len(uniform) - i < 2 * steps:   # a step reads at most two words
+            del uniform[:i], low[:i], high[:i]
+            i = 0
+            while len(uniform) < 2 * steps:
+                self._more()
+        picks = []
+        for _ in range(steps):
+            u = uniform[i]
+            i += 1
+            if u >= eps:
+                picks.append(-1)
+                continue
+            while True:
+                if pending is None:
+                    pick, pending = low[i], high[i]
+                    i += 1
+                else:
+                    pick, pending = pending, None
+                if pick >= 0:
+                    break
+                self._more()   # a rejected half may read past the two words a step
+            picks.append(pick)
+        self._next, self._pending = i, pending
+        return picks
+
+
 def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
                     config: TrainConfig, alpha: float = 0.5) -> TabularQ:
     """One-step Q-learning on the raw state tuples (no function
@@ -211,7 +266,10 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     pitch t+1) key, shared by every state with that key.  Greedy takes
     the first maximum, as ``np.argmax`` does, and Python floats round as
     numpy's do, so the rows equal those of a walk over (finger, pitch,
-    next pitch) keys with ``RewardModel.reward`` bit for bit."""
+    next pitch) keys with ``RewardModel.reward`` bit for bit.  Each step
+    draws ``random() < eps`` and, if so, ``integers(1, 6)`` from
+    ``default_rng(config.seed)``; ``_Draws`` replays both from the same
+    raw words, so the stream and the rows are the per-call ones."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     model = reward_model if reward_model is not None else RewardModel()
@@ -222,19 +280,16 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
               for t in range(len(pitches) - 1) for f in FINGERS]
     end = len(row_of)
-    rng = np.random.default_rng(config.seed)
+    gamma = config.gamma
+    draws = _Draws(np.random.PCG64(config.seed))
     for episode in range(config.episodes):
-        eps = epsilon_at(config, episode)
         state = score.first_finger - 1
-        while state < end:
+        for pick in draws.episode(epsilon_at(config, episode), len(pitches) - 1):
             row = row_of[state]
-            if rng.random() < eps:
-                action = int(rng.integers(1, 6)) - 1
-            else:
-                action = row.index(max(row))   # the first maximum
+            action = pick if pick >= 0 else row.index(max(row))   # the first maximum
             target = rewards[state][action]
             state += 5 - state % 5 + action    # 5(t + 1) + action
             if state < end:
-                target += config.gamma * max(row_of[state])
+                target += gamma * max(row_of[state])
             row[action] += alpha * (target - row[action])
     return TabularQ(score, table, rows, row_of)

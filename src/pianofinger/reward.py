@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 import struct
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -81,6 +83,17 @@ class RewardModel:
     r_infeasible: float = -10.0
 
     def __post_init__(self):
+        for name in ("anchor_tolerance", "r_stay", "r_move", "r_infeasible"):
+            value = getattr(self, name)
+            if type(value) is float:   # held as float64, the width of every table and cache key
+                continue
+            try:
+                if not isinstance(value, Real):
+                    raise TypeError
+                object.__setattr__(self, name, float(value))
+            except (TypeError, OverflowError):
+                raise ValueError(f"{name} must be a real number within float64 range, "
+                                 f"got {reprlib.repr(value)}") from None
         for name in ("r_stay", "r_move", "r_infeasible"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

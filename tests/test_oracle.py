@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pianofinger.agent import TrainConfig, epsilon_at
 from pianofinger.oracle import (
     FingeringError,
+    _Draws,
     count_position_changes,
     dp_optimal,
     exhaustive_optimal,
@@ -313,6 +314,51 @@ def test_greedy_fingering_totals_under_the_trained_model():
     assert total <= dp_optimal(score, model)[1]
     with pytest.raises(ValueError, match="trained on"):
         q.greedy_fingering(Score.from_pitches([60, 64], 2))
+
+
+# --- the exploration draws, replayed from raw words ---------------------------
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64(seed, zero_at=None, x=1):
+    """PCG64(seed), or its stream moved so that raw word ``zero_at``
+    (counted from 0) is 0: PCG64 steps its 128-bit state s to
+    s * mult + inc and outputs hi(s) ^ lo(s) rotated, which is 0 when the
+    stepped state is x * (2**64 + 1)."""
+    bits = np.random.PCG64(seed)
+    if zero_at is not None:
+        state = bits.state
+        inc = state["state"]["inc"]
+        s = x * (2**64 + 1)
+        for _ in range(zero_at + 1):
+            s = (s - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+        state["state"]["state"] = s
+        bits.state = state
+    return bits
+
+
+def _generator_picks(bits, episodes):
+    """Each step's ``integers(1, 6) - 1`` after ``random() < eps``, else -1,
+    drawn from the generator call by call."""
+    rng = np.random.Generator(bits)
+    return [[int(rng.integers(1, 6)) - 1 if rng.random() < eps else -1 for _ in range(steps)]
+            for eps, steps in episodes]
+
+
+# a half pending at a block read; both halves of a word rejected
+@example(seed=0, zero_at=None, x=1, block=2, episodes=[(1.0, 1)] * 8)
+@example(seed=0, zero_at=1, x=1, block=4096, episodes=[(1.0, 2)])
+@given(st.integers(0, 2**32 - 1), st.none() | st.integers(0, 8), st.integers(0, 2**64 - 1),
+       st.integers(1, 16),
+       st.lists(st.tuples(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                          st.integers(1, 12)), min_size=1, max_size=20))
+def test_exploration_draws_replay_the_numpy_generator(seed, zero_at, x, block, episodes):
+    if zero_at is not None:
+        assert _pcg64(seed, zero_at, x).random_raw(zero_at + 1)[-1] == 0
+    draws = _Draws(_pcg64(seed, zero_at, x), block=block)
+    got = [draws.episode(eps, steps) for eps, steps in episodes]
+    assert got == _generator_picks(_pcg64(seed, zero_at, x), episodes)
 
 
 def _reference_tabular_q(score, model, config, alpha):

@@ -75,6 +75,28 @@ def test_non_finite_rewards_are_rejected(rewards, name):
         RewardModel(**rewards)
 
 
+@pytest.mark.parametrize("field, value", [
+    pytest.param("anchor_tolerance", 10**400, id="tolerance-10**400"),   # reward_table failed
+    pytest.param("r_stay", 10**400, id="r_stay-10**400"),
+    pytest.param("r_move", -(10**400), id="r_move--10**400"),
+    pytest.param("r_infeasible", "1", id="r_infeasible-str"),
+    pytest.param("anchor_tolerance", None, id="tolerance-None"),
+])
+def test_fields_must_be_numbers_within_float64(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number within float64 range"):
+        RewardModel(**{field: value})
+
+
+def test_integer_fields_are_held_as_floats():
+    score = Score.from_pitches([60, 62, 64, 60, 67, 55], 1)
+    model = RewardModel(anchor_tolerance=2, r_stay=1, r_move=-1, r_infeasible=-10)
+    assert all(type(getattr(model, f.name)) is float for f in dataclasses.fields(model))
+    assert model == MODEL
+    assert reward_table(score, model).tobytes() == reward_table(score, MODEL).tobytes()
+    assert (reward_table(score, RewardModel(r_stay=1)).tobytes()
+            == reward_table(score, RewardModel(r_stay=1.0)).tobytes())
+
+
 def test_reward_table_rejects_rewards_whose_path_totals_overflow():
     score = Score.from_pitches([60, 62, 64, 65], 1)   # 3 transitions
     limit = sys.float_info.max / 12                    # 3 * limit is a quarter of the largest float
