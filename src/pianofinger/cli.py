@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -114,17 +115,18 @@ def _position_changes(score: Score, fingering, model: RewardModel, table=None) -
         return "n/a"
 
 
+@functools.lru_cache(maxsize=1)   # parsing keeps no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pianofinger",
                      description="Learn right-hand piano fingerings for "
                                  "monophonic scores.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_score_arg(p, optional=True):
-        p.add_argument("score", nargs="?" if optional else None, default=None,
-                       help="path to a score file")
-        p.add_argument("--ex", type=int, choices=range(1, len(EXPERIMENT_IDS) + 1),
-                       metavar="N", help="use bundled experiment N instead of a file")
+    def add_score_arg(p):
+        source = p.add_mutually_exclusive_group()   # giving both is a usage error
+        source.add_argument("score", nargs="?", default=None, help="path to a score file")
+        source.add_argument("--ex", type=int, choices=range(1, len(EXPERIMENT_IDS) + 1),
+                            metavar="N", help="use bundled experiment N instead of a file")
 
     p_solve = sub.add_parser("solve", help="exact optimal fingering via dynamic programming")
     add_score_arg(p_solve)
@@ -163,11 +165,10 @@ def _cmd_solve(args) -> int:
         model = RewardModel(**reward_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    table = reward_table(score, model)   # one table for the DP and the count
-    fingering, total = dp_optimal(score, model, table=table)
-    changes = count_position_changes(score, fingering, model, table=table)
+    fingering, total = dp_optimal(score, model)
+    changes = count_position_changes(score, fingering, model)
     print(f"score: {score.name} ({len(score)} notes)")
-    print("fingering: " + " ".join(str(f) for f in fingering))
+    print("fingering: " + " ".join(map(str, fingering)))
     print(f"total_reward: {total:.6f}")
     print(f"position_changes: {changes}")
     return 0
@@ -205,11 +206,11 @@ def _cmd_train(args) -> int:
 
     print(f"score: {score.name} ({len(score)} notes), encoding={spec.encoding}, "
           f"episodes={base_config.episodes}")
-    print(f"oracle: " + " ".join(str(f) for f in oracle_fingering)
+    print(f"oracle: " + " ".join(map(str, oracle_fingering))
           + f"  total {oracle_total:.6f}")
     for seed in range(base_config.seed, base_config.seed + args.seeds):
         result = run(spec, dataclasses.replace(base_config, seed=seed), model)
-        print(f"seed {seed}: rollout " + " ".join(str(f) for f in result.fingering)
+        print(f"seed {seed}: rollout " + " ".join(map(str, result.fingering))
               + f"  total {result.total_reward:.6f}  gap {result.gap:.6f}"
               + f"  changes {_position_changes(score, result.fingering, model)}")
         if out_dir is not None:

@@ -3,9 +3,10 @@
 Because the reward for a transition depends only on (current finger,
 current pitch, next pitch, chosen finger), the best total reward from any
 position is a function of (note index, finger) and backward induction
-over that 5-wide table is exact.  ``dp_optimal`` keeps each step's best
-next finger during the backward pass, so the forward pass is a walk
-over those choices.  ``exhaustive_optimal`` recomputes the same answer by
+over that 5-wide table is exact.  ``dp_optimal`` runs it in plain
+Python floats over the model's cached blocks (``reward_rows``), one
+IEEE ``reward + value`` add per cell, and keeps each step's best next
+finger, so the forward pass is a walk over those choices.  ``exhaustive_optimal`` recomputes the same answer by
 scoring every finger sequence outright, so the two routes validate each
 other; a tabular Q-learner on the raw state tuples gives a third,
 learning-based route to the same optimum.  It walks the state ids
@@ -14,12 +15,12 @@ pitch) key, which every state with that key shares, and reads its
 exploration draws from lists that numpy fills a block of raw PCG64
 words at a time, each draw the one ``default_rng(seed)`` would make.
 
-Everything here reads ``reward.reward_table``, a gather from the model's
-cached blocks; a caller that already holds a score's table (``solve``
-builds one for the DP and the position-change count) passes it as
-``table=`` instead of having each function gather it again.  Totals of
-a fingering are added one transition at a time, left to right, so
-``dp_optimal`` and ``fingering_total_reward`` agree to the last bit.
+The scorers and the learner read ``reward.reward_table``, a gather from
+the same blocks; a caller that already holds a score's table (``eval``
+builds one for the total and the position-change count) passes it as
+``table=`` instead of having each function gather it again.  Totals of a fingering are added one transition at a time, left
+to right, so ``dp_optimal`` and ``fingering_total_reward`` agree to the
+last bit.
 """
 
 from __future__ import annotations
@@ -29,48 +30,66 @@ from typing import Optional
 import numpy as np
 
 from .agent import TrainConfig, epsilon_at
-from .reward import RewardModel, reward_table
+from .reward import RewardModel, reward_rows, reward_table
 from .score import FINGERS, Score, ScoreSizeError
 
 _EXHAUSTIVE_MAX_LEN = 12
-_ROW_START = np.arange(0, 25, 5)   # flat index of each row of a 5x5 block
 
 
 class FingeringError(ValueError):
     """Raised for malformed or infeasible complete fingerings."""
 
 
-def dp_optimal(score: Score, model: Optional[RewardModel] = None, *,
-               table: Optional[np.ndarray] = None):
+def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     """Best achievable total reward and one optimal fingering.
 
-    Backward induction on (note index, finger) over ``reward_table``.
-    Each step keeps, for every held finger, the first best next finger
-    (the lowest on ties); walking those choices forward from the fixed
+    Backward induction on (note index, finger) over ``reward_rows``, in
+    Python floats: each step adds the five next-finger rewards of every
+    held finger's row to the five values of the step after it and keeps
+    the first best next finger (strict ``>``, so the lowest on ties, as
+    ``argmax`` keeps it).  Walking those choices forward from the fixed
     first finger gives the lexicographically smallest optimal fingering
     when path sums are exact, as with integer or dyadic rewards (the
-    defaults among them).  With arbitrary float rewards the backward
-    pass adds right to left, so rounding can break a mathematical tie
-    and another optimal fingering may come back.  Returns (fingering, total_reward) with the fingering including the
-    score's fixed first finger; the total is the fingering's rewards
-    added left to right, as ``fingering_total_reward`` adds them.
+    defaults among them).  With arbitrary float rewards the backward pass
+    adds right to left, so rounding can break a mathematical tie and
+    another optimal fingering may come back.  Returns (fingering,
+    total_reward) with the fingering including the score's fixed first
+    finger; the total is the fingering's rewards added left to right, as
+    ``fingering_total_reward`` adds them.
     """
-    if table is None:
-        table = reward_table(score, model if model is not None else RewardModel())
-    # value[f-1] = best total reward from note t onward, holding finger f
-    value = np.zeros(5)
-    continuation = np.empty((5, 5))
-    choice = np.empty((table.shape[0], 5), dtype=np.intp)
-    for row, step in zip(choice[::-1], table[::-1]):
-        np.add(step, value, out=continuation)
-        continuation.argmax(axis=1, out=row)   # first max = lowest finger
-        value = continuation.take(row + _ROW_START)
+    steps = reward_rows(score, model if model is not None else RewardModel())
+    # v[f-1] = best total reward from the note after this step on, holding finger f
+    v0 = v1 = v2 = v3 = v4 = 0.0
+    choices = []
+    for block in reversed(steps):
+        value, choice = [], []
+        for r0, r1, r2, r3, r4 in block:
+            best, g = r0 + v0, 0
+            c = r1 + v1
+            if c > best:
+                best, g = c, 1
+            c = r2 + v2
+            if c > best:
+                best, g = c, 2
+            c = r3 + v3
+            if c > best:
+                best, g = c, 3
+            c = r4 + v4
+            if c > best:
+                best, g = c, 4
+            value.append(best)
+            choice.append(g)
+        v0, v1, v2, v3, v4 = value
+        choices.append(choice)
+    f = score.first_finger - 1
     fingering = [score.first_finger]
-    f = score.first_finger
-    for row in choice.tolist():
-        f = row[f - 1] + 1
-        fingering.append(f)
-    return fingering, _left_to_right_sum(_path_rewards(table, fingering))
+    total = 0.0
+    for block, choice in zip(steps, reversed(choices)):
+        g = choice[f]
+        total += block[f][g]
+        fingering.append(g + 1)
+        f = g
+    return fingering, total
 
 
 def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):

@@ -21,8 +21,10 @@ feasible.
 The scalar functions state the rules.  A transition's 5x5 block of
 (held finger, next finger) rewards depends only on the model and the
 interval nn - cn, so each model's 175 blocks (intervals -87..+87) are
-built once, by one numpy broadcast, and ``reward_table`` gathers a
-score's table from them for the oracle, the environment and the scorers.
+built once, by one numpy broadcast.  ``reward_table`` gathers a score's
+table from them for the environment, the learners and the scorers, and
+``reward_rows`` lists the same blocks as nested tuples of floats for the
+DP solver's plain-float loop.
 """
 
 from __future__ import annotations
@@ -115,26 +117,50 @@ class RewardModel:
         return self.r_stay
 
 
+def _check_path_totals(score: Score, model: RewardModel) -> None:
+    """Raise ScoreSizeError unless (L-1) times the largest reward, the
+    largest path total, is at most a quarter of the largest float64, so
+    that path totals and Q-learning updates stay finite with room to spare."""
+    largest = max(abs(model.r_stay), abs(model.r_infeasible))
+    if largest > sys.float_info.max / (4 * (len(score) - 1)):
+        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
+                             "can overflow float64 totals")
+
+
 def reward_table(score: Score, model: RewardModel) -> np.ndarray:
     """R[t, f-1, g-1] = reward for playing note t+1 with finger g when
     note t is held by finger f.
 
     A fresh array gathered from the model's blocks by the score's
-    intervals; equal to ``model.reward`` cell by cell.
-
-    Raises ScoreSizeError unless (L-1) times the largest reward, the
-    largest path total, is at most a quarter of the largest float64, so
-    that path totals and Q-learning updates stay finite with room to spare.
+    intervals; equal to ``model.reward`` cell by cell.  Raises
+    ScoreSizeError as ``_check_path_totals`` does.
     """
-    largest = max(abs(model.r_stay), abs(model.r_infeasible))
-    if largest > sys.float_info.max / (4 * (len(score) - 1)):
-        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
-                             "can overflow float64 totals")
-    # keyed on the fields' bits: r_move=0.0 and -0.0 compare equal, but not their tables
-    bits = struct.pack("4d", model.anchor_tolerance, model.r_stay, model.r_move,
-                       model.r_infeasible)
+    _check_path_totals(score, model)
     pitches = np.array(score.pitches)
-    return _blocks(bits).take(pitches[1:] - pitches[:-1] + _WIDEST, axis=0)
+    return _blocks(_bits(model)).take(pitches[1:] - pitches[:-1] + _WIDEST, axis=0)
+
+
+def reward_rows(score: Score, model: RewardModel) -> list:
+    """The same table as nested tuples of floats: entry t is the model's
+    cached block for the interval from note t to t+1, read as
+    ``[t][f-1][g-1]``.  Raises ScoreSizeError as ``_check_path_totals`` does."""
+    _check_path_totals(score, model)
+    rows = _block_rows(_bits(model))
+    pitches = score.pitches
+    return [rows[q - p + _WIDEST] for p, q in zip(pitches, pitches[1:])]
+
+
+def _bits(model: RewardModel) -> bytes:
+    """The cache key of a model's blocks: its fields' float64 bytes, since
+    r_move=0.0 and -0.0 compare equal, but their tables do not."""
+    return struct.pack("4d", model.anchor_tolerance, model.r_stay, model.r_move,
+                       model.r_infeasible)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_rows(bits: bytes) -> tuple:
+    """``_blocks(bits)`` as nested tuples of Python floats."""
+    return tuple(tuple(map(tuple, block)) for block in _blocks(bits).tolist())
 
 
 @functools.lru_cache(maxsize=8)   # 35 KB of blocks per model

@@ -25,9 +25,21 @@ def scores(draw, max_notes=40):
 
 
 @st.composite
-def reward_models(draw, rewards=st.floats(-100, 100)):
+def walks(draw, max_notes=300):
+    """Long scores, cheap to draw: steps of -7..+7 semitones (0 repeats
+    the pitch) from any key, held inside the keyboard."""
+    pitches = [draw(st.integers(PITCH_MIN, PITCH_MAX))]
+    n_steps = draw(st.integers(1, max_notes - 1))
+    for step in draw(st.lists(st.integers(-7, 7), min_size=n_steps, max_size=n_steps)):
+        pitches.append(min(PITCH_MAX, max(PITCH_MIN, pitches[-1] + step)))
+    return Score.from_pitches(pitches, draw(st.integers(1, 5)))
+
+
+@st.composite
+def reward_models(draw, rewards=st.floats(-100, 100),
+                  tolerances=st.one_of(st.sampled_from([0.0, 1.5, 30.0]), st.floats(0, 90))):
     """Valid reward models: any tolerance, non-integer rewards."""
-    tolerance = draw(st.one_of(st.sampled_from([0.0, 1.5, 30.0]), st.floats(0, 90)))
+    tolerance = draw(tolerances)
     low, mid, high = sorted(draw(st.lists(rewards, min_size=3, max_size=3, unique=True)))
     return RewardModel(tolerance, r_stay=high, r_move=mid, r_infeasible=low)
 

@@ -85,6 +85,20 @@ def test_solve_unparseable_score_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "train"])
+@pytest.mark.parametrize("order", ["file first", "--ex first"])
+def test_a_score_file_and_ex_together_are_a_usage_error(tmp_path, capsys, command, order):
+    path = _write_score(tmp_path, TINY_SCORE)
+    argv = [command, path, "--ex", "2"] if order == "file first" else [command, "--ex", "2", path]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.splitlines()[-1]
+    assert "--ex" in message and "score" in message and "not allowed with" in message
+
+
 def test_solve_needs_a_score(capsys):
     assert main(["solve"]) == 2
     assert "required" in capsys.readouterr().err

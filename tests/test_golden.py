@@ -19,21 +19,28 @@ melody (seed 0, 2000 episodes, gamma 1, alpha 0.5) hashed over its
 Q-values of every state, in state-id order, as little-endian float64.
 The same 200-note walk, trained for 300 episodes, pins 199-step
 episodes whose random draws run through many blocks of raw words.
+
+The DP solver is pinned by the sha256 of ``pianofinger solve``'s stdout
+on each melody and on a seeded 3000-note walk under non-dyadic rewards,
+whose path sums round.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from pianofinger import cli
 from pianofinger.agent import TrainConfig, TrainingError, train
 from pianofinger.env import FingeringEnv
 from pianofinger.experiments import build_experiment, default_train_config, encoding_for
 from pianofinger.oracle import tabular_q_train
-from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score
+from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, serialize_score
 
 GOLDEN = {
     "EX1": ("d2b5df5e3d52ba931d7841c370c02c08dbc1241367a181c82b834fdd36a7ac06",
@@ -66,6 +73,16 @@ GOLDEN_TABULAR = {
     "EX5": "ac676b24bff301f1e4f2823fdafcc5af502b41203cdc654c9219583cd6678b6a",
     "walk200": "fffd6e5d57236f2c148676df51ee63a75fbd34c91d5b7b47e25b3732bb7585e7",
 }
+
+GOLDEN_SOLVE = {
+    "EX1": "e4da5abd27c434f7dd7fce955a745e0b9d0f1b33b5833dbc27a483feed6423a8",
+    "EX2": "d18cf329318a51762410dc19b4402d0d57e86b07b97c06a297a9d237b40542c8",
+    "EX3": "3f493f015b04a1367a24d9370cc8aaf2e07ba5e2110ef89e13e20b42be4d43a9",
+    "EX4": "81409e2f029231f36528fe23ad3a07db887f1186a0375abe86daa333f8af5b91",
+    "EX5": "cf13fdd6dd64d9a01a8cd1fcc7fb2218da7831e9645871494378cf040f9e89c3",
+    "walk3000": "cc83a56218e06cb75513df64b80ea3e8d8b0abaf94a9569b09f580d73089d813",
+}
+NON_DYADIC = "anchor_tolerance = 1.5\nr_stay = 0.7\nr_move = -0.3\nr_infeasible = -9.1\n"
 
 
 def _env_and_config(exp_id, episodes, seed=0):
@@ -134,6 +151,27 @@ def test_golden_tabular_q_table(name):
         for f in FINGERS:
             h.update(q.values((f, p[t], p[t + 1])).astype("<f8").tobytes())
     assert h.hexdigest() == GOLDEN_TABULAR[name]
+
+
+def test_golden_solve_output(tmp_path):
+    # one process, one cached parser: a usage error after every solve
+    # shows that no parse leaves anything behind for the next
+    walk = tmp_path / "walk3000.txt"
+    walk.write_text(serialize_score(_random_walk(3000, seed=1)))
+    config = tmp_path / "non_dyadic.cfg"
+    config.write_text(NON_DYADIC)
+    calls = {f"EX{n}": ["solve", "--ex", str(n)] for n in range(1, 6)}
+    calls["walk3000"] = ["solve", str(walk), "--config", str(config)]
+    digests = {}
+    for name, argv in calls.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 0
+            with pytest.raises(SystemExit) as usage:
+                cli.main(["solve", str(walk), "--ex", "2"])
+        assert usage.value.code == 1 and "not allowed with" in err.getvalue()
+        digests[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests == GOLDEN_SOLVE
 
 
 def diverge_ex4_seed0():

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from pianofinger.score import (
     mirror_for_left_hand,
 )
 
-from strategies import reward_models, scores
+from strategies import reward_models, scores, walks
 
 # The five study melodies, written out as plain pitch lists so these
 # checks do not depend on the experiment bundle.
@@ -122,7 +123,6 @@ def test_a_passed_table_gives_what_a_built_one_does(score, model, data):
     table = reward_table(score, model)
     fingering = [score.first_finger] + data.draw(
         st.lists(st.sampled_from(FINGERS), min_size=len(score) - 1, max_size=len(score) - 1))
-    assert dp_optimal(score, model, table=table) == dp_optimal(score, model)
     assert (fingering_total_reward(score, fingering, model, table=table)
             == fingering_total_reward(score, fingering, model))
     try:
@@ -132,6 +132,64 @@ def test_a_passed_table_gives_what_a_built_one_does(score, model, data):
             count_position_changes(score, fingering, model, table=table)
     else:
         assert count_position_changes(score, fingering, model, table=table) == expected
+
+
+_ROW_START = np.arange(0, 25, 5)   # flat index of each row of a 5x5 block
+
+
+def _reference_dp(score, model):
+    """The numpy backward pass that ``dp_optimal`` replaced: per step one
+    ``np.add``, ``argmax(axis=1)`` and ``take`` over ``reward_table``,
+    then a forward walk over the kept choices."""
+    table = reward_table(score, model)
+    value = np.zeros(5)
+    continuation = np.empty((5, 5))
+    choice = np.empty((table.shape[0], 5), dtype=np.intp)
+    for row, step in zip(choice[::-1], table[::-1]):
+        np.add(step, value, out=continuation)
+        continuation.argmax(axis=1, out=row)   # first max = lowest finger
+        value = continuation.take(row + _ROW_START)
+    fingering = [score.first_finger]
+    f = score.first_finger
+    for row in choice.tolist():
+        f = row[f - 1] + 1
+        fingering.append(f)
+    return fingering, fingering_total_reward(score, fingering, model, table=table)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.one_of(scores(), walks(max_notes=300)),
+       reward_models(rewards=st.one_of(_FINITE, st.floats(-100, 100), _SIXTEENTHS),
+                     tolerances=st.one_of(st.just(0.0), st.floats(0, 100), _FINITE.map(abs))))
+@example(Score.from_pitches([108, 108, 108, 108, 101], 1),
+         RewardModel(0.0, r_stay=85.5572113248941, r_move=0.05))
+@settings(max_examples=200, deadline=None)
+def test_dp_equals_the_numpy_backward_pass_bit_for_bit(score, model):
+    try:
+        expected_fingering, expected_total = _reference_dp(score, model)
+    except ScoreSizeError as exc:
+        with pytest.raises(ScoreSizeError, match=f"^{re.escape(str(exc))}$"):
+            dp_optimal(score, model)
+        return
+    fingering, total = dp_optimal(score, model)
+    assert fingering == expected_fingering
+    assert struct.pack("<d", total) == struct.pack("<d", expected_total)
+
+
+def test_dp_raises_the_reward_tables_size_error():
+    # the DP reads no table, so it must make reward_table's check itself
+    score = Score.from_pitches([60, 62, 64, 65], 1)
+    limit = sys.float_info.max / 12   # 3 transitions: the largest accepted reward
+    assert math.isfinite(dp_optimal(
+        score, RewardModel(r_stay=limit, r_move=0.0, r_infeasible=-limit))[1])
+    for model in (RewardModel(r_stay=limit * 1.01, r_move=0.0, r_infeasible=-1.0),
+                  RewardModel(r_stay=1e308, r_move=-1e308, r_infeasible=-1.5e308)):
+        with pytest.raises(ScoreSizeError) as built:
+            reward_table(score, model)
+        with pytest.raises(ScoreSizeError, match=f"^{re.escape(str(built.value))}$"):
+            dp_optimal(score, model)
 
 
 def test_dp_matches_exhaustive_on_the_short_melodies():
