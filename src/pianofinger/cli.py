@@ -12,21 +12,21 @@ import functools
 import sys
 from pathlib import Path
 
-from .agent import TrainConfig, TrainingError
-from .env import EncodingError
+from .agent import TrainConfig, TrainingError, greedy_rollout, train
+from .env import EncodingError, FingeringEnv
 from .experiments import (
     ENCODINGS,
     EXPERIMENT_IDS,
     ExperimentSpec,
     build_experiment,
     default_train_config,
+    encoding_for,
     export_fingering,
     export_history,
     read_fingering,
-    run,
 )
 from .oracle import FingeringError, count_position_changes, dp_optimal, fingering_total_reward
-from .reward import RewardModel, reward_table
+from .reward import RewardModel
 from .score import Score, ScoreError, mirror_for_left_hand, parse_score, read_text, serialize_score
 
 DEFAULT_EPISODES = 500
@@ -107,10 +107,10 @@ def _load_spec(args) -> ExperimentSpec:
                           encoding=DEFAULT_ENCODING)
 
 
-def _position_changes(score: Score, fingering, model: RewardModel, table=None) -> str:
+def _position_changes(score: Score, fingering, model: RewardModel) -> str:
     """The fingering's position-change count, or 'n/a' if a transition is infeasible."""
     try:
-        return str(count_position_changes(score, fingering, model, table=table))
+        return str(count_position_changes(score, fingering, model))
     except FingeringError:
         return "n/a"
 
@@ -198,6 +198,7 @@ def _cmd_train(args) -> int:
 
     score = spec.score
     oracle_fingering, oracle_total = dp_optimal(score, model)
+    env = FingeringEnv(score, model, encoding_for(score, spec.encoding))
     out_dir = None
     if args.out_dir:
         out_dir = Path(args.out_dir)
@@ -209,13 +210,14 @@ def _cmd_train(args) -> int:
     print(f"oracle: " + " ".join(map(str, oracle_fingering))
           + f"  total {oracle_total:.6f}")
     for seed in range(base_config.seed, base_config.seed + args.seeds):
-        result = run(spec, dataclasses.replace(base_config, seed=seed), model)
-        print(f"seed {seed}: rollout " + " ".join(map(str, result.fingering))
-              + f"  total {result.total_reward:.6f}  gap {result.gap:.6f}"
-              + f"  changes {_position_changes(score, result.fingering, model)}")
+        net, records = train(env, dataclasses.replace(base_config, seed=seed))
+        fingering, total = greedy_rollout(net, env)
+        print(f"seed {seed}: rollout " + " ".join(map(str, fingering))
+              + f"  total {total:.6f}  gap {oracle_total - total:.6f}"
+              + f"  changes {_position_changes(score, fingering, model)}")
         if out_dir is not None:
-            export_history(result.records, out_dir / f"history_seed{seed}.csv")
-            export_fingering(score, result.fingering, out_dir / f"fingering_seed{seed}.txt")
+            export_history(records, out_dir / f"history_seed{seed}.csv")
+            export_fingering(score, fingering, out_dir / f"fingering_seed{seed}.txt")
     return 0
 
 
@@ -228,9 +230,8 @@ def _cmd_eval(args) -> int:
         )
     fingering = [f for _, f in pairs]
     model = RewardModel()
-    table = reward_table(score, model)
-    total = fingering_total_reward(score, fingering, model, table=table)
-    changes = _position_changes(score, fingering, model, table)
+    total = fingering_total_reward(score, fingering, model)
+    changes = _position_changes(score, fingering, model)
     print(f"total_reward: {total:.6f}")
     print(f"feasible: {'false' if changes == 'n/a' else 'true'}")
     print(f"position_changes: {changes}")

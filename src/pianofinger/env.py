@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .reward import RewardModel, reward_table
+from .reward import RewardModel, reward_rows
 from .score import PITCH_MAX, PITCH_MIN, Score
 
 
@@ -73,8 +73,9 @@ class FingeringEnv:
         enc = self.encoding
         # fails fast if the window cannot hold the score
         offsets = np.array([enc.pitch_index(p) for p in score.pitches])
-        # rewards[5t + f - 1, g - 1]: reward for answering state (t, f) with g
-        self.rewards = reward_table(score, self.reward_model).reshape(-1, 5)
+        # rewards[5t + f - 1][g - 1]: reward for answering state (t, f) with g
+        self.rewards = [cells for block in reward_rows(score, self.reward_model)
+                        for cells in block]
         # columns[5t + f - 1]: the one-hot positions of that state's features
         columns = np.empty((self.n_steps, 5, 3), dtype=np.intp)
         columns[:, :, 0] = np.arange(5)
@@ -103,7 +104,7 @@ class FingeringEnv:
         if action not in (1, 2, 3, 4, 5):
             raise ValueError(f"action must be a finger in 1..5, got {action}")
         nxt = state_id - state_id % 5 + 4 + action   # 5 * (index + 1) + action - 1
-        return float(self.rewards[state_id, action - 1]), nxt if nxt < len(self.rewards) else -1
+        return self.rewards[state_id][action - 1], nxt if nxt < len(self.rewards) else -1
 
     def features(self, state_ids) -> np.ndarray:
         """One-hot features [finger | current pitch | next pitch]: (dim,)

@@ -1,4 +1,4 @@
-"""The five benchmark melodies and helpers to run/export experiments.
+"""The five benchmark melodies, and the history and fingering files.
 
 EX1  repeated middle C, one finger should hold          (full-keyboard encoding)
 EX2  C-major scale up and back, the classic 1-5 arch    (melodic-range encoding)
@@ -14,12 +14,10 @@ import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from .agent import EpisodeRecord, QNetwork, TrainConfig, greedy_rollout, train
-from .env import FingeringEnv, StateEncoding
-from .oracle import FingeringError, dp_optimal
-from .reward import RewardModel
+from .agent import TrainConfig
+from .env import StateEncoding
+from .oracle import FingeringError
 from .score import FINGERS, Score, read_text
 
 # Baseline training overrides for the long in-position melodies.  EX3 and
@@ -82,55 +80,6 @@ def encoding_for(score: Score, mode: str) -> StateEncoding:
     if mode == "range":
         return StateEncoding.for_score(score)
     raise ValueError(f"unknown encoding mode {mode!r}, expected one of {ENCODINGS}")
-
-
-@dataclass(frozen=True)
-class RunResult:
-    records: list[EpisodeRecord]
-    fingering: list[int]
-    total_reward: float
-    oracle_fingering: list[int]
-    oracle_total: float
-    gap: float
-    rollout_totals: list[float]   # empty unless track_rollouts was set
-    net: QNetwork
-
-
-def run(spec: ExperimentSpec, train_config: Optional[TrainConfig] = None,
-        reward_model: Optional[RewardModel] = None,
-        track_rollouts: bool = False) -> RunResult:
-    """Train on one melody and compare the greedy rollout against the exact
-    optimum.
-
-    Without ``train_config`` a bundled experiment trains at its baseline
-    (``default_train_config``) and any other spec at the global defaults
-    for ``spec.episodes`` episodes.
-    """
-    model = reward_model if reward_model is not None else RewardModel()
-    env = FingeringEnv(spec.score, reward_model=model,
-                       encoding=encoding_for(spec.score, spec.encoding))
-    config = train_config
-    if config is None:
-        config = (default_train_config(spec.id) if spec.id in _EXPERIMENTS
-                  else TrainConfig(episodes=spec.episodes))
-    rollout_totals: list[float] = []
-    hook = None
-    if track_rollouts:
-        def hook(_episode: int, net: QNetwork) -> None:
-            rollout_totals.append(greedy_rollout(net, env)[1])
-    net, records = train(env, config, episode_hook=hook)
-    fingering, total = greedy_rollout(net, env)
-    oracle_fingering, oracle_total = dp_optimal(spec.score, model)
-    return RunResult(
-        records=records,
-        fingering=fingering,
-        total_reward=total,
-        oracle_fingering=oracle_fingering,
-        oracle_total=oracle_total,
-        gap=oracle_total - total,
-        rollout_totals=rollout_totals,
-        net=net,
-    )
 
 
 def export_history(records, path) -> None:

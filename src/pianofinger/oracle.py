@@ -15,12 +15,9 @@ pitch) key, which every state with that key shares, and reads its
 exploration draws from lists that numpy fills a block of raw PCG64
 words at a time, each draw the one ``default_rng(seed)`` would make.
 
-The scorers and the learner read ``reward.reward_table``, a gather from
-the same blocks; a caller that already holds a score's table (``eval``
-builds one for the total and the position-change count) passes it as
-``table=`` instead of having each function gather it again.  Totals of a fingering are added one transition at a time, left
-to right, so ``dp_optimal`` and ``fingering_total_reward`` agree to the
-last bit.
+The scorers and the learner read the same rows.  Totals of a fingering
+are added one transition at a time, left to right, so ``dp_optimal``
+and ``fingering_total_reward`` agree to the last bit.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .agent import TrainConfig, epsilon_at
-from .reward import RewardModel, reward_rows, reward_table
+from .reward import RewardModel, reward_rows
 from .score import FINGERS, Score, ScoreSizeError
 
 _EXHAUSTIVE_MAX_LEN = 12
@@ -106,8 +103,7 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
             f"exhaustive search is capped at {_EXHAUSTIVE_MAX_LEN} notes, "
             f"got {len(score)}"
         )
-    model = model if model is not None else RewardModel()
-    table = reward_table(score, model)
+    table = np.array(reward_rows(score, model if model is not None else RewardModel()))
     totals = table[0, score.first_finger - 1].copy()
     for t in range(1, table.shape[0]):
         totals = (totals.reshape(-1, 5, 1) + table[t][None, :, :]).reshape(-1)
@@ -120,54 +116,50 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
     return fingering, float(totals.max())
 
 
-def fingering_rewards(score: Score, fingering, model: Optional[RewardModel] = None, *,
-                      table: Optional[np.ndarray] = None) -> np.ndarray:
-    """Reward of each transition of a complete fingering (first entry must
-    match the score's fixed first finger): entry t is note t -> t+1."""
-    _validate_fingering(score, fingering)
-    if table is None:
-        table = reward_table(score, model if model is not None else RewardModel())
-    return _path_rewards(table, fingering)
+def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None) -> float:
+    """Total reward of a complete fingering, added one transition at a
+    time from 0.0, left to right, as ``dp_optimal`` adds it (``sum``
+    compensates from Python 3.12 on and can round differently)."""
+    total = 0.0
+    for r in _rewards_along(score, fingering, model):
+        total += r
+    return total
 
 
-def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None, *,
-                           table: Optional[np.ndarray] = None) -> float:
-    """Total reward of a complete fingering, added as ``dp_optimal`` adds it."""
-    return _left_to_right_sum(fingering_rewards(score, fingering, model, table=table))
-
-
-def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None, *,
-                           table: Optional[np.ndarray] = None) -> int:
+def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None) -> int:
     """Number of hand relocations along a fingering.
 
     Raises FingeringError if any transition is infeasible — a crossing
     has no meaningful relocation count.
     """
     model = model if model is not None else RewardModel()
-    rewards = fingering_rewards(score, fingering, model, table=table)
-    infeasible = np.flatnonzero(rewards == model.r_infeasible)
-    if len(infeasible):
-        t = int(infeasible[0])
+    rewards = _rewards_along(score, fingering, model)
+    if model.r_infeasible in rewards:
+        t = rewards.index(model.r_infeasible)
         pitches = score.pitches
         raise FingeringError(
             f"transition {t} ({fingering[t]} on {pitches[t]} -> "
             f"{fingering[t + 1]} on {pitches[t + 1]}) is infeasible"
         )
-    return int(np.count_nonzero(rewards == model.r_move))
+    return rewards.count(model.r_move)
 
 
-def _path_rewards(table: np.ndarray, fingering) -> np.ndarray:
-    f = np.asarray(fingering, dtype=np.intp) - 1
-    return table[np.arange(len(table)), f[:-1], f[1:]]
+_FINGER_INDEX = {f: f - 1 for f in FINGERS}
 
 
-def _left_to_right_sum(rewards: np.ndarray) -> float:
-    """One addition at a time from 0.0: ``np.sum`` adds pairwise and
-    Python 3.12's ``sum`` compensates, and either can round differently."""
-    total = 0.0
-    for r in rewards.tolist():
-        total += r
-    return total
+def _rewards_along(score: Score, fingering, model: Optional[RewardModel]) -> list:
+    """The reward of each transition of a complete fingering (first entry
+    must match the score's fixed first finger): entry t is note t -> t+1.
+    An entry equal to a finger (``2.0``, ``True``) counts as that finger."""
+    try:
+        f = [_FINGER_INDEX[g] for g in fingering]
+    except (KeyError, TypeError):   # an entry that is no finger, or unhashable
+        _validate_fingering(score, fingering)
+        f = [FINGERS.index(g) for g in fingering]   # unhashable, but equal to a finger
+    if len(f) != len(score) or f[0] != score.first_finger - 1:
+        _validate_fingering(score, fingering)
+    rows = reward_rows(score, model if model is not None else RewardModel())
+    return [row[a][b] for row, a, b in zip(rows, f, f[1:])]
 
 
 def _validate_fingering(score: Score, fingering) -> None:
@@ -188,11 +180,11 @@ def _validate_fingering(score: Score, fingering) -> None:
 class TabularQ:
     """The Q-table ``tabular_q_train`` learned on one score: a row of five
     values per (finger, pitch, next pitch) key, the row of each state id,
-    and the score's reward table under the model it was trained with."""
+    and each state id's five rewards under the model it was trained with."""
 
-    def __init__(self, score: Score, table: np.ndarray, rows: dict, row_of: list):
+    def __init__(self, score: Score, rewards: list, rows: dict, row_of: list):
         self.score = score
-        self._table = table
+        self._rewards = rewards
         self._rows = rows
         self._row_of = row_of
 
@@ -207,14 +199,13 @@ class TabularQ:
         model.  ``score`` must be the score the table was trained on."""
         if (score.pitches, score.first_finger) != (self.score.pitches, self.score.first_finger):
             raise ValueError("greedy_fingering walks the score the table was trained on")
-        rewards = self._table.reshape(-1, 5).tolist()
         state = score.first_finger - 1
         fingering = [score.first_finger]
         total = 0.0
         while state < len(self._row_of):
             row = self._row_of[state]
             action = row.index(max(row))
-            total += rewards[state][action]
+            total += self._rewards[state][action]
             fingering.append(action + 1)
             state += 5 - state % 5 + action
         return fingering, total
@@ -280,8 +271,8 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     network learner.  Serves as an independent learning-based route to
     the optimum.
 
-    Episodes walk state ids 5t + (f-1) over the reward table as nested
-    lists; each id points at the five-float Q row of its (f, pitch t,
+    Episodes walk state ids 5t + (f-1) over ``reward_rows``, five
+    rewards per id; each id points at the five-float Q row of its (f, pitch t,
     pitch t+1) key, shared by every state with that key.  Greedy takes
     the first maximum, as ``np.argmax`` does, and Python floats round as
     numpy's do, so the rows equal those of a walk over (finger, pitch,
@@ -292,8 +283,7 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     model = reward_model if reward_model is not None else RewardModel()
-    table = reward_table(score, model)
-    rewards = table.reshape(-1, 5).tolist()
+    rewards = [cells for block in reward_rows(score, model) for cells in block]
     pitches = score.pitches
     rows: dict[tuple[int, int, int], list[float]] = {}
     row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
@@ -311,4 +301,4 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
             if state < end:
                 target += gamma * max(row_of[state])
             row[action] += alpha * (target - row[action])
-    return TabularQ(score, table, rows, row_of)
+    return TabularQ(score, rewards, rows, row_of)

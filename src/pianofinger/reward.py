@@ -21,10 +21,9 @@ feasible.
 The scalar functions state the rules.  A transition's 5x5 block of
 (held finger, next finger) rewards depends only on the model and the
 interval nn - cn, so each model's 175 blocks (intervals -87..+87) are
-built once, by one numpy broadcast.  ``reward_table`` gathers a score's
-table from them for the environment, the learners and the scorers, and
-``reward_rows`` lists the same blocks as nested tuples of floats for the
-DP solver's plain-float loop.
+built once, by one numpy broadcast, and held as nested tuples of floats.
+``reward_rows`` gathers a score's blocks by its intervals for the DP
+solver, the scorers, the learners and the environment.
 """
 
 from __future__ import annotations
@@ -127,27 +126,16 @@ def _check_path_totals(score: Score, model: RewardModel) -> None:
                              "can overflow float64 totals")
 
 
-def reward_table(score: Score, model: RewardModel) -> np.ndarray:
-    """R[t, f-1, g-1] = reward for playing note t+1 with finger g when
-    note t is held by finger f.
-
-    A fresh array gathered from the model's blocks by the score's
-    intervals; equal to ``model.reward`` cell by cell.  Raises
-    ScoreSizeError as ``_check_path_totals`` does.
-    """
-    _check_path_totals(score, model)
-    pitches = np.array(score.pitches)
-    return _blocks(_bits(model)).take(pitches[1:] - pitches[:-1] + _WIDEST, axis=0)
-
-
 def reward_rows(score: Score, model: RewardModel) -> list:
-    """The same table as nested tuples of floats: entry t is the model's
-    cached block for the interval from note t to t+1, read as
-    ``[t][f-1][g-1]``.  Raises ScoreSizeError as ``_check_path_totals`` does."""
+    """The score's rewards: entry t is the model's cached block for the
+    interval from note t to t+1, read as ``[t][f-1][g-1]`` for playing
+    note t+1 with finger g when note t is held by finger f; equal to
+    ``model.reward`` cell by cell.  Raises ScoreSizeError as
+    ``_check_path_totals`` does."""
     _check_path_totals(score, model)
-    rows = _block_rows(_bits(model))
+    blocks = _blocks(_bits(model))
     pitches = score.pitches
-    return [rows[q - p + _WIDEST] for p, q in zip(pitches, pitches[1:])]
+    return [blocks[q - p + _WIDEST] for p, q in zip(pitches, pitches[1:])]
 
 
 def _bits(model: RewardModel) -> bytes:
@@ -157,16 +145,11 @@ def _bits(model: RewardModel) -> bytes:
                        model.r_infeasible)
 
 
-@functools.lru_cache(maxsize=8)
-def _block_rows(bits: bytes) -> tuple:
-    """``_blocks(bits)`` as nested tuples of Python floats."""
-    return tuple(tuple(map(tuple, block)) for block in _blocks(bits).tolist())
-
-
-@functools.lru_cache(maxsize=8)   # 35 KB of blocks per model
-def _blocks(bits: bytes) -> np.ndarray:
+@functools.lru_cache(maxsize=8)   # 190 KB of blocks per model
+def _blocks(bits: bytes) -> tuple:
     """The rules of ``is_feasible`` and ``is_position_change`` broadcast over
-    every piano interval and the 5x5 finger grid: read-only, (175, 5, 5)."""
+    every piano interval and the 5x5 finger grid: (175, 5, 5) nested tuples
+    of Python floats."""
     tolerance, r_stay, r_move, r_infeasible = struct.unpack("4d", bits)
     step = np.arange(-_WIDEST, _WIDEST + 1)[:, None, None]   # nn - cn
     repeat = step == 0
@@ -176,5 +159,4 @@ def _blocks(bits: bytes) -> np.ndarray:
     move = np.where(_SAME_FINGER, ~repeat, repeat | (drift > tolerance))
     outcome = np.where(feasible, move, 2)   # 0 stay, 1 move, 2 infeasible
     blocks = np.array([r_stay, r_move, r_infeasible])[outcome]
-    blocks.flags.writeable = False
-    return blocks
+    return tuple(tuple(map(tuple, block)) for block in blocks.tolist())

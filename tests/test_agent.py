@@ -563,6 +563,15 @@ def test_truthy_hook_stops_training_after_that_episode():
     assert np.array_equal(net.get_flat_params(), full_net.get_flat_params())
 
 
+def test_a_hook_can_track_greedy_rollouts():
+    env = _small_env()
+    totals = []
+    net, _ = train(env, TrainConfig(episodes=5, seed=0),
+                   episode_hook=lambda ep, net: totals.append(greedy_rollout(net, env)[1]))
+    assert len(totals) == 5
+    assert totals[-1] == greedy_rollout(net, env)[1]
+
+
 def test_divergent_learning_rate_raises_training_error():
     cfg = TrainConfig(episodes=100, seed=0, learning_rate=50.0)
     with warnings.catch_warnings():

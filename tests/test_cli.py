@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pianofinger import cli, oracle
 from pianofinger.agent import TrainConfig
 from pianofinger.cli import _CONFIG_KEYS, _build_parser, main, read_config_file, ConfigError
-from pianofinger.reward import reward_table
+from pianofinger.env import FingeringEnv
 
 from strategies import score_texts
 
@@ -38,20 +38,6 @@ def test_solve_bundled_scale(capsys):
     assert "fingering: 1 2 3 4 5 5 4 3 2 1" in out
     assert "total_reward: 9.000000" in out
     assert "position_changes: 0" in out
-
-
-def test_solve_builds_one_reward_table(monkeypatch, capsys):
-    calls = []
-
-    def counted(score, model):
-        calls.append(len(score))
-        return reward_table(score, model)
-
-    monkeypatch.setattr(cli, "reward_table", counted)
-    monkeypatch.setattr(oracle, "reward_table", counted)
-    assert main(["solve", "--ex", "4"]) == 0
-    assert calls == [16]
-    assert "position_changes: 2" in capsys.readouterr().out
 
 
 def test_solve_reports_relocations(capsys):
@@ -133,6 +119,38 @@ def test_train_multiple_seeds(tmp_path, capsys):
     assert "seed 1:" in out and "seed 2:" in out
     assert (out_dir / "history_seed1.csv").exists()
     assert (out_dir / "history_seed2.csv").exists()
+
+
+def test_train_gap_is_the_oracle_total_less_the_rollout_total(tmp_path, capsys):
+    assert main(["train", "--ex", "2", "--episodes", "8", "--out-dir", str(tmp_path)]) == 0
+    oracle, seed = capsys.readouterr().out.splitlines()[1:]
+    assert oracle == "oracle: 1 2 3 4 5 5 4 3 2 1  total 9.000000"
+    fields = seed.split("  ")
+    assert len(fields[0].split()) == 3 + 10   # "seed 0: rollout" and a finger per note
+    total, gap = (float(field.split()[1]) for field in fields[1:3])
+    assert gap == 9.0 - total >= 0.0
+    assert len((tmp_path / "history_seed0.csv").read_text().splitlines()) == 1 + 8
+
+
+def test_train_runs_a_score_file_for_the_default_episodes(tmp_path, capsys):
+    assert main(["train", _write_score(tmp_path, TINY_SCORE)]) == 0
+    out = capsys.readouterr().out
+    assert "episodes=500" in out
+    assert "oracle: 1 2 3  total 2.000000" in out
+
+
+def test_train_solves_the_dp_and_builds_the_env_once_for_all_seeds(monkeypatch, capsys):
+    dp_calls, env_builds = [], []
+    solve = oracle.dp_optimal
+    monkeypatch.setattr(cli, "dp_optimal", lambda *args: dp_calls.append(1) or solve(*args))
+    build = FingeringEnv.__init__
+    monkeypatch.setattr(FingeringEnv, "__init__",
+                        lambda self, *args, **kwargs: env_builds.append(1)
+                        or build(self, *args, **kwargs))
+    assert main(["train", "--ex", "2", "--episodes", "2", "--seeds", "3"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[-3:]] == [
+        "seed 0", "seed 1", "seed 2"]
+    assert (len(dp_calls), len(env_builds)) == (1, 1)
 
 
 def test_train_reruns_are_byte_identical(tmp_path, capsys):
@@ -458,6 +476,16 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_readme_library_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    solve_line = next(line for line in block.splitlines() if "print(dp_optimal(" in line)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == solve_line.split("#", 1)[1].strip()
+    assert len(printed) == 2
 
 
 _VALUES = st.one_of(

@@ -4,14 +4,12 @@ from pianofinger.agent import EpisodeRecord, TrainConfig
 from pianofinger.env import StateEncoding
 from pianofinger.experiments import (
     EXPERIMENT_IDS,
-    ExperimentSpec,
     build_experiment,
     default_train_config,
     encoding_for,
     export_fingering,
     export_history,
     read_fingering,
-    run,
 )
 from pianofinger.oracle import FingeringError, dp_optimal
 from pianofinger.score import Score
@@ -82,35 +80,6 @@ def test_encoding_for_modes():
     assert encoding_for(score, "range") == StateEncoding(60, 8)
     with pytest.raises(ValueError):
         encoding_for(score, "huge")
-
-
-# --- running -------------------------------------------------------------------
-
-def test_run_smoke():
-    spec = build_experiment("EX2")
-    result = run(spec, TrainConfig(episodes=8, seed=0))
-    assert len(result.records) == 8
-    assert len(result.fingering) == len(spec.score)
-    assert result.oracle_total == 9.0
-    assert result.oracle_fingering == [1, 2, 3, 4, 5, 5, 4, 3, 2, 1]
-    assert result.gap == result.oracle_total - result.total_reward
-    assert result.gap >= 0.0
-    assert result.rollout_totals == []
-
-
-def test_run_tracks_rollouts_when_asked():
-    spec = build_experiment("EX2")
-    result = run(spec, TrainConfig(episodes=5, seed=0), track_rollouts=True)
-    assert len(result.rollout_totals) == 5
-    assert result.rollout_totals[-1] == result.total_reward
-
-
-def test_run_on_a_custom_spec():
-    score = Score.from_pitches([60, 62, 64], 1)
-    spec = ExperimentSpec(id="tiny", score=score, episodes=4, encoding="range")
-    result = run(spec)
-    assert len(result.records) == 4
-    assert result.oracle_total == 2.0
 
 
 # --- export / import -------------------------------------------------------------

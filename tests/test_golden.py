@@ -22,7 +22,9 @@ episodes whose random draws run through many blocks of raw words.
 
 The DP solver is pinned by the sha256 of ``pianofinger solve``'s stdout
 on each melody and on a seeded 3000-note walk under non-dyadic rewards,
-whose path sums round.
+whose path sums round.  ``eval`` is pinned on a feasible and an
+infeasible fingering of EX2 and on the optimal fingering of a 3000-note
+walk, and a two-seed ``train`` by its stdout and every file it writes.
 """
 
 import contextlib
@@ -38,8 +40,9 @@ import pytest
 from pianofinger import cli
 from pianofinger.agent import TrainConfig, TrainingError, train
 from pianofinger.env import FingeringEnv
-from pianofinger.experiments import build_experiment, default_train_config, encoding_for
-from pianofinger.oracle import tabular_q_train
+from pianofinger.experiments import (build_experiment, default_train_config, encoding_for,
+                                     export_fingering)
+from pianofinger.oracle import dp_optimal, tabular_q_train
 from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, serialize_score
 
 GOLDEN = {
@@ -81,6 +84,20 @@ GOLDEN_SOLVE = {
     "EX4": "81409e2f029231f36528fe23ad3a07db887f1186a0375abe86daa333f8af5b91",
     "EX5": "cf13fdd6dd64d9a01a8cd1fcc7fb2218da7831e9645871494378cf040f9e89c3",
     "walk3000": "cc83a56218e06cb75513df64b80ea3e8d8b0abaf94a9569b09f580d73089d813",
+}
+GOLDEN_EVAL = {
+    "feasible": "bbf6539fa066dfa4c5440a9ccb93e72e2ab40b7ffd0c39fa222a065b16a769c8",
+    "infeasible": "c18cf8192cd7d07e3596a141ae9407b58888ef3c9e67d83c8e3acb4ea60f59d0",
+    "walk3000": "703b32e52fec48d50d88d257cd302b1529a743360015a5a8cc111358c2bfe719",
+}
+
+GOLDEN_TRAIN = {   # train --ex 2 --seeds 2 --episodes 20 --out-dir D
+    "stdout": "544c84ea86a1ccbea7523f33a68ab5cb337b4dfd75599fc9d37a4c9c1d77e261",
+    "fingering_seed0.txt": "b58bf9e099d17162283e5e15cae9e612d634040239c1554335ac8a6bb48e3d98",
+    "fingering_seed1.txt": "2f9f9a97f2fd546626ebc5dbba5fe9d35bac3b7c56f4fc8a413f0782d072dd5f",
+    "history_seed0.csv": "defb5c0ef346aad35e9d52c0d61587d5ec4b04f39b286a4081012be92058b101",
+    "history_seed1.csv": "6c3b7297a9c1300eb1d88ba05bc1a3a937c5f12d46b0b20345391e2998325c9a",
+    "oracle_fingering.txt": "a977a909f8d0d7273fb65ba791fedd5cd6c23ce5bbf09a24f002049d1f953f16",
 }
 NON_DYADIC = "anchor_tolerance = 1.5\nr_stay = 0.7\nr_move = -0.3\nr_infeasible = -9.1\n"
 
@@ -172,6 +189,36 @@ def test_golden_solve_output(tmp_path):
         assert usage.value.code == 1 and "not allowed with" in err.getvalue()
         digests[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digests == GOLDEN_SOLVE
+
+
+def _stdout_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_golden_eval_output(tmp_path):
+    ex2 = build_experiment("EX2").score
+    walk = _random_walk(3000, seed=1)
+    fingerings = {"feasible": (ex2, [1, 2, 3, 4, 5, 5, 4, 3, 2, 1]),
+                  "infeasible": (ex2, [1, 2, 3, 4, 3, 5, 4, 3, 2, 1]),   # 3 -> 5 crosses down
+                  "walk3000": (walk, dp_optimal(walk)[0])}
+    digests = {}
+    for name, (score, fingering) in fingerings.items():
+        score_path, fingering_path = tmp_path / f"{name}.txt", tmp_path / f"{name}.fng"
+        score_path.write_text(serialize_score(score))
+        export_fingering(score, fingering, fingering_path)
+        digests[name] = _stdout_digest(["eval", str(score_path), str(fingering_path)])
+    assert digests == GOLDEN_EVAL
+
+
+def test_golden_train_output(tmp_path):
+    digests = {"stdout": _stdout_digest(["train", "--ex", "2", "--seeds", "2", "--episodes", "20",
+                                         "--out-dir", str(tmp_path)])}
+    digests.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                   for path in tmp_path.iterdir())
+    assert digests == GOLDEN_TRAIN
 
 
 def diverge_ex4_seed0():

@@ -11,13 +11,14 @@ from pianofinger.agent import TrainConfig, epsilon_at
 from pianofinger.oracle import (
     FingeringError,
     _Draws,
+    _validate_fingering,
     count_position_changes,
     dp_optimal,
     exhaustive_optimal,
     fingering_total_reward,
     tabular_q_train,
 )
-from pianofinger.reward import RewardModel, reward_table
+from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import (
     FINGERS,
     PITCH_MAX,
@@ -118,20 +119,54 @@ def test_dp_matches_exhaustive_under_non_integer_rewards(score, model):
     assert dp_optimal(score, model) == exhaustive_optimal(score, model)
 
 
-@given(scores(), reward_models(), st.data())
-def test_a_passed_table_gives_what_a_built_one_does(score, model, data):
-    table = reward_table(score, model)
-    fingering = [score.first_finger] + data.draw(
-        st.lists(st.sampled_from(FINGERS), min_size=len(score) - 1, max_size=len(score) - 1))
-    assert (fingering_total_reward(score, fingering, model, table=table)
-            == fingering_total_reward(score, fingering, model))
+# entries equal to a finger, and entries that are no finger
+_AS_A_FINGER = st.sampled_from([2.0, True, np.int64(3), np.float64(4.0)])
+_NO_FINGER = st.sampled_from([0, 6, 2.5, -1, "3", None, [1]])   # [1] is unhashable
+_ENTRIES = st.one_of(st.sampled_from(FINGERS), _AS_A_FINGER)
+_MOVES_OF_NEGATIVE_ZERO = st.builds(RewardModel, st.floats(0, 90), st.floats(0.5, 100),
+                                    st.just(-0.0), st.floats(-100, -0.5))
+
+
+def _scalar_scores(score, fingering, model):
+    """Total and position-change count by ``model.reward``, one transition
+    at a time from 0.0, and the message of the first crossing (or None)."""
+    p = score.pitches
+    total, changes, crossing = 0.0, 0, None
+    for t in range(len(p) - 1):
+        r = model.reward((fingering[t], p[t], p[t + 1]), fingering[t + 1])
+        total += r
+        changes += r == model.r_move
+        if r == model.r_infeasible and crossing is None:
+            crossing = (f"transition {t} ({fingering[t]} on {p[t]} -> "
+                        f"{fingering[t + 1]} on {p[t + 1]}) is infeasible")
+    return total, changes, crossing
+
+
+@given(scores(), st.one_of(reward_models(), _MOVES_OF_NEGATIVE_ZERO), st.data())
+def test_scorers_add_the_scalar_rule_left_to_right(score, model, data):
+    first = data.draw(st.one_of(st.just(score.first_finger), _ENTRIES))
+    fingering = [first] + data.draw(st.lists(_ENTRIES, min_size=len(score) - 1,
+                                             max_size=len(score) - 1))
+    change = data.draw(st.integers(0, 4))
+    if change == 0:
+        fingering[data.draw(st.integers(0, len(fingering) - 1))] = data.draw(_NO_FINGER)
+    elif change == 1:
+        fingering = fingering[:-1] if data.draw(st.booleans()) else fingering + [1]
     try:
-        expected = count_position_changes(score, fingering, model)
+        _validate_fingering(score, fingering)
     except FingeringError as exc:
-        with pytest.raises(FingeringError, match=f"^{re.escape(str(exc))}$"):
-            count_position_changes(score, fingering, model, table=table)
+        for scorer in (fingering_total_reward, count_position_changes):
+            with pytest.raises(FingeringError, match=f"^{re.escape(str(exc))}$"):
+                scorer(score, fingering, model)
+        return
+    total, changes, crossing = _scalar_scores(score, fingering, model)
+    assert struct.pack("<d", fingering_total_reward(score, fingering, model)) == struct.pack(
+        "<d", total)
+    if crossing is None:
+        assert count_position_changes(score, fingering, model) == changes
     else:
-        assert count_position_changes(score, fingering, model, table=table) == expected
+        with pytest.raises(FingeringError, match=f"^{re.escape(crossing)}$"):
+            count_position_changes(score, fingering, model)
 
 
 _ROW_START = np.arange(0, 25, 5)   # flat index of each row of a 5x5 block
@@ -139,9 +174,9 @@ _ROW_START = np.arange(0, 25, 5)   # flat index of each row of a 5x5 block
 
 def _reference_dp(score, model):
     """The numpy backward pass that ``dp_optimal`` replaced: per step one
-    ``np.add``, ``argmax(axis=1)`` and ``take`` over ``reward_table``,
+    ``np.add``, ``argmax(axis=1)`` and ``take`` over the reward table,
     then a forward walk over the kept choices."""
-    table = reward_table(score, model)
+    table = np.array(reward_rows(score, model))
     value = np.zeros(5)
     continuation = np.empty((5, 5))
     choice = np.empty((table.shape[0], 5), dtype=np.intp)
@@ -154,7 +189,7 @@ def _reference_dp(score, model):
     for row in choice.tolist():
         f = row[f - 1] + 1
         fingering.append(f)
-    return fingering, fingering_total_reward(score, fingering, model, table=table)
+    return fingering, fingering_total_reward(score, fingering, model)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -179,7 +214,7 @@ def test_dp_equals_the_numpy_backward_pass_bit_for_bit(score, model):
 
 
 def test_dp_raises_the_reward_tables_size_error():
-    # the DP reads no table, so it must make reward_table's check itself
+    # the DP raises reward_rows' size error, message and all
     score = Score.from_pitches([60, 62, 64, 65], 1)
     limit = sys.float_info.max / 12   # 3 transitions: the largest accepted reward
     assert math.isfinite(dp_optimal(
@@ -187,7 +222,7 @@ def test_dp_raises_the_reward_tables_size_error():
     for model in (RewardModel(r_stay=limit * 1.01, r_move=0.0, r_infeasible=-1.0),
                   RewardModel(r_stay=1e308, r_move=-1e308, r_infeasible=-1.5e308)):
         with pytest.raises(ScoreSizeError) as built:
-            reward_table(score, model)
+            reward_rows(score, model)
         with pytest.raises(ScoreSizeError, match=f"^{re.escape(str(built.value))}$"):
             dp_optimal(score, model)
 
@@ -283,6 +318,7 @@ def test_fingering_validation_errors():
         fingering_total_reward(score, [2, 2, 3])         # wrong first finger
     with pytest.raises(FingeringError):
         fingering_total_reward(score, [1, 0, 3])         # not a finger
+    assert fingering_total_reward(score, [1, np.array([2]), 3]) == 2.0   # equal to 2, unhashable
 
 
 def test_count_position_changes_examples():
@@ -463,7 +499,7 @@ def test_tabular_q_matches_the_per_key_reference_bit_for_bit(
 
 
 def test_tabular_q_stays_finite_at_the_largest_accepted_rewards():
-    # rewards as large as reward_table accepts for this score length:
+    # rewards as large as reward_rows accepts for this score length:
     # every update subtracts two path totals and must not overflow
     score = Score.from_pitches([60, 67, 59, 60, 72, 55, 60, 60], 4)
     big = sys.float_info.max / (4 * (len(score) - 1))
