@@ -156,11 +156,10 @@ class QNetwork:
     """
 
     def __init__(self, input_dim: int, hidden: Sequence[int] = (64, 64),
-                 n_actions: int = 5, rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None):
         rng = rng if rng is not None else np.random.default_rng()
-        sizes = [input_dim, *hidden, n_actions]
+        sizes = [input_dim, *hidden, 5]   # one Q-value per finger
         self.input_dim = input_dim
-        self.n_actions = n_actions
         n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
         self.theta = np.empty(n_params)
         self.weights, self.biases = _layer_views(self.theta, sizes)

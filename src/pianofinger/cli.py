@@ -13,13 +13,12 @@ import sys
 from pathlib import Path
 
 from .agent import TrainConfig, TrainingError, greedy_rollout, train
-from .env import EncodingError, FingeringEnv
+from .env import FingeringEnv
 from .experiments import (
     ENCODINGS,
     EXPERIMENT_IDS,
     ExperimentSpec,
     build_experiment,
-    default_train_config,
     encoding_for,
     export_fingering,
     export_history,
@@ -29,8 +28,8 @@ from .oracle import FingeringError, count_position_changes, dp_optimal, fingerin
 from .reward import RewardModel
 from .score import Score, ScoreError, mirror_for_left_hand, parse_score, read_text, serialize_score
 
-DEFAULT_EPISODES = 500
-DEFAULT_ENCODING = "range"
+# a score file trains at these settings unless a config file or flag says otherwise
+_FILE_CONFIG = TrainConfig(episodes=500)
 
 _TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 _REWARD_FIELDS = dataclasses.fields(RewardModel)
@@ -84,27 +83,32 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _split_config(values: dict):
-    """Split file values into (TrainConfig kwargs, RewardModel kwargs, encoding)."""
-    train_kwargs = {f.name: values[f.name] for f in _TRAIN_FIELDS if f.name in values}
-    reward_kwargs = {f.name: values[f.name] for f in _REWARD_FIELDS if f.name in values}
-    return train_kwargs, reward_kwargs, values.get("encoding")
-
-
 def _read_score(path) -> Score:
     path = Path(path)
     return parse_score(read_text(path, "score file"), name=path.stem)
 
 
-def _load_spec(args) -> ExperimentSpec:
-    """Bundled experiment N, or the score file at the CLI's defaults."""
+def _configure(args) -> tuple[ExperimentSpec, RewardModel]:
+    """The run and its reward model: bundled experiment N or the score file,
+    then the config file over it, then the flags over that."""
     if args.ex is not None:
-        return build_experiment(f"EX{args.ex}")
-    if args.score is None:
+        spec = build_experiment(f"EX{args.ex}")
+    elif args.score is None:
         raise ConfigError("a score file or --ex N is required")
-    score = _read_score(args.score)
-    return ExperimentSpec(id=score.name, score=score, episodes=DEFAULT_EPISODES,
-                          encoding=DEFAULT_ENCODING)
+    else:
+        spec = ExperimentSpec(_read_score(args.score), "range", _FILE_CONFIG)
+    values = read_config_file(args.config) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if value is not None and (key in _CONFIG_KEYS or key == "encoding"))
+    reward_kwargs = {f.name: values.pop(f.name) for f in _REWARD_FIELDS if f.name in values}
+    try:
+        model = RewardModel(**reward_kwargs)
+        if values:   # a TrainConfig checks every field: rebuild it only when overridden
+            encoding = values.pop("encoding", spec.encoding)
+            spec = ExperimentSpec(spec.score, encoding, dataclasses.replace(spec.config, **values))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return spec, model
 
 
 def _position_changes(score: Score, fingering, model: RewardModel) -> str:
@@ -157,14 +161,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
-    score = _load_spec(args).score
-    reward_kwargs = {}
-    if args.config:
-        _, reward_kwargs, _ = _split_config(read_config_file(args.config))
-    try:
-        model = RewardModel(**reward_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec, model = _configure(args)
+    score = spec.score
     fingering, total = dp_optimal(score, model)
     changes = count_position_changes(score, fingering, model)
     print(f"score: {score.name} ({len(score)} notes)")
@@ -175,28 +173,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    spec = _load_spec(args)
-    file_values = read_config_file(args.config) if args.config else {}
-    train_kwargs, reward_kwargs, file_encoding = _split_config(file_values)
-
-    # defaults <- experiment baseline <- config file <- explicit flags
-    if args.ex is None:
-        base = {"episodes": spec.episodes}
-    else:
-        base = dataclasses.asdict(default_train_config(spec.id))
-    base.update(train_kwargs)
-    base.update((f.name, getattr(args, f.name)) for f in _TRAIN_FIELDS
-                if getattr(args, f.name) is not None)
-    spec = dataclasses.replace(spec, encoding=args.encoding or file_encoding or spec.encoding)
+    spec, model = _configure(args)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        model = RewardModel(**reward_kwargs)
-        base_config = TrainConfig(**base)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    score = spec.score
+    score, config = spec.score, spec.config
     oracle_fingering, oracle_total = dp_optimal(score, model)
     env = FingeringEnv(score, model, encoding_for(score, spec.encoding))
     out_dir = None
@@ -206,11 +186,11 @@ def _cmd_train(args) -> int:
         export_fingering(score, oracle_fingering, out_dir / "oracle_fingering.txt")
 
     print(f"score: {score.name} ({len(score)} notes), encoding={spec.encoding}, "
-          f"episodes={base_config.episodes}")
+          f"episodes={config.episodes}")
     print(f"oracle: " + " ".join(map(str, oracle_fingering))
           + f"  total {oracle_total:.6f}")
-    for seed in range(base_config.seed, base_config.seed + args.seeds):
-        net, records = train(env, dataclasses.replace(base_config, seed=seed))
+    for seed in range(config.seed, config.seed + args.seeds):
+        net, records = train(env, dataclasses.replace(config, seed=seed))
         fingering, total = greedy_rollout(net, env)
         print(f"seed {seed}: rollout " + " ".join(map(str, fingering))
               + f"  total {total:.6f}  gap {oracle_total - total:.6f}"
@@ -255,7 +235,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScoreError, ConfigError, FingeringError, EncodingError, OSError) as exc:
+    except (ScoreError, ConfigError, FingeringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -77,15 +77,11 @@ class FingeringEnv:
         self.rewards = [cells for block in reward_rows(score, self.reward_model)
                         for cells in block]
         # columns[5t + f - 1]: the one-hot positions of that state's features
-        columns = np.empty((self.n_steps, 5, 3), dtype=np.intp)
+        columns = np.empty((len(score) - 1, 5, 3), dtype=np.intp)
         columns[:, :, 0] = np.arange(5)
         columns[:, :, 1] = 5 + offsets[:-1, None]
         columns[:, :, 2] = 5 + enc.width + offsets[1:, None]
         self.columns = columns.reshape(-1, 3)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.score) - 1
 
     @property
     def input_dim(self) -> int:

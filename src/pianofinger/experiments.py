@@ -1,5 +1,10 @@
 """The five benchmark melodies, and the history and fingering files.
 
+A run is one ``ExperimentSpec``: a score, its state encoding and its
+``TrainConfig``.  ``_EXPERIMENTS`` holds the five bundled specs, keyed by
+score name, each with its baseline config; the CLI makes a spec for a
+score file too, and layers a config file and flags over either.
+
 EX1  repeated middle C, one finger should hold          (full-keyboard encoding)
 EX2  C-major scale up and back, the classic 1-5 arch    (melodic-range encoding)
 EX3  the opening phrase of "Ode to Joy"                 (melodic-range encoding)
@@ -28,32 +33,37 @@ from .score import FINGERS, Score, read_text
 # reflects the learned policy rather than exploration noise.
 _CURVE = {"learning_rate": 0.06, "target_sync": 75, "epsilon_end": 0.0}
 
-# id: (pitches, first finger, encoding, baseline training config)
-_EXPERIMENTS = {
-    "EX1": ([60] * 8, 3, "88", TrainConfig(episodes=1000)),
-    "EX2": ([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1, "range",
-            TrainConfig(episodes=100)),
-    "EX3": ([64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62, 62], 3, "range",
-            TrainConfig(episodes=200, **_CURVE)),
-    "EX4": ([60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, "range",
-            TrainConfig(episodes=5000)),
-    "EX5": ([60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
-             71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, "range",
-            TrainConfig(episodes=500, **_CURVE)),
-}
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One run: the score, its state encoding ("88" or "range") and its
+    training configuration."""
+    score: Score
+    encoding: str
+    config: TrainConfig
+
+
+_EXPERIMENTS = {spec.score.name: spec for spec in [
+    ExperimentSpec(Score.from_pitches([60] * 8, 3, name="EX1"), "88",
+                   TrainConfig(episodes=1000)),
+    ExperimentSpec(Score.from_pitches([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1, name="EX2"),
+                   "range", TrainConfig(episodes=100)),
+    ExperimentSpec(Score.from_pitches([64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62,
+                                       62], 3, name="EX3"),
+                   "range", TrainConfig(episodes=200, **_CURVE)),
+    ExperimentSpec(Score.from_pitches([60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64,
+                                       62, 60], 1, name="EX4"),
+                   "range", TrainConfig(episodes=5000)),
+    ExperimentSpec(Score.from_pitches([60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
+                                       71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, name="EX5"),
+                   "range", TrainConfig(episodes=500, **_CURVE)),
+]}
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 ENCODINGS = ("88", "range")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    id: str
-    score: Score
-    episodes: int
-    encoding: str   # "88" or "range"
-
-
-def _entry(exp_id: str):
+def build_experiment(exp_id: str) -> ExperimentSpec:
+    """The bundled experiment's score, encoding and baseline training config."""
     if exp_id not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {exp_id!r}, expected one of {EXPERIMENT_IDS}")
     return _EXPERIMENTS[exp_id]
@@ -61,17 +71,7 @@ def _entry(exp_id: str):
 
 def default_train_config(exp_id: str, seed: int = 0) -> TrainConfig:
     """The bundled experiment's baseline training configuration."""
-    return dataclasses.replace(_entry(exp_id)[3], seed=seed)
-
-
-def build_experiment(exp_id: str) -> ExperimentSpec:
-    pitches, first_finger, encoding, _ = _entry(exp_id)
-    return ExperimentSpec(
-        id=exp_id,
-        score=Score.from_pitches(pitches, first_finger, name=exp_id),
-        episodes=default_train_config(exp_id).episodes,
-        encoding=encoding,
-    )
+    return dataclasses.replace(build_experiment(exp_id).config, seed=seed)
 
 
 def encoding_for(score: Score, mode: str) -> StateEncoding:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import re
 import shlex
 import subprocess
 import sys
@@ -262,6 +263,16 @@ def test_solve_rejects_nan_anchor_tolerance(tmp_path, capsys):
     assert "anchor_tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["gamma=1.5", "episodes=-1"])
+def test_solve_rejects_bad_training_values(tmp_path, capsys, line):
+    # solve uses only the reward keys, but reads the file as train does
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    assert main(["solve", "--ex", "2", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert line.split("=")[0] in captured.err and captured.out == ""
+
+
 _HUGE_REWARDS = "r_stay=1e308\nr_move=-1e308\nr_infeasible=-1.5e308\n"
 
 
@@ -465,6 +476,14 @@ def test_train_flags_are_the_train_config_fields():
     fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
     assert flags - {"-h", "--help"} == fields | {"--config", "--seeds", "--encoding",
                                                  "--out-dir", "--ex"}
+
+
+def test_readme_config_keys_are_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert {key for cell in cells for key in re.findall(r"`(\w+)`", cell)} == {
+        *_CONFIG_KEYS, "encoding"}
 
 
 def test_readme_command_lines_parse():

@@ -36,7 +36,7 @@ def test_bundled_scores_are_frozen():
         spec = build_experiment(exp_id)
         assert list(spec.score.pitches) == pitches
         assert spec.score.first_finger == first_finger
-        assert spec.episodes == episodes
+        assert spec.config.episodes == episodes
         assert spec.encoding == encoding
 
 
@@ -49,11 +49,18 @@ def test_long_melody_constraints():
     assert min(pitches) == 60 and max(pitches) == 72
     assert {p % 12 for p in pitches} <= {0, 2, 4, 5, 7, 9, 11}
     assert spec.score.first_finger == 1
-    assert spec.episodes == 500
+    assert spec.config.episodes == 500
     assert spec.encoding == "range"
     # it genuinely exercises relocations: the optimum needs two
     fingering, total = dp_optimal(spec.score)
     assert total == 19.0
+
+
+def test_each_spec_is_its_baseline_under_its_own_name():
+    for exp_id in EXPERIMENT_IDS:
+        spec = build_experiment(exp_id)
+        assert spec.config == default_train_config(exp_id)
+        assert spec.score.name == exp_id
 
 
 def test_default_train_config_uses_global_defaults_where_possible():
