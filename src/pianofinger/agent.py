@@ -10,13 +10,16 @@ targets come from a delayed copy of the weights refreshed every
 The hot loop runs on arrays, not objects.  ``train`` and
 ``greedy_rollout`` walk the integer state ids of ``FingeringEnv``,
 whose per-score tables give each step's reward and successor and each
-state's one-hot feature columns.  The replay ring is four preallocated
+state's three one-hot columns.  The network takes one input form, a
+(rows, input_dim) array: ``net.one_hot(env.columns[ids])`` writes those
+rows into one buffer, and acting (one row), target fills and the SGD
+batch all read them from there.  The replay ring is four preallocated
 arrays (state id, action, reward, next state id; next id -1 marks a
 terminal step), and the network keeps each parameter set and its
 gradient in one flat float64 buffer, so an SGD step, its finiteness
 check and a target sync are one array operation each.  A training
-step writes its one-hot batch, activations and deltas into arrays the
-network allocates once per batch size, with ``out=``.
+step writes its activations and deltas into arrays the network
+allocates once per batch size, with ``out=``.
 
 The delayed network changes only at a sync, so ``train`` caches
 max_a Q_target(s, a) per state id (``TargetMaxima``), each entry
@@ -110,18 +113,10 @@ class ReplayBuffer:
         return Batch(ring.states[idx], ring.actions[idx], ring.rewards[idx],
                      ring.next_states[idx])
 
-    def items(self) -> Batch:
-        """Current contents, oldest first."""
-        order = np.arange(self._size)
-        if self._size == self.capacity:
-            order = np.roll(order, -self._cursor)
-        return Batch(*(column[order] for column in self._ring))
-
 
 class _BatchBuffers(NamedTuple):
     """Arrays one training batch writes instead of allocating."""
 
-    x: np.ndarray               # one-hot input
     outs: list[np.ndarray]      # each layer's output
     deltas: list[np.ndarray]    # each layer's output gradient
     active: list[np.ndarray]    # each hidden layer's ReLU mask
@@ -176,6 +171,8 @@ class QNetwork:
         self._step = np.empty(n_params)      # learning_rate * grad
         self._finite = np.empty(n_params, dtype=bool)
         self._batch_buffers: Optional[_BatchBuffers] = None
+        self._inputs = np.empty((0, input_dim))   # one_hot's rows
+        self._input_rows = np.empty((0, 1), dtype=np.intp)
 
     def _buffers(self, rows: int) -> _BatchBuffers:
         """The preallocated arrays of a ``rows``-row batch, made anew only
@@ -184,7 +181,6 @@ class QNetwork:
         if buffers is None or len(buffers.rows) != rows:
             sizes = self._sizes
             buffers = self._batch_buffers = _BatchBuffers(
-                np.zeros((rows, sizes[0])),
                 [np.empty((rows, k)) for k in sizes[1:]],
                 [np.empty((rows, k)) for k in sizes[1:]],
                 [np.empty((rows, k), dtype=bool) for k in sizes[1:-1]],
@@ -192,13 +188,18 @@ class QNetwork:
             )
         return buffers
 
-    def _one_hot(self, columns: np.ndarray) -> np.ndarray:
-        """Rows of 1.0 at each row's ``columns`` and 0.0 elsewhere, in the
-        batch's input buffer: valid until the next call."""
-        buffers = self._buffers(len(columns))
-        x = buffers.x
+    def one_hot(self, columns: np.ndarray) -> np.ndarray:
+        """Input rows for a (rows, 3) array of ``env.columns`` rows: 1.0
+        at each row's three columns, 0.0 elsewhere.  They are the first
+        ``rows`` rows of one buffer, grown to the most rows asked for, so
+        they hold only until the next call."""
+        rows = len(columns)
+        if rows > len(self._inputs):
+            self._inputs = np.empty((rows, self.input_dim))
+            self._input_rows = np.arange(rows)[:, None]
+        x = self._inputs[:rows]
         x.fill(0.0)
-        x[buffers.rows[:, None], columns] = 1.0
+        x[self._input_rows[:rows], columns] = 1.0
         return x
 
     def sync_target(self) -> None:
@@ -206,14 +207,13 @@ class QNetwork:
         np.copyto(self.target_theta, self.theta)
         self.target_version += 1
 
-    def forward(self, features, target: bool = False) -> np.ndarray:
-        """Q-values for one feature vector or a (batch, dim) array."""
-        x = np.asarray(features, dtype=float)
-        h = x.reshape(1, -1) if x.ndim == 1 else x
-        if h.shape[1] != self.input_dim:
-            raise ValueError(f"expected features of width {self.input_dim}, got {h.shape[1]}")
-        _, q = self._layers(h, target)
-        return q[0] if x.ndim == 1 else q
+    def forward(self, x: np.ndarray, target: bool = False) -> np.ndarray:
+        """Q-values, a new (rows, 5) array, for a (rows, input_dim) array
+        of input rows."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"expected input of shape (rows, {self.input_dim}), got {x.shape}")
+        return self._layers(x, target)[1]
 
     def _layers(self, X: np.ndarray, target: bool = False, outs=None):
         """Each layer's input (X, then every hidden activation) and the
@@ -267,61 +267,6 @@ class QNetwork:
                 active = np.greater(hs[layer], 0.0, out=buffers.active[layer - 1])
                 np.multiply(delta, active, out=delta)
         return loss
-
-    def get_flat_params(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_flat_params(self, theta: np.ndarray) -> None:
-        self.theta[:] = theta
-
-
-def gradient_check(net: QNetwork, states, actions, targets, delta: float = 1e-4):
-    """Compare analytic gradients against central finite differences.
-
-    Coordinates whose +/-delta perturbation flips any hidden-unit
-    activation sign are skipped: across a rectifier kink the two-sided
-    quotient does not estimate the one-sided derivative.  The relative
-    error denominator is floored at 1e-6 so dead units (zero gradient on
-    both sides) do not divide by rounding noise.
-
-    Returns (max relative error, coordinates checked, coordinates skipped).
-    """
-    X = np.asarray(states, dtype=float)
-    a_idx = np.asarray(actions, dtype=int) - 1
-    y = np.asarray(targets, dtype=float)
-    n = X.shape[0]
-    net._backward(X, np.asarray(actions), y)
-    analytic = net.grad.copy()
-    theta = net.get_flat_params()
-
-    def picked_loss():
-        hs, q = net._layers(X)
-        err = q[np.arange(n), a_idx] - y
-        return float(np.mean(err ** 2)), [h > 0.0 for h in hs[1:]]
-
-    max_rel = 0.0
-    checked = 0
-    skipped = 0
-    work = theta.copy()
-    try:
-        for i in range(theta.size):
-            work[i] = theta[i] + delta
-            net.set_flat_params(work)
-            loss_p, masks_p = picked_loss()
-            work[i] = theta[i] - delta
-            net.set_flat_params(work)
-            loss_m, masks_m = picked_loss()
-            work[i] = theta[i]
-            if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_p, masks_m)):
-                skipped += 1
-                continue
-            numeric = (loss_p - loss_m) / (2.0 * delta)
-            rel = abs(numeric - analytic[i]) / max(abs(numeric), abs(analytic[i]), 1e-6)
-            max_rel = max(max_rel, rel)
-            checked += 1
-    finally:
-        net.set_flat_params(theta)
-    return max_rel, checked, skipped
 
 
 @dataclass(frozen=True)
@@ -383,9 +328,10 @@ def epsilon_at(config: TrainConfig, episode: int) -> float:
     return config.epsilon_start + t * (config.epsilon_end - config.epsilon_start)
 
 
-def select_action(net: QNetwork, state_features, epsilon: float,
+def select_action(net: QNetwork, state_row: np.ndarray, epsilon: float,
                   rng: Optional[np.random.Generator] = None) -> int:
-    """Epsilon-greedy finger choice; greedy ties break to the lowest finger.
+    """Epsilon-greedy finger for a (1, input_dim) input row; greedy ties
+    break to the lowest finger.
 
     Raises TrainingError if the greedy pick's Q-value is not finite (a
     NaN anywhere in the Q-vector is picked first)."""
@@ -394,7 +340,7 @@ def select_action(net: QNetwork, state_features, epsilon: float,
             raise ValueError("exploration (epsilon > 0) needs an rng")
         if rng.random() < epsilon:
             return int(rng.integers(1, 6))
-    q = net.forward(state_features)
+    q, = net.forward(state_row)
     a = int(q.argmax())
     if not math.isfinite(q[a]):
         raise TrainingError(f"non-finite Q-value {float(q[a])!r} for finger {a + 1}")
@@ -426,14 +372,15 @@ def compute_targets(batch: Batch, net: QNetwork, gamma: float, env: FingeringEnv
     if len(ids) == 1:
         # numpy multiplies one row along its vector path, which rounds
         # differently from gemm rows: compute it directly, uncached
-        y[live] += gamma * net.forward(env.features(ids), target=True).max(axis=1)
+        y[live] += gamma * net.forward(net.one_hot(env.columns[ids]), target=True).max(axis=1)
     elif len(ids):
         cache = cache if cache is not None else TargetMaxima(len(env.columns))
         todo = ids[cache.version[ids] != net.target_version]   # duplicates are harmless
         if len(todo):
             if len(todo) == 1:
                 todo = todo.repeat(2)   # keep the fill on the gemm path
-            cache.values[todo] = net.forward(env.features(todo), target=True).max(axis=1)
+            cache.values[todo] = net.forward(net.one_hot(env.columns[todo]),
+                                             target=True).max(axis=1)
             cache.version[todo] = net.target_version
         y[live] += gamma * cache.values[ids]
     return y
@@ -475,13 +422,13 @@ def train(env: FingeringEnv, config: TrainConfig,
         losses: list[float] = []
         try:
             while state >= 0:
-                action = select_action(net, env.features(state), eps, rng)
+                action = select_action(net, net.one_hot(columns[state:state + 1]), eps, rng)
                 reward, nxt = env.transition(state, action)
                 buffer.push(state, action, reward, nxt)
                 if len(buffer) >= config.batch_size:
                     batch = buffer.sample(config.batch_size, rng)
                     targets = compute_targets(batch, net, config.gamma, env, maxima)
-                    losses.append(net.train_step(net._one_hot(columns[batch.states]),
+                    losses.append(net.train_step(net.one_hot(columns[batch.states]),
                                                  batch.actions, targets,
                                                  config.learning_rate))
                     grad_steps += 1
@@ -509,7 +456,7 @@ def greedy_rollout(net: QNetwork, env: FingeringEnv):
     total = 0.0
     state = env.start_id
     while state >= 0:
-        action = select_action(net, env.features(state), 0.0)
+        action = select_action(net, net.one_hot(env.columns[state:state + 1]), 0.0)
         fingering.append(action)
         reward, state = env.transition(state, action)
         total += reward

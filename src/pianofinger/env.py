@@ -7,8 +7,9 @@ score left to right, so a score of L notes is exactly L-1 decisions.
 The process is finite: a score of L notes has 5(L-1) states, numbered
 ``5 * index + (cf - 1)``.  ``FingeringEnv`` tabulates each score once,
 at construction: the reward of every (state, finger) pair and the three
-one-hot columns of every state's features.  Learners walk state ids
-through these tables (``transition``, ``features``).
+one-hot columns [finger | current pitch | next pitch] of every state's
+input row.  Learners walk state ids through ``transition``; the
+Q-network builds input rows from ``columns`` (``QNetwork.one_hot``).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class FingeringEnv:
         # rewards[5t + f - 1][g - 1]: reward for answering state (t, f) with g
         self.rewards = [cells for block in reward_rows(score, self.reward_model)
                         for cells in block]
-        # columns[5t + f - 1]: the one-hot positions of that state's features
+        # columns[5t + f - 1]: the one-hot positions of that state's input row
         columns = np.empty((len(score) - 1, 5, 3), dtype=np.intp)
         columns[:, :, 0] = np.arange(5)
         columns[:, :, 1] = 5 + offsets[:-1, None]
@@ -101,15 +102,3 @@ class FingeringEnv:
             raise ValueError(f"action must be a finger in 1..5, got {action}")
         nxt = state_id - state_id % 5 + 4 + action   # 5 * (index + 1) + action - 1
         return self.rewards[state_id][action - 1], nxt if nxt < len(self.rewards) else -1
-
-    def features(self, state_ids) -> np.ndarray:
-        """One-hot features [finger | current pitch | next pitch]: (dim,)
-        for one state id, (k, dim) for k ids."""
-        cols = self.columns[state_ids]
-        if cols.ndim == 1:
-            x = np.zeros(self.input_dim)
-            x[cols] = 1.0
-        else:
-            x = np.zeros((len(cols), self.input_dim))
-            x[np.arange(len(cols))[:, None], cols] = 1.0
-        return x

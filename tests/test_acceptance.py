@@ -31,7 +31,6 @@ from pianofinger.agent import (
     ReplayBuffer,
     TrainConfig,
     compute_targets,
-    gradient_check,
     greedy_rollout,
     train,
 )
@@ -45,6 +44,8 @@ from pianofinger.oracle import (
 )
 from pianofinger.reward import RewardModel, anchor, is_feasible, is_position_change
 from pianofinger.score import Score
+
+from helpers import gradient_check, replay_items
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -196,7 +197,7 @@ def test_criterion_06_small_encoding_converges_no_slower(capsys):
     # features (no hit counts as infinity).
     spec = build_experiment("EX2")
     score = spec.score
-    medians = {}
+    medians, hits = {}, {}
     for label, encoding in (("range", StateEncoding.for_score(score)),
                             ("88", StateEncoding.full_piano())):
         env = FingeringEnv(score, encoding=encoding)
@@ -206,10 +207,11 @@ def test_criterion_06_small_encoding_converges_no_slower(capsys):
                              lambda f, t: t == 9.0)
             firsts.append(float("inf") if hit is None else hit)
         medians[label] = statistics.median(firsts)
+        hits[label] = sum(first < float("inf") for first in firsts)
     ok = medians["range"] <= medians["88"]
     _report(capsys, 6, "small_encoding_converges_no_slower", ok,
-            f"median episodes-to-optimum: range {medians['range']:g}, "
-            f"full keyboard {medians['88']:g}")
+            f"median episodes-to-optimum: range {medians['range']:g} "
+            f"({hits['range']}/5 hit), full keyboard {medians['88']:g} ({hits['88']}/5 hit)")
     assert ok
 
 
@@ -251,7 +253,7 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     buf = ReplayBuffer(5)
     for tag in range(8):
         buf.push(tag, 1, float(tag), tag + 1)
-    checks["fifo"] = buf.items().rewards.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
+    checks["fifo"] = replay_items(buf).rewards.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     # targets read the delayed weights only: perturbing the online set
     # between two computations must not move y
@@ -297,7 +299,7 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     net_a, hist_a = train(env, cfg)
     net_b, hist_b = train(env, cfg)
     checks["seeded_determinism"] = (
-        np.array_equal(net_a.get_flat_params(), net_b.get_flat_params())
+        np.array_equal(net_a.theta, net_b.theta)
         and hist_a == hist_b)
 
     ok = all(checks.values())

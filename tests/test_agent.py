@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from pianofinger.agent import (
     TrainingError,
     compute_targets,
     epsilon_at,
-    gradient_check,
     greedy_rollout,
     select_action,
     train,
@@ -25,13 +25,14 @@ from pianofinger.experiments import ENCODINGS, encoding_for
 from pianofinger.oracle import dp_optimal
 from pianofinger.score import Score
 
+from helpers import gradient_check, one_hot_row, replay_items, state_keys
 from strategies import scores
 
 
 def _zero_net(input_dim=4, hidden=(3,)):
     """A network whose every parameter (online and target) is zero."""
     net = QNetwork(input_dim, hidden=hidden, rng=np.random.default_rng(0))
-    net.set_flat_params(np.zeros(net.get_flat_params().size))
+    net.theta[:] = 0.0
     net.sync_target()
     return net
 
@@ -47,7 +48,7 @@ def _fixed_q_net(qvals, input_dim=4):
 
 def test_zero_net_outputs_zeros():
     net = _zero_net()
-    assert np.array_equal(net.forward(np.ones(4)), np.zeros(5))
+    assert np.array_equal(net.forward(np.ones((1, 4))), np.zeros((1, 5)))
     assert np.array_equal(net.forward(np.ones((7, 4))), np.zeros((7, 5)))
 
 
@@ -75,10 +76,47 @@ def test_init_bounds_follow_fan_in():
 
 def test_forward_shapes_and_width_check():
     net = QNetwork(4, hidden=(3,), rng=np.random.default_rng(0))
-    assert net.forward(np.ones(4)).shape == (5,)
+    assert net.forward(np.ones((1, 4))).shape == (1, 5)
     assert net.forward(np.ones((2, 4))).shape == (2, 5)
-    with pytest.raises(ValueError):
-        net.forward(np.ones(5))
+    for bad in (np.ones((2, 5)), np.ones(4), np.ones((1, 1, 4)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"expected input of shape \(rows, 4\), got "
+                                             + re.escape(str(np.shape(bad)))):
+            net.forward(bad)
+
+
+def test_forward_returns_a_new_array_each_call():
+    # the input rows are one reused buffer; the Q-values are not
+    env = _small_env()
+    net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(0))
+    first = net.forward(net.one_hot(env.columns[:2]))
+    kept = first.copy()
+    net.forward(net.one_hot(env.columns[5:7]))
+    assert np.array_equal(first, kept)
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_one_hot_rows_are_the_dense_rows_in_one_buffer(row_counts, seed):
+    # any sequence of row counts over one env: each call's rows are the
+    # dense reference rows, with no 1.0 left over from an earlier, larger
+    # call, and each shares memory with the largest call so far unless
+    # it grew the buffer
+    score = Score.from_pitches([60, 62, 64, 72, 71, 60, 67, 65, 64, 62, 60], 3)
+    enc = StateEncoding.for_score(score)
+    env = FingeringEnv(score, encoding=enc)
+    keys = state_keys(score)
+    net = QNetwork(env.input_dim, hidden=(3,), rng=np.random.default_rng(0))
+    rng = np.random.default_rng(seed)
+    widest = None
+    for rows in row_counts:
+        ids = rng.integers(0, len(keys), size=rows)
+        x = net.one_hot(env.columns[ids])
+        assert x.shape == (rows, env.input_dim)
+        assert np.array_equal(x, np.stack([one_hot_row(keys[i], enc) for i in ids]))
+        if widest is not None and rows <= len(widest):
+            assert np.shares_memory(x, widest)
+        else:
+            widest = x
 
 
 def test_sync_target_copies_current_online_weights():
@@ -98,19 +136,19 @@ def test_train_step_at_fixpoint_is_a_noop():
     actions = rng.integers(1, 6, size=8)
     q = net.forward(states)
     targets = q[np.arange(8), actions - 1]   # already perfect
-    before = net.get_flat_params().copy()
+    before = net.theta.copy()
     loss = net.train_step(states, list(actions), targets, learning_rate=0.5)
     assert loss == 0.0
-    assert np.array_equal(net.get_flat_params(), before)
+    assert np.array_equal(net.theta, before)
 
 
 def test_zero_learning_rate_changes_nothing():
     net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
     states = np.eye(4)
-    before = net.get_flat_params().copy()
+    before = net.theta.copy()
     loss = net.train_step(states, [1, 2, 3, 4], np.array([5.0, -5.0, 5.0, -5.0]), 0.0)
     assert loss > 0.0
-    assert np.array_equal(net.get_flat_params(), before)
+    assert np.array_equal(net.theta, before)
 
 
 def test_train_step_reduces_loss():
@@ -155,12 +193,12 @@ def test_training_error_names_the_first_non_finite_layer():
 
 def test_non_finite_loss_with_finite_gradients_names_no_layer():
     net = _zero_net(input_dim=2, hidden=(3,))
-    before = net.get_flat_params()
+    before = net.theta.copy()
     with np.errstate(over="ignore"), pytest.raises(TrainingError, match=r"loss=inf") as info:
         net.train_step(np.array([[1.0, 0.0]]), [1], np.array([1e200]), 0.1)
     assert info.value.layer is None
     assert np.isfinite(net.grad).all()
-    assert np.array_equal(net.get_flat_params(), before)   # no step was taken
+    assert np.array_equal(net.theta, before)   # no step was taken
 
 
 def test_flat_buffers_back_the_layer_views():
@@ -170,12 +208,11 @@ def test_flat_buffers_back_the_layer_views():
                           (net.target_weights + net.target_biases, net.target_theta),
                           (net.grad_weights + net.grad_biases, net.grad)):
         assert all(np.shares_memory(v, buffer) for v in views)
-    assert np.array_equal(net.get_flat_params(), np.concatenate(
+    assert np.array_equal(net.theta, np.concatenate(
         [p.ravel() for p in (*net.weights, *net.biases)]))
     theta = np.arange(net.theta.size, dtype=float)
-    net.set_flat_params(theta)
+    net.theta[:] = theta
     assert net.weights[0][0, 1] == 1.0 and net.biases[-1][-1] == theta[-1]
-    assert not np.shares_memory(net.get_flat_params(), net.theta)
 
 
 def test_gradient_check_small_net():
@@ -195,18 +232,18 @@ def test_gradient_check_small_net():
 
 def test_greedy_action_is_argmax_plus_one():
     net = _fixed_q_net([0.1, 0.9, 0.2, 0.2, 0.2])
-    assert select_action(net, np.zeros(4), 0.0) == 2
+    assert select_action(net, np.zeros((1, 4)), 0.0) == 2
 
 
 def test_greedy_tie_breaks_to_lowest_finger():
     net = _fixed_q_net([0.5, 0.5, 0.0, 0.0, 0.0])
-    assert select_action(net, np.zeros(4), 0.0) == 1
+    assert select_action(net, np.zeros((1, 4)), 0.0) == 1
 
 
 def test_exploration_requires_rng():
     net = _fixed_q_net([0.0] * 5)
     with pytest.raises(ValueError):
-        select_action(net, np.zeros(4), 0.5)
+        select_action(net, np.zeros((1, 4)), 0.5)
 
 
 def test_greedy_consumes_no_rng():
@@ -214,7 +251,7 @@ def test_greedy_consumes_no_rng():
     rng = np.random.default_rng(5)
     probe = np.random.default_rng(5)
     for _ in range(10):
-        select_action(net, np.zeros(4), 0.0, rng)
+        select_action(net, np.zeros((1, 4)), 0.0, rng)
     assert rng.random() == probe.random()
 
 
@@ -224,7 +261,7 @@ def test_full_exploration_is_uniform_and_skips_the_net():
             raise AssertionError("exploration must not evaluate the network")
 
     rng = np.random.default_rng(123)
-    draws = [select_action(Boom(), np.zeros(4), 1.0, rng) for _ in range(4000)]
+    draws = [select_action(Boom(), np.zeros((1, 4)), 1.0, rng) for _ in range(4000)]
     counts = np.bincount(draws, minlength=6)[1:]
     assert counts.sum() == 4000
     assert all(c > 0 for c in counts)
@@ -236,18 +273,18 @@ def test_non_finite_greedy_q_raises_training_error():
     net = _fixed_q_net([0.0] * 5)
     net.weights[-1][:] = np.nan
     with pytest.raises(TrainingError, match="non-finite Q-value"):
-        select_action(net, np.ones(4), 0.0)
+        select_action(net, np.ones((1, 4)), 0.0)
     with pytest.raises(TrainingError):
-        select_action(_fixed_q_net([0.0, np.inf, 0.0, 0.0, 0.0]), np.zeros(4), 0.0)
+        select_action(_fixed_q_net([0.0, np.inf, 0.0, 0.0, 0.0]), np.zeros((1, 4)), 0.0)
     # a non-finite value that is not picked is no error
-    assert select_action(_fixed_q_net([0.0, -np.inf, 1.0, 0.0, 0.0]), np.zeros(4), 0.0) == 3
+    assert select_action(_fixed_q_net([0.0, -np.inf, 1.0, 0.0, 0.0]), np.zeros((1, 4)), 0.0) == 3
 
 
 @given(st.floats(0.0, 1.0), st.integers(0, 10_000))
 @settings(max_examples=50)
 def test_selected_action_is_always_a_finger(epsilon, seed):
     net = _fixed_q_net([0.3, -0.2, 0.1, 0.0, 0.9])
-    a = select_action(net, np.zeros(4), epsilon, np.random.default_rng(seed))
+    a = select_action(net, np.zeros((1, 4)), epsilon, np.random.default_rng(seed))
     assert a in (1, 2, 3, 4, 5)
 
 
@@ -308,9 +345,9 @@ def test_targets_read_the_successor_features():
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(2))
     batch = _batch([0.5, 0.25, -1.0], [7, -1, 13], actions=[2, 4, 1])
     y = compute_targets(batch, net, 0.9, env)
-    expected = [0.5 + 0.9 * net.forward(env.features(7), target=True).max(),
+    expected = [0.5 + 0.9 * net.forward(net.one_hot(env.columns[[7]]), target=True).max(),
                 0.25,
-                -1.0 + 0.9 * net.forward(env.features(13), target=True).max()]
+                -1.0 + 0.9 * net.forward(net.one_hot(env.columns[[13]]), target=True).max()]
     assert y == pytest.approx(expected, rel=1e-12)
 
 
@@ -325,7 +362,7 @@ def test_buffer_overwrites_oldest_first():
     for tag in range(8):
         _push_tagged(buf, tag)
     assert len(buf) == 5
-    items = buf.items()
+    items = replay_items(buf)
     assert items.rewards.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
     assert items.states.tolist() == [3, 4, 5, 6, 7]
     assert items.next_states.tolist() == [4, 5, 6, 7, 8]
@@ -335,7 +372,7 @@ def test_buffer_items_before_wraparound():
     buf = ReplayBuffer(5)
     for tag in range(3):
         _push_tagged(buf, tag, done=tag == 2)
-    items = buf.items()
+    items = replay_items(buf)
     assert items.rewards.tolist() == [0.0, 1.0, 2.0]
     assert items.next_states.tolist() == [1, 2, -1]
 
@@ -434,7 +471,7 @@ def _reference_targets(batch, net, gamma, env):
     y = batch.rewards.copy()
     live = batch.next_states >= 0
     if live.any():
-        y[live] += gamma * net.forward(env.features(batch.next_states[live]),
+        y[live] += gamma * net.forward(net.one_hot(env.columns[batch.next_states[live]]),
                                        target=True).max(axis=1)
     return y
 
@@ -512,11 +549,11 @@ def test_training_is_deterministic_per_seed():
                       learning_rate=0.05)
     net_a, hist_a = train(_small_env(), cfg)
     net_b, hist_b = train(_small_env(), cfg)
-    assert np.array_equal(net_a.get_flat_params(), net_b.get_flat_params())
+    assert np.array_equal(net_a.theta, net_b.theta)
     assert hist_a == hist_b
     net_c, _ = train(_small_env(), TrainConfig(
         episodes=15, seed=8, batch_size=8, replay_capacity=64, learning_rate=0.05))
-    assert not np.array_equal(net_a.get_flat_params(), net_c.get_flat_params())
+    assert not np.array_equal(net_a.theta, net_c.theta)
 
 
 def test_history_records_schedule_and_losses():
@@ -560,7 +597,7 @@ def test_truthy_hook_stops_training_after_that_episode():
         net, history = train(_small_env(), cfg, episode_hook=hook)
         assert seen == list(range(k + 1))
         assert history == full[:k + 1]
-    assert np.array_equal(net.get_flat_params(), full_net.get_flat_params())
+    assert np.array_equal(net.theta, full_net.theta)
 
 
 def test_a_hook_can_track_greedy_rollouts():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pianofinger
 from pianofinger import cli, oracle
 from pianofinger.agent import TrainConfig
 from pianofinger.cli import _CONFIG_KEYS, _build_parser, main, read_config_file, ConfigError
@@ -505,6 +506,18 @@ def test_readme_library_quickstart_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == solve_line.split("#", 1)[1].strip()
     assert len(printed) == 2
+
+
+def test_readme_root_exports_are_the_package_all():
+    # the quickstart's import block, plus the names the paragraph after it
+    # says the package root also exports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    imported = re.search(r"from pianofinger import \((.*?)\)", block, re.S).group(1)
+    also = section.split("```", 2)[2].split("everything else", 1)[0]
+    named = {*re.findall(r"\w+", imported), *re.findall(r"`(\w+)`", also)}
+    assert named == set(pianofinger.__all__)
 
 
 _VALUES = st.one_of(

@@ -6,11 +6,12 @@ from pianofinger.env import EncodingError, FingeringEnv, StateEncoding
 from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import FINGERS, PITCH_MIN, Score
 
+from helpers import state_keys
 from strategies import reward_models
 
 
 def _hot(env, state_id):
-    return set(np.flatnonzero(env.features(state_id)).tolist())
+    return set(env.columns[state_id].tolist())
 
 
 def _random_walk(env, rng):
@@ -91,7 +92,7 @@ def test_melodic_range_encoding_example():
     assert enc == StateEncoding(60, 13)
     assert enc.dim == 31
     env = FingeringEnv(score, encoding=enc)
-    assert env.features(env.start_id).shape == (31,)
+    assert env.input_dim == 31
     assert _hot(env, env.start_id) == {0, 5, 20}
 
 
@@ -126,10 +127,10 @@ def test_env_rejects_score_outside_encoding():
 
 @given(st.integers(1, 5), st.integers(60, 72), st.integers(60, 72))
 def test_encoding_sums_to_three(cf, cn, nn):
+    # one column in each block, so the input row holds three 1.0s
     env = FingeringEnv(Score.from_pitches([cn, nn], cf), encoding=StateEncoding(60, 13))
-    v = env.features(env.start_id)
-    assert v.sum() == 3.0
-    assert set(np.unique(v)) <= {0.0, 1.0}
+    finger, pitch, next_pitch = env.columns[env.start_id].tolist()
+    assert 0 <= finger < 5 <= pitch < 5 + 13 <= next_pitch < env.input_dim
 
 
 def test_encoding_injective_over_reachable_states():
@@ -138,8 +139,8 @@ def test_encoding_injective_over_reachable_states():
     for cn in range(60, 68):
         for nn in range(60, 68):
             env = FingeringEnv(Score.from_pitches([cn, nn], 1), encoding=enc)
-            for cf, v in zip(FINGERS, env.features(np.arange(5))):
-                key = v.tobytes()
+            for cf, columns in zip(FINGERS, env.columns[:5]):
+                key = tuple(columns.tolist())
                 assert key not in seen, (cf, cn, nn, seen.get(key))
                 seen[key] = (cf, cn, nn)
 
@@ -149,7 +150,7 @@ def test_index_not_part_of_features():
     # the learner is deliberately position-blind
     env = FingeringEnv(Score.from_pitches([64, 64] + [60] * 10 + [64, 64], 1),
                        encoding=StateEncoding(60, 8))
-    assert np.array_equal(env.features(5 * 0 + 2), env.features(5 * 12 + 2))
+    assert np.array_equal(env.columns[5 * 0 + 2], env.columns[5 * 12 + 2])
 
 
 def test_reward_is_encoding_independent():
@@ -164,30 +165,19 @@ def test_reward_is_encoding_independent():
 
 # --- per-score tables ------------------------------------------------------
 
-def _key_of_each_state(score):
-    """(finger, pitch, next pitch) of every state id, in id order."""
-    p = score.pitches
-    return [(f, p[t], p[t + 1]) for t in range(len(p) - 1) for f in FINGERS]
-
-
-def _one_hot(key, enc):
-    v = np.zeros(enc.dim)
-    v[[key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]] = 1.0
-    return v
-
-
 @given(st.lists(st.integers(55, 79), min_size=2, max_size=12), st.integers(1, 5),
        st.booleans(), reward_models())
 def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
     score = Score.from_pitches(pitches, first)
     enc = StateEncoding.full_piano() if full_piano else StateEncoding.for_score(score)
     env = FingeringEnv(score, reward_model=model, encoding=enc)
-    keys = _key_of_each_state(score)
+    keys = state_keys(score)
     assert env.columns.shape == (len(keys), 3)
     assert env.columns.dtype.kind == "i"
     assert keys[env.start_id] == (first, pitches[0], pitches[1])
     for sid, key in enumerate(keys):
-        assert np.array_equal(env.features(sid), _one_hot(key, enc))
+        assert env.columns[sid].tolist() == [
+            key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]
         for action in FINGERS:
             reward, nxt = env.transition(sid, action)
             assert reward == model.reward(key, action) and type(reward) is float
@@ -196,8 +186,6 @@ def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
             else:
                 assert nxt // 5 == sid // 5 + 1
                 assert keys[nxt][:2] == (action, key[2])
-    ids = np.arange(len(keys))[::-1]
-    assert np.array_equal(env.features(ids), np.stack([_one_hot(keys[i], enc) for i in ids]))
 
 
 def test_reward_rows_are_the_oracle_table():

@@ -122,7 +122,7 @@ def test_golden_history_and_weights(exp_id):
     net, history = train(env, config)
     assert len(history) == GOLDEN_EPISODES
     assert history_digest(history) == GOLDEN[exp_id][0]
-    assert hashlib.sha256(net.get_flat_params().tobytes()).hexdigest() == GOLDEN[exp_id][1]
+    assert hashlib.sha256(net.theta.tobytes()).hexdigest() == GOLDEN[exp_id][1]
 
 
 def _random_walk(n_notes, seed):
@@ -151,7 +151,7 @@ def test_golden_target_cache_edges(name):
     net, history = train(env, config)
     assert len(history) == config.episodes
     assert history_digest(history) == GOLDEN_EDGES[name][0]
-    assert hashlib.sha256(net.get_flat_params().tobytes()).hexdigest() == GOLDEN_EDGES[name][1]
+    assert hashlib.sha256(net.theta.tobytes()).hexdigest() == GOLDEN_EDGES[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TABULAR))
