@@ -7,10 +7,10 @@ targets come from a delayed copy of the weights refreshed every
 ``target_sync`` gradient steps, and transitions are replayed uniformly
 (with replacement) out of a fixed-capacity FIFO ring.
 
-The hot loop runs on arrays, not objects.  ``train`` and
-``greedy_rollout`` walk the integer state ids of ``FingeringEnv``,
-whose per-score tables give each step's reward and successor and each
-state's three one-hot columns.  The network takes one input form, a
+The hot loop runs on arrays, not objects.  ``train`` steps the integer
+state ids of ``FingeringEnv``, whose per-score tables give each step's
+reward and successor and each state's three one-hot columns, and
+``greedy_rollout`` is one ``env.walk``.  The network takes one input form, a
 (rows, input_dim) array: ``net.one_hot(env.columns[ids])`` writes those
 rows into one buffer, and acting (one row), target fills and the SGD
 batch all read them from there.  The replay ring is four preallocated
@@ -150,9 +150,8 @@ class QNetwork:
     ``target_version`` counts the syncs since.
     """
 
-    def __init__(self, input_dim: int, hidden: Sequence[int] = (64, 64),
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, input_dim: int, hidden: Sequence[int] = (64, 64), *,
+                 rng: np.random.Generator):
         sizes = [input_dim, *hidden, 5]   # one Q-value per finger
         self.input_dim = input_dim
         n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
@@ -310,6 +309,9 @@ class TrainConfig:
             raise ValueError(f"replay_capacity must be >= 1, got {self.replay_capacity}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
+                             f"{self.replay_capacity}: no gradient step would run")
         if self.target_sync < 1:
             raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -447,17 +449,6 @@ def train(env: FingeringEnv, config: TrainConfig,
 
 
 def greedy_rollout(net: QNetwork, env: FingeringEnv):
-    """Walk the score greedily (epsilon = 0, no RNG consumed).
-
-    Returns (fingering including the score's given first finger, total
-    reward).
-    """
-    fingering = [env.score.first_finger]
-    total = 0.0
-    state = env.start_id
-    while state >= 0:
-        action = select_action(net, net.one_hot(env.columns[state:state + 1]), 0.0)
-        fingering.append(action)
-        reward, state = env.transition(state, action)
-        total += reward
-    return fingering, total
+    """The env's walk at epsilon = 0, consuming no RNG: (fingering
+    including the score's given first finger, total reward)."""
+    return env.walk(lambda s: select_action(net, net.one_hot(env.columns[s:s + 1]), 0.0))

@@ -164,11 +164,10 @@ def _cmd_solve(args) -> int:
     spec, model = _configure(args)
     score = spec.score
     fingering, total = dp_optimal(score, model)
-    changes = count_position_changes(score, fingering, model)
     print(f"score: {score.name} ({len(score)} notes)")
     print("fingering: " + " ".join(map(str, fingering)))
     print(f"total_reward: {total:.6f}")
-    print(f"position_changes: {changes}")
+    print(f"position_changes: {_position_changes(score, fingering, model)}")
     return 0
 
 

@@ -5,22 +5,23 @@ due next.  An action picks the finger for ``nn``; an episode walks the
 score left to right, so a score of L notes is exactly L-1 decisions.
 
 The process is finite: a score of L notes has 5(L-1) states, numbered
-``5 * index + (cf - 1)``.  ``FingeringEnv`` tabulates each score once,
-at construction: the reward of every (state, finger) pair and the three
-one-hot columns [finger | current pitch | next pitch] of every state's
-input row.  Learners walk state ids through ``transition``; the
+``5 * index + (cf - 1)``.  ``FingeringEnv``, the only code that knows
+that numbering, tabulates each score once: the reward and the next
+state of every (state, finger) pair and the one-hot columns [finger |
+pitch | next pitch] of every state's input row.  Learners step through
+``transition`` or the tables, greedy rollouts are one ``walk``, and the
 Q-network builds input rows from ``columns`` (``QNetwork.one_hot``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .reward import RewardModel, reward_rows
-from .score import PITCH_MAX, PITCH_MIN, Score
+from .score import FINGERS, PITCH_MAX, PITCH_MIN, Score
 
 
 class EncodingError(ValueError):
@@ -77,6 +78,9 @@ class FingeringEnv:
         # rewards[5t + f - 1][g - 1]: reward for answering state (t, f) with g
         self.rewards = [cells for block in reward_rows(score, self.reward_model)
                         for cells in block]
+        # next_ids[5t + f - 1][g - 1]: the state (t + 1, g), or -1 after the last note
+        successors = [tuple(range(5 * t, 5 * t + 5)) for t in range(1, len(score) - 1)]
+        self.next_ids = [ids for ids in successors + [(-1,) * 5] for _ in FINGERS]
         # columns[5t + f - 1]: the one-hot positions of that state's input row
         columns = np.empty((len(score) - 1, 5, 3), dtype=np.intp)
         columns[:, :, 0] = np.arange(5)
@@ -100,5 +104,18 @@ class FingeringEnv:
             raise ValueError("cannot step a terminal state")
         if action not in (1, 2, 3, 4, 5):
             raise ValueError(f"action must be a finger in 1..5, got {action}")
-        nxt = state_id - state_id % 5 + 4 + action   # 5 * (index + 1) + action - 1
-        return self.rewards[state_id][action - 1], nxt if nxt < len(self.rewards) else -1
+        return self.rewards[state_id][action - 1], self.next_ids[state_id][action - 1]
+
+    def walk(self, choose: Callable[[int], int]) -> tuple[list, float]:
+        """One episode from ``start_id`` answering each state id with the
+        finger ``choose(state_id)`` returns: (fingering including the
+        score's first finger, total reward added left to right from 0.0)."""
+        fingering = [self.score.first_finger]
+        total = 0.0
+        state = self.start_id
+        while state >= 0:
+            action = choose(state)
+            reward, state = self.transition(state, action)
+            fingering.append(action)
+            total += reward
+        return fingering, total

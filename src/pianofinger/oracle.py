@@ -6,14 +6,15 @@ position is a function of (note index, finger) and backward induction
 over that 5-wide table is exact.  ``dp_optimal`` runs it in plain
 Python floats over the model's cached blocks (``reward_rows``), one
 IEEE ``reward + value`` add per cell, and keeps each step's best next
-finger, so the forward pass is a walk over those choices.  ``exhaustive_optimal`` recomputes the same answer by
-scoring every finger sequence outright, so the two routes validate each
-other; a tabular Q-learner on the raw state tuples gives a third,
-learning-based route to the same optimum.  It walks the state ids
-5t + (f-1) over plain-float rows, one row per (finger, pitch, next
-pitch) key, which every state with that key shares, and reads its
+finger, so the forward pass is a walk over those choices.
+``exhaustive_optimal`` recomputes the same answer by scoring every
+finger sequence outright, so the two routes validate each other; a
+tabular Q-learner on the raw state tuples gives a third, learning-based
+route to the same optimum.  It trains on a ``FingeringEnv``'s reward
+and successor tables with plain-float Q rows, one per (finger, pitch,
+next pitch) key and shared by every state with that key, and reads its
 exploration draws from lists that numpy fills a block of raw PCG64
-words at a time, each draw the one ``default_rng(seed)`` would make.
+words at a time, each the one ``default_rng(seed)`` makes.
 
 The scorers and the learner read the same rows.  Totals of a fingering
 are added one transition at a time, left to right, so ``dp_optimal``
@@ -27,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .agent import TrainConfig, epsilon_at
+from .env import FingeringEnv
 from .reward import RewardModel, reward_rows
 from .score import FINGERS, Score, ScoreSizeError
 
@@ -178,15 +180,12 @@ def _validate_fingering(score: Score, fingering) -> None:
 
 
 class TabularQ:
-    """The Q-table ``tabular_q_train`` learned on one score: a row of five
-    values per (finger, pitch, next pitch) key, the row of each state id,
-    and each state id's five rewards under the model it was trained with."""
+    """The Q-table ``tabular_q_train`` learned on one env: a row of five
+    values per (finger, pitch, next pitch) key and the row of each state
+    id; the env holds the score and the rewards it was trained on."""
 
-    def __init__(self, score: Score, rewards: list, rows: dict, row_of: list):
-        self.score = score
-        self._rewards = rewards
-        self._rows = rows
-        self._row_of = row_of
+    def __init__(self, env: FingeringEnv, rows: dict, row_of: list):
+        self.env, self._rows, self._row_of = env, rows, row_of
 
     def values(self, state) -> np.ndarray:
         """The row of a (finger, pitch, next pitch) key; zeros for a key
@@ -194,21 +193,14 @@ class TabularQ:
         return np.array(self._rows.get((state[0], state[1], state[2]), [0.0] * 5))
 
     def greedy_fingering(self, score: Score):
-        """The greedy walk from the score's first finger (the first maximum
-        of each row, as in training) and its total under the trained
-        model.  ``score`` must be the score the table was trained on."""
-        if (score.pitches, score.first_finger) != (self.score.pitches, self.score.first_finger):
+        """The env's walk taking the first maximum of each row, as in
+        training, and its total under the trained model.  ``score`` must
+        be the score the table was trained on."""
+        trained = self.env.score
+        if (score.pitches, score.first_finger) != (trained.pitches, trained.first_finger):
             raise ValueError("greedy_fingering walks the score the table was trained on")
-        state = score.first_finger - 1
-        fingering = [score.first_finger]
-        total = 0.0
-        while state < len(self._row_of):
-            row = self._row_of[state]
-            action = row.index(max(row))
-            total += self._rewards[state][action]
-            fingering.append(action + 1)
-            state += 5 - state % 5 + action
-        return fingering, total
+        row_of = self._row_of
+        return self.env.walk(lambda state: row_of[state].index(max(row_of[state])) + 1)
 
 
 class _Draws:
@@ -271,34 +263,34 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     network learner.  Serves as an independent learning-based route to
     the optimum.
 
-    Episodes walk state ids 5t + (f-1) over ``reward_rows``, five
-    rewards per id; each id points at the five-float Q row of its (f, pitch t,
-    pitch t+1) key, shared by every state with that key.  Greedy takes
-    the first maximum, as ``np.argmax`` does, and Python floats round as
-    numpy's do, so the rows equal those of a walk over (finger, pitch,
-    next pitch) keys with ``RewardModel.reward`` bit for bit.  Each step
-    draws ``random() < eps`` and, if so, ``integers(1, 6)`` from
+    Episodes walk the state ids of ``FingeringEnv(score, reward_model)``
+    through its ``rewards`` and ``next_ids`` tables; each id points at
+    the five-float Q row of its (f, pitch t, pitch t+1) key, shared by
+    every state with that key.  Greedy takes the first maximum, as
+    ``np.argmax`` does, and Python floats round as numpy's do, so the
+    rows equal those of a walk over (finger, pitch, next pitch) keys
+    with ``RewardModel.reward`` bit for bit.  Each step draws
+    ``random() < eps`` and, if so, ``integers(1, 6)`` from
     ``default_rng(config.seed)``; ``_Draws`` replays both from the same
     raw words, so the stream and the rows are the per-call ones."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    model = reward_model if reward_model is not None else RewardModel()
-    rewards = [cells for block in reward_rows(score, model) for cells in block]
+    env = FingeringEnv(score, reward_model)
+    rewards, next_ids = env.rewards, env.next_ids
     pitches = score.pitches
     rows: dict[tuple[int, int, int], list[float]] = {}
     row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
               for t in range(len(pitches) - 1) for f in FINGERS]
-    end = len(row_of)
     gamma = config.gamma
     draws = _Draws(np.random.PCG64(config.seed))
     for episode in range(config.episodes):
-        state = score.first_finger - 1
+        state = env.start_id
         for pick in draws.episode(epsilon_at(config, episode), len(pitches) - 1):
             row = row_of[state]
             action = pick if pick >= 0 else row.index(max(row))   # the first maximum
             target = rewards[state][action]
-            state += 5 - state % 5 + action    # 5(t + 1) + action
-            if state < end:
+            state = next_ids[state][action]
+            if state >= 0:
                 target += gamma * max(row_of[state])
             row[action] += alpha * (target - row[action])
-    return TabularQ(score, rewards, rows, row_of)
+    return TabularQ(env, rows, row_of)

@@ -460,6 +460,8 @@ def test_config_validation():
             TrainConfig(episodes=10, learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(episodes=10, replay_capacity=0)
+    with pytest.raises(ValueError, match="batch_size 50 exceeds replay_capacity 20"):
+        TrainConfig(episodes=10, batch_size=50, replay_capacity=20)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         TrainConfig(episodes=10, seed=-1)
 

@@ -303,6 +303,25 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert "training error:" in capsys.readouterr().err
 
 
+def test_solve_prints_n_a_when_the_optimum_crosses(tmp_path, capsys):
+    # a mild crossing penalty makes a crossing worth one relocation fewer
+    score = _write_score(tmp_path, "first_finger=5\n62\n65\n67\n64\n61\n60\n")
+    config = tmp_path / "mild.cfg"
+    config.write_text("r_infeasible=-1.5\n")
+    assert main(["solve", score, "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "fingering: 5 2 4 3 2 1" in out
+    assert "total_reward: 2.500000" in out
+    assert "position_changes: n/a" in out
+
+
+def test_train_batch_larger_than_replay_ring_exits_2(capsys):
+    assert main(["train", "--ex", "2", "--batch-size", "50", "--replay-capacity", "20",
+                 "--episodes", "30"]) == 2
+    captured = capsys.readouterr()
+    assert "batch_size 50 exceeds replay_capacity 20" in captured.err and captured.out == ""
+
+
 # --- eval ---------------------------------------------------------------------
 
 def test_eval_good_fingering(tmp_path, capsys):

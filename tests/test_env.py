@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pianofinger.env import EncodingError, FingeringEnv, StateEncoding
+from pianofinger.oracle import fingering_total_reward
 from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import FINGERS, PITCH_MIN, Score
 
 from helpers import state_keys
-from strategies import reward_models
+from strategies import reward_models, scores
 
 
 def _hot(env, state_id):
@@ -181,11 +182,23 @@ def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
         for action in FINGERS:
             reward, nxt = env.transition(sid, action)
             assert reward == model.reward(key, action) and type(reward) is float
+            assert env.next_ids[sid][action - 1] == nxt
             if sid // 5 == len(pitches) - 2:
                 assert nxt == -1
             else:
                 assert nxt // 5 == sid // 5 + 1
                 assert keys[nxt][:2] == (action, key[2])
+
+
+@given(scores(), reward_models(), st.data())
+def test_walk_is_the_fingering_and_its_left_to_right_total(score, model, data):
+    env = FingeringEnv(score, reward_model=model)
+    f = [score.first_finger] + data.draw(
+        st.lists(st.sampled_from(FINGERS), min_size=len(score) - 1, max_size=len(score) - 1))
+    fingering, total = env.walk(lambda s: f[s // 5 + 1])
+    assert fingering == f
+    assert np.float64(total).tobytes() == \
+        np.float64(fingering_total_reward(score, f, model)).tobytes()
 
 
 def test_reward_rows_are_the_oracle_table():
