@@ -26,16 +26,17 @@ from .experiments import (
 )
 from .oracle import FingeringError, count_position_changes, dp_optimal, fingering_total_reward
 from .reward import RewardModel
-from .score import Score, ScoreError, mirror_for_left_hand, parse_score, read_text, serialize_score
+from .score import (Score, ScoreError, integer, lines, mirror_for_left_hand, number, parse_score,
+                    read_text, serialize_score)
 
 # a score file trains at these settings unless a config file or flag says otherwise
 _FILE_CONFIG = TrainConfig(episodes=500)
 
 _TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 _REWARD_FIELDS = dataclasses.fields(RewardModel)
-# config key -> value parser for every TrainConfig and RewardModel field
+# config key -> value reader for every TrainConfig and RewardModel field
 # (the one other key, `encoding`, is checked against ENCODINGS)
-_CONFIG_KEYS = {f.name: {"int": int, "float": float}[f.type]
+_CONFIG_KEYS = {f.name: {"int": integer, "float": number}[f.type]
                 for f in _TRAIN_FIELDS + _REWARD_FIELDS}
 
 
@@ -55,21 +56,14 @@ class _Parser(argparse.ArgumentParser):
 def read_config_file(path) -> dict:
     """Parse a key=value config file with # comments."""
     values: dict = {}
-    text = read_text(path, "config file", ConfigError)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in lines(read_text(path, "config file", ConfigError)):
         if "=" not in line:
-            raise ConfigError(f"config line {line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+            raise ConfigError(f"config line {line_no}: expected key=value, got {line!r}")
+        key, value = map(str.strip, line.split("=", 1))
         if key == "encoding":
             if value not in ENCODINGS:
-                raise ConfigError(
-                    f"config line {line_no}: encoding must be '88' or 'range', got {value!r}"
-                )
+                raise ConfigError(f"config line {line_no}: encoding must be "
+                                  f"{' or '.join(map(repr, ENCODINGS))}, got {value!r}")
             values[key] = value
         elif key in _CONFIG_KEYS:
             try:
@@ -129,7 +123,7 @@ def _build_parser() -> _Parser:
     def add_score_arg(p):
         source = p.add_mutually_exclusive_group()   # giving both is a usage error
         source.add_argument("score", nargs="?", default=None, help="path to a score file")
-        source.add_argument("--ex", type=int, choices=range(1, len(EXPERIMENT_IDS) + 1),
+        source.add_argument("--ex", type=integer, choices=range(1, len(EXPERIMENT_IDS) + 1),
                             metavar="N", help="use bundled experiment N instead of a file")
 
     p_solve = sub.add_parser("solve", help="exact optimal fingering via dynamic programming")
@@ -139,7 +133,7 @@ def _build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train the Q-network on a score")
     add_score_arg(p_train)
     p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--seeds", type=int, default=1, metavar="K",
+    p_train.add_argument("--seeds", type=integer, default=1, metavar="K",
                          help="run K seeds (seed, seed+1, ...)")
     p_train.add_argument("--encoding", choices=ENCODINGS,
                          help="state encoding: full keyboard or melodic range")
@@ -154,7 +148,7 @@ def _build_parser() -> _Parser:
 
     p_mirror = sub.add_parser("mirror", help="reflect a score for left-hand use")
     p_mirror.add_argument("score", help="path to a score file")
-    p_mirror.add_argument("--axis", type=int, required=True,
+    p_mirror.add_argument("--axis", type=integer, required=True,
                           help="pitch to reflect around")
 
     return parser
@@ -203,10 +197,13 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     score = _read_score(args.score)
     pairs = read_fingering(args.fingering)
-    if [p for p, _ in pairs] != list(score.pitches):
-        raise FingeringError(
-            "fingering file pitches do not match the score"
-        )
+    if len(pairs) != len(score):
+        raise FingeringError(f"fingering file pitches do not match the score: "
+                             f"{len(pairs)} notes in the file, {len(score)} in the score")
+    for i, ((pitch, _), expected) in enumerate(zip(pairs, score.pitches), start=1):
+        if pitch != expected:
+            raise FingeringError(f"fingering file pitches do not match the score: note {i} "
+                                 f"is {pitch} in the file, {expected} in the score")
     fingering = [f for _, f in pairs]
     model = RewardModel()
     total = fingering_total_reward(score, fingering, model)

@@ -23,7 +23,7 @@ from pathlib import Path
 from .agent import TrainConfig
 from .env import StateEncoding
 from .oracle import FingeringError
-from .score import FINGERS, Score, read_text
+from .score import FINGERS, Score, integer, lines, read_text
 
 # Baseline training overrides for the long in-position melodies.  EX3 and
 # EX5 judge the learning curve itself (the smoothed training reward must
@@ -111,22 +111,14 @@ def export_fingering(score: Score, fingering, path) -> None:
 def read_fingering(path) -> list[tuple[int, int]]:
     """Read a '<pitch> <finger>' file back as (pitch, finger) pairs."""
     pairs: list[tuple[int, int]] = []
-    text = read_text(path, "fingering file", FingeringError)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in lines(read_text(path, "fingering file", FingeringError)):
         parts = line.split()
         if len(parts) != 2:
-            raise FingeringError(
-                f"line {line_no}: expected '<pitch> <finger>', got {raw!r}"
-            )
+            raise FingeringError(f"line {line_no}: expected '<pitch> <finger>', got {line!r}")
         try:
-            pitch, finger = int(parts[0]), int(parts[1])
+            pitch, finger = integer(parts[0]), integer(parts[1])
         except ValueError:
-            raise FingeringError(
-                f"line {line_no}: expected two integers, got {raw!r}"
-            ) from None
+            raise FingeringError(f"line {line_no}: expected two integers, got {line!r}") from None
         if finger not in FINGERS:
             raise FingeringError(f"line {line_no}: finger {finger} out of range 1-5")
         pairs.append((pitch, finger))

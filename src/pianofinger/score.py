@@ -1,13 +1,17 @@
-"""Monophonic scores and the plain-text score file format.
+"""Monophonic scores, the score file format, and the input grammar that
+every input file and numeric flag of the CLI shares.
 
-A score file is UTF-8 text.  The first meaningful line must be a
-``first_finger=<1-5>`` header; every later line holds one note, written
-either as a MIDI number (21..108) or as a scientific pitch name with
-C4 = 60 (``C4``, ``F#2``, ``Bb5``).  A comma-separated duration token may
-follow the pitch; it must be a finite number >= 0 and is otherwise
-ignored.  ``#`` starts a comment at the start of a line or after
+Input files are UTF-8, a leading byte-order mark dropped, and are read
+through ``lines``: ``#`` starts a comment at the start of a line or after
 whitespace (elsewhere it is a sharp, as in ``C#4``), and blank lines are
-skipped.
+skipped.  Numbers are ASCII tokens: ``integer`` takes ``[+-]?[0-9]+``,
+``number`` Python's float syntax without ``_`` (``1e-3``, ``.5``, ``inf``).
+
+A score file opens with a ``first_finger=<1-5>`` header; every later line
+holds one note, a MIDI number (21..108) or a scientific pitch name
+``[A-Ga-g][#b]*-?[0-9]+`` with C4 = 60 (``C4``, ``F#2``, ``Bb5``).  A
+comma-separated duration may follow the pitch; it must be a finite
+number >= 0 and is otherwise ignored.
 """
 
 from __future__ import annotations
@@ -47,32 +51,53 @@ class ScoreSizeError(ScoreError):
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")   # a sharp follows its letter, a comment does not
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                     r"|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE)
+_PITCH_NAME = re.compile(r"([A-Ga-g])([#b]*)(-?[0-9]+)")
+_HEADER = re.compile(r"first_finger\s*=\s*([1-5])")
 
 _LETTER_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
+
+
+def lines(text: str):
+    """``(line_no, content)`` for each line (numbered from 1) that keeps
+    content once its ``#`` comment and surrounding blanks are stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
+        if line:
+            yield line_no, line
+
+
+def integer(token: str) -> int:
+    """``token`` as an int if it is ``[+-]?[0-9]+``; ValueError otherwise
+    (``int`` alone also takes ``1_0``, ``٦٠`` and ``６０``)."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def number(token: str) -> float:
+    """``token`` as a float if it is in Python's float syntax, ASCII and
+    without ``_`` (``inf`` and ``nan`` included); ValueError otherwise."""
+    if _NUMBER.fullmatch(token) is None:
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
 
 
 def pitch_from_name(name: str) -> int:
     """MIDI number for a scientific pitch name (C4 = 60).
 
-    Accepts ``#``/``b`` accidentals (stackable) and any integer octave;
-    raises ScoreError for anything else.  Range is not checked here.
+    Accepts ``[A-Ga-g][#b]*-?[0-9]+``: stackable ``#``/``b`` accidentals
+    and any integer octave; raises ScoreError for anything else.  Range
+    is not checked here.
     """
-    text = name.strip()
-    if not text:
-        raise ScoreError("empty pitch name")
-    letter = text[0].upper()
-    if letter not in _LETTER_SEMITONE:
-        raise ScoreError(f"unknown pitch letter {text[0]!r}")
-    semitone = _LETTER_SEMITONE[letter]
-    rest = text[1:]
-    while rest[:1] in ("#", "b"):
-        semitone += 1 if rest[0] == "#" else -1
-        rest = rest[1:]
-    try:
-        octave = int(rest)
-    except ValueError:
-        raise ScoreError(f"bad octave in pitch name {name!r}") from None
-    return semitone + 12 * (octave + 1)
+    match = _PITCH_NAME.fullmatch(name)
+    if match is None:
+        raise ScoreError(f"not a pitch name: {name!r}")
+    letter, accidentals, octave = match.groups()
+    semitone = _LETTER_SEMITONE[letter.upper()] + accidentals.count("#") - accidentals.count("b")
+    return semitone + 12 * (int(octave) + 1)
 
 
 def _piano_pitch(p) -> int:
@@ -116,11 +141,12 @@ class Score:
 def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
     """The contents of a UTF-8 text file, for every input file of the CLI.
 
-    A file that cannot be opened or is not valid UTF-8 raises ``error``
-    with a message naming ``what`` and the path.
+    A leading byte-order mark is dropped.  A file that cannot be opened
+    or is not valid UTF-8 raises ``error`` with a message naming ``what``
+    and the path.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
@@ -129,49 +155,34 @@ def parse_score(text: str, name: str = "score") -> Score:
     """Parse the score file format described in the module docstring."""
     header_finger = None
     pitches: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
-        if not line:
-            continue
+    for line_no, line in lines(text):
         if header_finger is None:
-            key, sep, value = line.partition("=")
-            if not sep or key.strip() != "first_finger":
-                raise HeaderError(
-                    f"line {line_no}: expected a first_finger=<1-5> header, got {line!r}"
-                )
-            try:
-                header_finger = int(value.strip())
-            except ValueError:
-                raise HeaderError(
-                    f"line {line_no}: first_finger is not an integer: {value.strip()!r}"
-                ) from None
-            if header_finger not in FINGERS:
-                raise HeaderError(
-                    f"line {line_no}: first_finger must be in 1..5, got {header_finger}"
-                )
+            header = _HEADER.fullmatch(line)
+            if header is None:
+                raise HeaderError(f"line {line_no}: expected a first_finger=<1-5> header, "
+                                  f"got {line!r}")
+            header_finger = int(header[1])
             continue
         token, _, duration = line.partition(",")
         token = token.strip()
         duration = duration.strip()
         if duration:
             try:
-                length = float(duration)
+                length = number(duration)
             except ValueError:
                 raise ScoreParseError(line_no, f"bad duration token {duration!r}") from None
             if not (math.isfinite(length) and length >= 0):
                 raise ScoreParseError(
                     line_no, f"duration must be finite and >= 0, got {duration!r}")
-        try:
-            pitch = int(token)
+        try:   # a plain MIDI number is checked inline: most lines hold one
+            pitch = (int(token) if token.isascii() and token.isdigit()
+                     else pitch_from_name(token) if token[:1].isalpha() else integer(token))
         except ValueError:
-            try:
-                pitch = pitch_from_name(token)
-            except ValueError as exc:
-                raise ScoreParseError(line_no, f"bad note token {token!r} ({exc})") from None
+            raise ScoreParseError(line_no, f"bad note token {token!r}, expected a MIDI number "
+                                           "or a pitch name") from None
         if not PITCH_MIN <= pitch <= PITCH_MAX:
-            raise PitchRangeError(
-                f"line {line_no}: pitch {pitch} outside piano range [{PITCH_MIN}, {PITCH_MAX}]"
-            )
+            raise PitchRangeError(f"line {line_no}: pitch {pitch} outside piano range "
+                                  f"[{PITCH_MIN}, {PITCH_MAX}]")
         pitches.append(pitch)
     if header_finger is None:
         raise HeaderError("missing first_finger=<1-5> header")
@@ -180,9 +191,7 @@ def parse_score(text: str, name: str = "score") -> Score:
 
 def serialize_score(score: Score) -> str:
     """Canonical text form: header line, then one MIDI number per line."""
-    lines = [f"first_finger={score.first_finger}"]
-    lines.extend(str(p) for p in score.pitches)
-    return "\n".join(lines) + "\n"
+    return f"first_finger={score.first_finger}\n" + "".join(f"{p}\n" for p in score.pitches)
 
 
 def mirror_for_left_hand(score: Score, axis_pitch: int) -> Score:

@@ -50,6 +50,7 @@ _SCORE_TOKENS = st.sampled_from([
     "#", "##", ",", ",,", "nan", "NaN", "inf", "-inf", "1e309", "0.5", "-3", "+7",
     "first_finger=1", "first_finger=5", "first_finger=9", "first_finger=", "first_finger",
     "=", "==", "x", "١٢", "é", "\x00", "﻿",
+    "6_0", "٦٢", "６０", "C+4", "C٤", "first_finger=١", "1_0", "٠.٥",
 ])
 
 

@@ -349,9 +349,23 @@ def test_eval_infeasible_fingering(tmp_path, capsys):
 def test_eval_pitch_mismatch_exits_2(tmp_path, capsys):
     score = _write_score(tmp_path, TINY_SCORE)
     fingering = tmp_path / "fingering.txt"
-    fingering.write_text("61 1\n62 2\n64 3\n")
-    assert main(["eval", score, str(fingering)]) == 2
-    assert "do not match" in capsys.readouterr().err
+    for text in ("61 1\n62 2\n64 3\n", "60 1\n62 2\n"):   # a pitch differs; a note is missing
+        fingering.write_text(text)
+        assert main(["eval", score, str(fingering)]) == 2
+        assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("60 1\n62 2\n65 3\n", "note 3 is 65 in the file, 64 in the score"),
+    ("60 1\n62 2\n", "2 notes in the file, 3 in the score"),
+    ("60 1\n62 2\n64 3\n65 4\n", "4 notes in the file, 3 in the score"),
+])
+def test_eval_mismatch_names_the_note_or_the_counts(tmp_path, capsys, text, detail):
+    fingering = tmp_path / "fingering.txt"
+    fingering.write_text(text)
+    assert main(["eval", _write_score(tmp_path, TINY_SCORE), str(fingering)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: fingering file pitches do not match the score: {detail}\n")
 
 
 def test_eval_bad_fingering_file_exits_2(tmp_path, capsys):
@@ -405,6 +419,68 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, kind):
     }[kind]
     assert main(argv) == 2
     assert f"error: cannot read {kind} file {bad}" in capsys.readouterr().err
+
+
+def _reading(kind, path, score):
+    """A command line that reads `path` as a file of `kind`, next to `score`."""
+    return {"score": ["solve", str(path)],
+            "config": ["solve", score, "--config", str(path)],
+            "fingering": ["eval", score, str(path)]}[kind]
+
+
+@pytest.mark.parametrize("kind,text,total", [
+    ("score", TINY_SCORE, "2.000000"),
+    ("config", "r_stay=2\n", "4.000000"),
+    ("fingering", "60 1\n62 2\n64 3\n", "2.000000"),
+])
+def test_input_file_with_a_byte_order_mark_reads(tmp_path, capsys, kind, text, total):
+    # some editors save UTF-8 with a leading byte-order mark
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert main(_reading(kind, path, _write_score(tmp_path, TINY_SCORE))) == 0
+    captured = capsys.readouterr()
+    assert f"total_reward: {total}\n" in captured.out and captured.err == ""
+
+
+_OFF_GRAMMAR = [   # file, its text, the token the error must name
+    ("score", "first_finger=1\n60\n6_0\n", "6_0"),
+    ("score", "first_finger=1\n60\n٦٢\n", "٦٢"),
+    ("score", "first_finger=1\n60\n６０\n", "６０"),
+    ("score", "first_finger=1\n60\nC 4\n", "C 4"),
+    ("score", "first_finger=1\n60\nC+4\n", "C+4"),
+    ("score", "first_finger=1\n60\nC٤\n", "C٤"),
+    ("score", "first_finger=١\n60\n62\n", "first_finger=١"),
+    ("score", "first_finger=1\n60, 1_0\n62\n", "1_0"),
+    ("config", "episodes=1_0\n", "1_0"),
+    ("config", "learning_rate=٠.١\n", "٠.١"),
+    ("fingering", "60 1\n62 ２\n64 3\n", "62 ２"),
+]
+
+
+@pytest.mark.parametrize("kind,text,token", _OFF_GRAMMAR)
+def test_file_token_outside_the_grammar_exits_2(tmp_path, capsys, kind, text, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(_reading(kind, path, _write_score(tmp_path, TINY_SCORE))) == 2
+    captured = capsys.readouterr()
+    assert repr(token) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["train", "--ex", "2", "--episodes", "1_0"],
+                                  ["train", "--ex", "2", "--episodes", "５"],
+                                  ["train", "--ex", "2", "--learning-rate", "٠.١"],
+                                  ["train", "--ex", "2", "--seeds", "２"],
+                                  ["solve", "--ex", "２"]])
+def test_flag_token_outside_the_grammar_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    flag, token = argv[-2:]
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument {flag}: invalid {'number' if flag == '--learning-rate' else 'integer'} "
+        f"value: {token!r}")
+    assert captured.out == ""
 
 
 # --- mirror ---------------------------------------------------------------------
@@ -543,7 +619,7 @@ _VALUES = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats().map(repr),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "88", "range", "", "lots",
-                     "0x10", "1_0", "= 3"]),
+                     "0x10", "1_0", "= 3", "٠.١", "５", ".5", "1e-3"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
 ).map(str.encode) | st.binary(max_size=6)
 _CONFIG_LINES = st.builds(
@@ -561,7 +637,8 @@ def test_solve_with_fuzzed_config_exits_0_or_2(tmp_path_factory, lines):
         assert main(["solve", "--ex", "2", "--config", str(path)]) in (0, 2)
 
 
-_PITCHES = st.sampled_from(["60", "62", "64", "C4", "20", "109", "x", "60.5", ""])
+_PITCHES = st.sampled_from(["60", "62", "64", "C4", "20", "109", "x", "60.5", "",
+                            "6_0", "٦٢", "６０", "C+4", "C٤", "２"])
 _FINGERING_LINES = st.builds(" ".join, st.lists(
     _PITCHES | st.sampled_from(["1", "2", "3", "5", "0", "6", "-1", "nan"]), max_size=3))
 # small train values only: these files and flags never ask for a long run
@@ -581,10 +658,10 @@ _COMMANDS = {   # positional files and optional flags of each command
     "mirror": (["score"], ["--axis"]),
 }
 _FLAG_VALUES = {
-    "--ex": ["1", "2", "4", "0", "x"],
-    "--axis": ["60", "64", "100", "-5", "x"],
+    "--ex": ["1", "2", "4", "0", "x", "２"],
+    "--axis": ["60", "64", "100", "-5", "x", "６０"],
     "--encoding": ["88", "range", "range", "x"],
-    "--seed": ["0", "3", "0", "-1", "x"],
+    "--seed": ["0", "3", "0", "-1", "x", "1_0"],
 }
 
 
@@ -604,7 +681,7 @@ def _argv(draw, paths):
     if command == "mirror" and "--axis" not in argv:
         argv += ["--axis", "62"]
     if command == "train":
-        argv += ["--episodes", draw(st.sampled_from(["5", "5", "1", "0", "-1", "x"])),
+        argv += ["--episodes", draw(st.sampled_from(["5", "5", "1", "0", "-1", "x", "1_0", "５"])),
                  "--seeds", draw(st.sampled_from(["1", "2", "1", "2", "0", "x"])),
                  # 1e6 diverges within 5 episodes on the bundled melodies and the scale
                  "--learning-rate", draw(st.sampled_from(["1e6", "0.2", "1e6", "nan", "-1"]))]

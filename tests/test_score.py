@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,9 @@ from pianofinger.score import (
     ScoreError,
     ScoreParseError,
     ScoreSizeError,
+    integer,
     mirror_for_left_hand,
+    number,
     parse_score,
     pitch_from_name,
     serialize_score,
@@ -117,8 +120,9 @@ def test_parse_missing_header():
 
 
 def test_parse_bad_header_value():
-    with pytest.raises(HeaderError):
-        parse_score("first_finger=9\n60\n62")
+    for value in ("9", "١", "+1", "01", "1_0"):   # one ASCII digit 1-5 only
+        with pytest.raises(HeaderError):
+            parse_score(f"first_finger={value}\n60\n62")
 
 
 def test_parse_error_names_line_number():
@@ -258,3 +262,50 @@ def test_parse_raises_only_score_errors(text):
         return
     assert len(score) >= 2 and score.first_finger in FINGERS
     assert all(PITCH_MIN <= p <= PITCH_MAX for p in score.pitches)
+
+
+# --- the input grammar -----------------------------------------------------
+
+# the ASCII grammar, written out here independently of score.py
+_INTEGER_REF = re.compile(r"[+-]?[0-9]+")
+_NUMBER_REF = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
+                         r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+                         r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN])")
+_PITCH_REF = re.compile(r"([A-Ga-g])([#b]*)(-?[0-9]+)")
+# Python's int() and float() take the non-ASCII and underscored ones
+_CRAFTED_TOKENS = [
+    "6_0", "٦٢", "２", "６０", "+1", "-0", "007", "1e999", ".5", "5.", ".", "nan", "-NaN", "Inf",
+    "-infinity", "ınf", "1e-3", "1E+3", "1e", "e1", "1.5.2", "0x10", " 1", "1 ", "+", "-", "",
+    "C4", "c4", "Bb3", "bb3", "C-1", "F##3", "Cb-1", "C+4", "C٤", "C 4", "C４", "H4", "C", "#4",
+]
+_TOKENS = st.one_of(st.text(), st.sampled_from(_CRAFTED_TOKENS),
+                    st.text("0123456789+-._eEinfINFaA#bBCc ٦２", max_size=8))
+
+
+def _named_pitch(token):
+    letter, accidentals, octave = _PITCH_REF.fullmatch(token).groups()
+    return (_LETTERS[letter.upper()] + accidentals.count("#") - accidentals.count("b")
+            + 12 * (int(octave) + 1))
+
+
+@given(_TOKENS)
+def test_token_readers_accept_exactly_the_ascii_grammar(token):
+    for reader, reference, value in ((integer, _INTEGER_REF, int),
+                                     (number, _NUMBER_REF, float),
+                                     (pitch_from_name, _PITCH_REF, _named_pitch)):
+        if reference.fullmatch(token):
+            assert repr(reader(token)) == repr(value(token)), (reader, token)
+        else:
+            with pytest.raises(ValueError):
+                reader(token)
+
+
+def test_readme_score_example_and_pitch_names_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Score files", 1)[1].split("\n### ", 1)[0]
+    example = parse_score(section.split("```", 2)[1])
+    assert (example.pitches, example.first_finger) == ((60, 62, 64), 1)
+    cited = set(re.findall(r"`([A-Ga-g][#b]*-?[0-9]+)`", section))
+    assert cited == {"C4", "C#4", "Db4", "F##3"}
+    assert {name: pitch_from_name(name) for name in cited} == {
+        "C4": 60, "C#4": 61, "Db4": 61, "F##3": 55}
