@@ -3,7 +3,7 @@
 The value network is a small fully connected net written from scratch on
 numpy: ReLU hidden layers, a linear 5-way head (one Q-value per finger),
 plain SGD on the squared TD error of the chosen action.  Bootstrap
-targets come from a delayed copy of the weights refreshed every
+targets come from the network as it stood at the last sync, one every
 ``target_sync`` gradient steps, and transitions are replayed uniformly
 (with replacement) out of a fixed-capacity FIFO ring.
 
@@ -15,23 +15,24 @@ reward and successor and each state's three one-hot columns, and
 rows into one buffer, and acting (one row), target fills and the SGD
 batch all read them from there.  The replay ring is four preallocated
 arrays (state id, action, reward, next state id; next id -1 marks a
-terminal step), and the network keeps each parameter set and its
-gradient in one flat float64 buffer, so an SGD step, its finiteness
-check and a target sync are one array operation each.  A training
-step writes its activations and deltas into arrays the network
-allocates once per batch size, with ``out=``.
+terminal step), and the network keeps its parameters and their
+gradient in one flat float64 buffer each, so an SGD step and its
+finiteness check are one array operation each.  A training step writes
+its activations and deltas into arrays the network allocates once per
+batch size, with ``out=``.
 
-The delayed network changes only at a sync, so ``train`` caches
-max_a Q_target(s, a) per state id (``TargetMaxima``), each entry
-stamped with the target version it was computed at; a step runs the
-target forward only over the successors whose entry is stale.  That
-keeps every history bit for bit: a fill is a gemm like the per-batch
-forward it replaces, and a gemm row does not depend on how many rows
-share the product (a lone stale row is padded to two to stay one).  A
-batch with a single live row is the exception: numpy multiplies one row
-along its vector path, which rounds differently from gemm rows, so that
-row takes the direct one-row forward, as the per-batch code did, and
-leaves the cache alone.
+The learner reads one thing from the delayed network: max_a Q_target(s', a)
+of a successor state, which changes only at a sync.  A score of L notes
+has exactly 5(L-1) states, so the net keeps that value as one table,
+``target_max``: at each sync, and once before the first step,
+``sync_target`` runs one forward over every state's input row and
+stores each row's max, then a 0.0 that next id -1 (terminal) reads.  A
+bootstrap target is then one gather.  A sync costs 5(L-1) rows, never
+more than the batch_size * target_sync successor rows one sync window
+samples (3200 at the defaults) while L <= 641.  For a very long score
+the fill's one-hot block grows to 5(L-1) * input_dim floats, about 21 MB
+at 3000 notes under the 88-key encoding, and the input buffer keeps
+that size.
 """
 
 from __future__ import annotations
@@ -137,17 +138,19 @@ def _layer_views(buffer: np.ndarray, sizes: Sequence[int]):
 
 
 class QNetwork:
-    """Fully connected Q-network holding online and target parameter sets.
+    """Fully connected Q-network and its table of delayed maxima.
 
-    Each set lives in one flat float64 buffer (``theta``,
-    ``target_theta``) laid out as every layer's weights, then every
-    layer's biases; ``weights``/``biases`` and
-    ``target_weights``/``target_biases`` are views into them, and
-    ``grad_weights``/``grad_biases`` view the gradient buffer ``grad``
-    that ``train_step`` fills.  Weights and biases start uniform in
-    [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn from the given generator;
-    the target set starts as an exact copy of the online set, and
-    ``target_version`` counts the syncs since.
+    The parameters live in one flat float64 buffer ``theta`` laid out as
+    every layer's weights, then every layer's biases; ``weights`` and
+    ``biases`` are views into it, and ``grad_weights``/``grad_biases``
+    view the gradient buffer ``grad`` that ``train_step`` fills.  Weights
+    and biases start uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn
+    from the given generator.
+
+    ``target_max`` is the delayed network as the learner reads it:
+    max_a Q(s, a) of each state id at the last ``sync_target``, then 0.0
+    for next id -1 (terminal).  Until the first sync it holds only the
+    0.0.
     """
 
     def __init__(self, input_dim: int, hidden: Sequence[int] = (64, 64), *,
@@ -161,11 +164,9 @@ class QNetwork:
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
-        self.target_theta = self.theta.copy()
-        self.target_weights, self.target_biases = _layer_views(self.target_theta, sizes)
         self.grad = np.zeros(n_params)
         self.grad_weights, self.grad_biases = _layer_views(self.grad, sizes)
-        self.target_version = 0
+        self.target_max = np.zeros(1)
         self._sizes = sizes
         self._step = np.empty(n_params)      # learning_rate * grad
         self._finite = np.empty(n_params, dtype=bool)
@@ -201,25 +202,25 @@ class QNetwork:
         x[self._input_rows[:rows], columns] = 1.0
         return x
 
-    def sync_target(self) -> None:
-        """Copy the online parameters into the target set."""
-        np.copyto(self.target_theta, self.theta)
-        self.target_version += 1
+    def sync_target(self, columns: np.ndarray) -> None:
+        """Refill ``target_max`` from the online parameters: one forward
+        over the input rows of ``columns`` (every state's ``env.columns``
+        row, in state-id order), each row's max, then 0.0."""
+        self.target_max = np.append(self.forward(self.one_hot(columns)).max(axis=1), 0.0)
 
-    def forward(self, x: np.ndarray, target: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values, a new (rows, 5) array, for a (rows, input_dim) array
         of input rows."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected input of shape (rows, {self.input_dim}), got {x.shape}")
-        return self._layers(x, target)[1]
+        return self._layers(x)[1]
 
-    def _layers(self, X: np.ndarray, target: bool = False, outs=None):
+    def _layers(self, X: np.ndarray, outs=None):
         """Each layer's input (X, then every hidden activation) and the
         Q-values, for a (batch, dim) array.  Each layer's output goes
         into its entry of ``outs`` if given, else into a new array."""
-        ws = self.target_weights if target else self.weights
-        bs = self.target_biases if target else self.biases
+        ws, bs = self.weights, self.biases
         hs = [X]
         for w, b, out in zip(ws, bs, outs or [None] * len(ws)):
             z = np.matmul(hs[-1], w, out=out)
@@ -349,43 +350,11 @@ def select_action(net: QNetwork, state_row: np.ndarray, epsilon: float,
     return a + 1
 
 
-class TargetMaxima:
-    """max_a Q_target(s, a) for each state id of one env under one
-    network, each entry stamped with the ``target_version`` it was
-    computed at (-1: never)."""
-
-    def __init__(self, n_states: int):
-        self.values = np.empty(n_states)
-        self.version = np.full(n_states, -1)
-
-
-def compute_targets(batch: Batch, net: QNetwork, gamma: float, env: FingeringEnv,
-                    cache: Optional[TargetMaxima] = None) -> np.ndarray:
-    """Bootstrap targets: r for terminal transitions, else
-    r + gamma * max target-network Q of the successor.
-
-    Successor maxima come from ``cache`` where it holds them for the
-    current target version, and the stale ones are computed and stored;
-    without a cache every successor is stale.  The targets equal the
-    per-batch forward's bit for bit either way."""
-    y = batch.rewards.copy()
-    live = batch.next_states >= 0
-    ids = batch.next_states[live]
-    if len(ids) == 1:
-        # numpy multiplies one row along its vector path, which rounds
-        # differently from gemm rows: compute it directly, uncached
-        y[live] += gamma * net.forward(net.one_hot(env.columns[ids]), target=True).max(axis=1)
-    elif len(ids):
-        cache = cache if cache is not None else TargetMaxima(len(env.columns))
-        todo = ids[cache.version[ids] != net.target_version]   # duplicates are harmless
-        if len(todo):
-            if len(todo) == 1:
-                todo = todo.repeat(2)   # keep the fill on the gemm path
-            cache.values[todo] = net.forward(net.one_hot(env.columns[todo]),
-                                             target=True).max(axis=1)
-            cache.version[todo] = net.target_version
-        y[live] += gamma * cache.values[ids]
-    return y
+def compute_targets(batch: Batch, net: QNetwork, gamma: float) -> np.ndarray:
+    """Bootstrap targets r + gamma * max_a Q_target(s', a), read from
+    ``net.target_max``; a terminal step (next id -1) reads its 0.0, so
+    its target is r."""
+    return batch.rewards + gamma * net.target_max[batch.next_states]
 
 
 @dataclass(frozen=True)
@@ -402,19 +371,19 @@ def train(env: FingeringEnv, config: TrainConfig,
 
     Every environment step acts epsilon-greedily, stores its transition,
     and (once the ring holds one full batch) samples a minibatch,
-    regresses the online net toward the bootstrap targets, and copies the
-    online weights into the target set every ``target_sync`` gradient
-    steps.  ``episode_hook(episode, net)`` runs after each episode and
-    must not change the net; a truthy return ends training there, so a
-    run stopped after episode k has the first k+1 records of the full
-    run.  A TrainingError names the episode and the gradient step it
-    happened in.
+    regresses the online net toward the bootstrap targets, and refills
+    the net's ``target_max`` table before the first step and every
+    ``target_sync`` gradient steps.  ``episode_hook(episode, net)`` runs
+    after each episode and must not change the net; a truthy return ends
+    training there, so a run stopped after episode k has the first k+1
+    records of the full run.  A TrainingError names the episode and the
+    gradient step it happened in.
     """
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
     buffer = ReplayBuffer(config.replay_capacity)
-    maxima = TargetMaxima(len(env.columns))
     columns = env.columns
+    net.sync_target(columns)
     history: list[EpisodeRecord] = []
     grad_steps = 0
     for episode in range(config.episodes):
@@ -429,13 +398,13 @@ def train(env: FingeringEnv, config: TrainConfig,
                 buffer.push(state, action, reward, nxt)
                 if len(buffer) >= config.batch_size:
                     batch = buffer.sample(config.batch_size, rng)
-                    targets = compute_targets(batch, net, config.gamma, env, maxima)
+                    targets = compute_targets(batch, net, config.gamma)
                     losses.append(net.train_step(net.one_hot(columns[batch.states]),
                                                  batch.actions, targets,
                                                  config.learning_rate))
                     grad_steps += 1
                     if grad_steps % config.target_sync == 0:
-                        net.sync_target()
+                        net.sync_target(columns)
                 total += reward
                 state = nxt
         except TrainingError as exc:

@@ -1,7 +1,7 @@
 """Command-line front end: solve / train / eval / mirror.
 
 Exit codes: 0 success, 1 usage error, 2 input or parse error, 3 training
-numeric failure.
+numeric failure, 141 (128 + SIGPIPE) stdout's reader went away.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -230,7 +231,18 @@ def main(argv=None) -> int:
         "mirror": _cmd_mirror,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()   # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the interpreter's last flush stays
+        # silent, and exit as a process stopped by SIGPIPE does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 141
     except (ScoreError, ConfigError, FingeringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

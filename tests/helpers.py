@@ -1,6 +1,7 @@
 """Reference code the tests check the package against: finite-difference
-gradients, the replay ring's contents in push order, and dense one-hot
-rows built from a state's (finger, pitch, next pitch)."""
+gradients, the replay ring's contents in push order, dense one-hot rows
+built from a state's (finger, pitch, next pitch), and each state's max
+Q-value computed from those rows."""
 
 import numpy as np
 
@@ -76,3 +77,10 @@ def one_hot_row(key, enc):
     v = np.zeros(enc.dim)
     v[[key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]] = 1.0
     return v
+
+
+def state_maxima(net: QNetwork, score, enc):
+    """max_a Q(s, a) of every state id of ``score``, in id order: one
+    forward over the dense rows of all states."""
+    rows = np.stack([one_hot_row(key, enc) for key in state_keys(score)])
+    return net.forward(rows).max(axis=1)

@@ -45,7 +45,7 @@ from pianofinger.oracle import (
 from pianofinger.reward import RewardModel, anchor, is_feasible, is_position_change
 from pianofinger.score import Score
 
-from helpers import gradient_check, replay_items
+from helpers import gradient_check, replay_items, state_maxima
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -255,44 +255,42 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
         buf.push(tag, 1, float(tag), tag + 1)
     checks["fifo"] = replay_items(buf).rewards.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
-    # targets read the delayed weights only: perturbing the online set
-    # between two computations must not move y
+    # targets read the table filled at the last sync only: moving the
+    # online set between two computations must not move y
     net = QNetwork(env.input_dim, hidden=(8,), rng=np.random.default_rng(0))
+    net.sync_target(env.columns)
     ids = np.arange(4, dtype=np.intp)
     batch = Batch(ids, ids % 5 + 1, np.full(4, -1.0), ids + 5)
-    y_before = compute_targets(batch, net, 0.95, env)
+    y_before = compute_targets(batch, net, 0.95)
     for w in net.weights:
         w += 1.0
-    y_after = compute_targets(batch, net, 0.95, env)
+    y_after = compute_targets(batch, net, 0.95)
     checks["targets_from_delayed_copy"] = np.array_equal(y_before, y_after)
 
     # terminal targets are exactly r
     terminal = Batch(np.array([15, 16]), np.array([2, 4]), np.array([-10.0, 1.0]),
                      np.array([-1, -1]))
     checks["terminal_exact"] = np.array_equal(
-        compute_targets(terminal, net, 0.95, env), [-10.0, 1.0])
+        compute_targets(terminal, net, 0.95), [-10.0, 1.0])
 
-    # sync copies the online set exactly
-    net.sync_target()
-    checks["sync_exact"] = all(
-        np.array_equal(w, tw) for w, tw in zip(net.weights, net.target_weights)
-    ) and all(
-        np.array_equal(b, tb) for b, tb in zip(net.biases, net.target_biases)
-    )
+    # a sync fills the table with the online net's per-state maxima
+    # exactly, then the 0.0 that terminal steps read
+    def maxima(net):
+        return np.append(state_maxima(net, score, env.encoding), 0.0)
+
+    net.sync_target(env.columns)
+    checks["sync_exact"] = np.array_equal(net.target_max, maxima(net))
 
     # sync cadence, seen from its endpoints: syncing after every
-    # gradient step leaves the two sets equal when training stops;
-    # never syncing leaves the delayed set at its initial value
+    # gradient step leaves the table at the final net's maxima when
+    # training stops; never syncing leaves it where the first fill put
+    # it, away from them
     net_every, _ = train(env, TrainConfig(
         episodes=6, seed=0, batch_size=4, target_sync=1, learning_rate=0.05))
-    checks["sync_every_step"] = all(
-        np.array_equal(w, tw)
-        for w, tw in zip(net_every.weights, net_every.target_weights))
+    checks["sync_every_step"] = np.array_equal(net_every.target_max, maxima(net_every))
     net_never, _ = train(env, TrainConfig(
         episodes=6, seed=0, batch_size=4, target_sync=10**9, learning_rate=0.05))
-    checks["sync_never"] = not all(
-        np.array_equal(w, tw)
-        for w, tw in zip(net_never.weights, net_never.target_weights))
+    checks["sync_never"] = not np.array_equal(net_never.target_max, maxima(net_never))
 
     # a full training run is a pure function of its seed
     cfg = TrainConfig(episodes=12, seed=3, batch_size=8, learning_rate=0.05)

@@ -11,7 +11,6 @@ from pianofinger.agent import (
     EpisodeRecord,
     QNetwork,
     ReplayBuffer,
-    TargetMaxima,
     TrainConfig,
     TrainingError,
     compute_targets,
@@ -25,15 +24,14 @@ from pianofinger.experiments import ENCODINGS, encoding_for
 from pianofinger.oracle import dp_optimal
 from pianofinger.score import Score
 
-from helpers import gradient_check, one_hot_row, replay_items, state_keys
+from helpers import gradient_check, one_hot_row, replay_items, state_keys, state_maxima
 from strategies import scores
 
 
 def _zero_net(input_dim=4, hidden=(3,)):
-    """A network whose every parameter (online and target) is zero."""
+    """A network whose every parameter is zero."""
     net = QNetwork(input_dim, hidden=hidden, rng=np.random.default_rng(0))
     net.theta[:] = 0.0
-    net.sync_target()
     return net
 
 
@@ -53,13 +51,15 @@ def test_zero_net_outputs_zeros():
 
 
 def test_target_starts_as_copy_of_online():
-    net = QNetwork(6, hidden=(8, 8), rng=np.random.default_rng(3))
-    for w, tw in zip(net.weights, net.target_weights):
-        assert np.array_equal(w, tw)
-        assert w is not tw
-    for b, tb in zip(net.biases, net.target_biases):
-        assert np.array_equal(b, tb)
-        assert b is not tb
+    # before any sync the table holds only the terminal 0.0; train fills
+    # it from the initial weights before its first step
+    env = _small_env()
+    fresh = QNetwork(env.input_dim, rng=np.random.default_rng(3))
+    assert np.array_equal(fresh.target_max, [0.0])
+    net, _ = train(env, TrainConfig(episodes=0, seed=3))
+    assert np.array_equal(net.theta, fresh.theta)
+    assert np.array_equal(net.target_max,
+                          np.append(state_maxima(fresh, env.score, env.encoding), 0.0))
 
 
 def test_init_bounds_follow_fan_in():
@@ -120,13 +120,19 @@ def test_one_hot_rows_are_the_dense_rows_in_one_buffer(row_counts, seed):
 
 
 def test_sync_target_copies_current_online_weights():
-    net = QNetwork(4, hidden=(3,), rng=np.random.default_rng(0))
-    net.weights[0][0, 0] += 1.0
-    assert not np.array_equal(net.weights[0], net.target_weights[0])
-    assert net.target_version == 0
-    net.sync_target()
-    assert np.array_equal(net.weights[0], net.target_weights[0])
-    assert net.target_version == 1   # what stamps the cached target maxima
+    # the table holds the maxima of the weights at the last sync, one per
+    # state id, then the terminal 0.0
+    env = _small_env()
+    net = QNetwork(env.input_dim, hidden=(3,), rng=np.random.default_rng(0))
+    net.sync_target(env.columns)
+    synced = net.target_max.copy()
+    assert synced.shape == (len(env.columns) + 1,) and synced[-1] == 0.0
+    net.biases[-1][:] += 1.0
+    assert np.array_equal(net.target_max, synced)
+    net.sync_target(env.columns)
+    assert net.target_max == pytest.approx(synced + np.append(np.ones(len(env.columns)), 0.0))
+    assert np.array_equal(net.target_max,
+                          np.append(state_maxima(net, env.score, env.encoding), 0.0))
 
 
 def test_train_step_at_fixpoint_is_a_noop():
@@ -162,12 +168,15 @@ def test_train_step_reduces_loss():
     assert net.train_step(states, actions, targets, learning_rate=0.0) < before
 
 
-def test_train_step_leaves_target_weights_alone():
-    net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
-    frozen = [w.copy() for w in net.target_weights]
-    net.train_step(np.eye(4), [1, 2, 3, 4], np.array([1.0, 1.0, 1.0, 1.0]), 0.1)
-    for w, f in zip(net.target_weights, frozen):
-        assert np.array_equal(w, f)
+def test_train_step_leaves_the_target_table_alone():
+    env = _small_env()
+    net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(1))
+    net.sync_target(env.columns)
+    frozen = net.target_max.copy()
+    theta = net.theta.copy()
+    net.train_step(net.one_hot(env.columns[:4]), [1, 2, 3, 4], np.ones(4), 0.1)
+    assert not np.array_equal(net.theta, theta)
+    assert np.array_equal(net.target_max, frozen)
 
 
 def test_non_finite_targets_raise_training_error():
@@ -205,7 +214,6 @@ def test_flat_buffers_back_the_layer_views():
     net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
     assert net.theta.size == 4 * 6 + 6 * 5 + 6 + 5
     for views, buffer in ((net.weights + net.biases, net.theta),
-                          (net.target_weights + net.target_biases, net.target_theta),
                           (net.grad_weights + net.grad_biases, net.grad)):
         assert all(np.shares_memory(v, buffer) for v in views)
     assert np.array_equal(net.theta, np.concatenate(
@@ -302,19 +310,19 @@ def _batch(rewards, next_states, actions=None):
 def test_terminal_target_is_the_reward():
     env = _small_env()
     net = _fixed_q_net([100.0] * 5, input_dim=env.input_dim)
-    net.sync_target()                  # must be ignored for terminal transitions
+    net.sync_target(env.columns)       # must be ignored for terminal transitions
     batch = _batch([-10.0, 1.0], [-1, -1], actions=[1, 2])
-    assert np.array_equal(compute_targets(batch, net, 0.95, env), [-10.0, 1.0])
+    assert np.array_equal(compute_targets(batch, net, 0.95), [-10.0, 1.0])
 
 
 def test_bootstrap_uses_target_network_only():
     env = _small_env()
     net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [2.0, 0.0, 0.0, 0.0, 0.0]
-    net.sync_target()                  # target says max Q = 2
+    net.sync_target(env.columns)       # target says max Q = 2
     net.biases[-1][:] = 0.0            # online says max Q = 0
     batch = _batch([-1.0], [5], actions=[3])
-    y = compute_targets(batch, net, 0.95, env)
+    y = compute_targets(batch, net, 0.95)
     assert y.shape == (1,)
     assert y[0] == pytest.approx(-1.0 + 0.95 * 2.0)
 
@@ -322,19 +330,19 @@ def test_bootstrap_uses_target_network_only():
 def test_gamma_zero_targets_are_rewards():
     env = _small_env()
     net = _fixed_q_net([7.0] * 5, input_dim=env.input_dim)
-    net.sync_target()
+    net.sync_target(env.columns)
     batch = _batch([1.0, -1.0], [5, 6], actions=[1, 2])
-    assert np.array_equal(compute_targets(batch, net, 0.0, env), [1.0, -1.0])
+    assert np.array_equal(compute_targets(batch, net, 0.0), [1.0, -1.0])
 
 
 def test_mixed_batch_targets():
     env = _small_env()
     net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [0.0, 3.0, 0.0, 0.0, 0.0]
-    net.sync_target()
+    net.sync_target(env.columns)
     net.biases[-1][:] = 0.0
     batch = _batch([1.0, -10.0, -1.0], [5, -1, 9], actions=[1, 1, 5])
-    y = compute_targets(batch, net, 0.5, env)
+    y = compute_targets(batch, net, 0.5)
     assert y == pytest.approx([1.0 + 0.5 * 3.0, -10.0, -1.0 + 0.5 * 3.0])
 
 
@@ -343,11 +351,12 @@ def test_targets_read_the_successor_features():
     # features, one row per live transition
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(2))
+    net.sync_target(env.columns)
     batch = _batch([0.5, 0.25, -1.0], [7, -1, 13], actions=[2, 4, 1])
-    y = compute_targets(batch, net, 0.9, env)
-    expected = [0.5 + 0.9 * net.forward(net.one_hot(env.columns[[7]]), target=True).max(),
+    y = compute_targets(batch, net, 0.9)
+    expected = [0.5 + 0.9 * net.forward(net.one_hot(env.columns[[7]])).max(),
                 0.25,
-                -1.0 + 0.9 * net.forward(net.one_hot(env.columns[[13]]), target=True).max()]
+                -1.0 + 0.9 * net.forward(net.one_hot(env.columns[[13]])).max()]
     assert y == pytest.approx(expected, rel=1e-12)
 
 
@@ -468,16 +477,6 @@ def test_config_validation():
 
 # --- training loop ---------------------------------------------------------
 
-def _reference_targets(batch, net, gamma, env):
-    """The per-batch forward of every live successor, uncached."""
-    y = batch.rewards.copy()
-    live = batch.next_states >= 0
-    if live.any():
-        y[live] += gamma * net.forward(net.one_hot(env.columns[batch.next_states[live]]),
-                                       target=True).max(axis=1)
-    return y
-
-
 @given(scores(max_notes=30), st.sampled_from(ENCODINGS), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 0.5, 0.95, 1.0]),
        st.lists(st.one_of(st.sampled_from(["sync", "step"]),
@@ -487,19 +486,24 @@ def _reference_targets(batch, net, gamma, env):
                               st.sampled_from([0, 1, 2, k])))),
                 min_size=4, max_size=16))
 @settings(max_examples=100, deadline=None)
-def test_cached_targets_equal_the_per_batch_forward_bit_for_bit(score, encoding, seed,
-                                                                gamma, ops):
-    # syncs, online steps and batches in any order; live counts 0..32,
-    # one live row, and batches whose only stale successor is one row
+def test_targets_equal_a_forward_of_the_last_synced_weights_bit_for_bit(
+        score, encoding, seed, gamma, ops):
+    # syncs, online steps and batches in any order; live counts 0..32.
+    # ``synced`` is a copy of the net made at the last sync.  Two or more
+    # live successors get the bits of one forward of the batch's
+    # successor rows through it, a lone one the bits of its row in the
+    # forward over every state (one row alone would take numpy's
+    # one-row path, which rounds differently)
     env = FingeringEnv(score, encoding=encoding_for(score, encoding))
     rng = np.random.default_rng(seed)
     net = QNetwork(env.input_dim, rng=rng)
-    cache = TargetMaxima(len(env.columns))
+    synced = QNetwork(env.input_dim, rng=np.random.default_rng(0))
     n_states = len(env.columns)
     seen = np.empty(0, dtype=np.intp)
-    for op in ops:
+    for op in ["sync", *ops]:
         if op == "sync":
-            net.sync_target()
+            net.sync_target(env.columns)
+            synced.theta[:] = net.theta
         elif op == "step":   # moves the online set only
             net.theta += rng.normal(scale=0.05, size=net.theta.size)
         else:
@@ -512,25 +516,41 @@ def test_cached_targets_equal_the_per_batch_forward_bit_for_bit(score, encoding,
             # rewards small beside the Q-values, so a last-bit change survives the sum
             batch = Batch(rng.integers(0, n_states, k), rng.integers(1, 6, k),
                           rng.normal(scale=1e-3, size=k), next_states)
-            expected = _reference_targets(batch, net, gamma, env)
-            assert np.array_equal(compute_targets(batch, net, gamma, env, cache), expected)
-            assert np.array_equal(compute_targets(batch, net, gamma, env), expected)
-            if m >= 2:
-                assert (cache.version[ids] == net.target_version).all()
+            live = next_states >= 0
+            expected = batch.rewards.copy()
+            if m == 1:
+                every_state = synced.forward(synced.one_hot(env.columns)).max(axis=1)
+                expected[live] += gamma * every_state[next_states[live]]
+            elif m:
+                expected[live] += gamma * synced.forward(
+                    synced.one_hot(env.columns[next_states[live]])).max(axis=1)
+            assert np.array_equal(compute_targets(batch, net, gamma), expected)
             seen = np.union1d(seen, ids)
 
 
-def test_targets_read_fresh_entries_and_refill_after_a_sync():
-    env = _small_env()
-    net = QNetwork(env.input_dim, rng=np.random.default_rng(5))
-    cache = TargetMaxima(len(env.columns))
-    batch = _batch([0.0, 0.0, 0.0], [5, 6, 7])
-    compute_targets(batch, net, 0.9, env, cache)
-    cache.values[[5, 6, 7]] = [1.0, 2.0, 3.0]   # fresh entries are read, not recomputed
-    assert np.array_equal(compute_targets(batch, net, 1.0, env, cache), [1.0, 2.0, 3.0])
-    net.sync_target()                            # a sync makes every entry stale
-    assert np.array_equal(compute_targets(batch, net, 0.9, env, cache),
-                          _reference_targets(batch, net, 0.9, env))
+@pytest.mark.parametrize("target_sync", [1, 3, 7, 10**9])
+def test_train_syncs_before_the_first_step_and_every_target_sync_steps(monkeypatch,
+                                                                        target_sync):
+    # 1 + floor(gradient steps / target_sync) fills, the first before any
+    # step: the count the benchmark's agent.sync_target span reports
+    calls = []
+
+    def counted(name):
+        method = getattr(QNetwork, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return wrapper
+
+    for name in ("sync_target", "train_step"):
+        monkeypatch.setattr(QNetwork, name, counted(name))
+    train(_small_env(), TrainConfig(episodes=9, seed=0, batch_size=4, target_sync=target_sync,
+                                    learning_rate=0.05))
+    steps = calls.count("train_step")
+    assert steps == 9 * 4 - 3   # one per transition once the ring holds a batch
+    assert calls[0] == "sync_target"
+    assert calls.count("sync_target") == 1 + steps // target_sync
 
 
 def _small_env():

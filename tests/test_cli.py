@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import os
 import re
 import shlex
 import subprocess
@@ -561,6 +562,47 @@ def test_module_entry_point_usage_error():
     )
     assert proc.returncode == 1
     assert "usage" in proc.stderr.lower()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a real file's, for main to point at devnull."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_a_closed_stdout_exits_141_and_points_it_at_devnull(tmp_path, capsys):
+    with open(tmp_path / "stdout", "w") as file:
+        with contextlib.redirect_stdout(_ClosedPipe(file.fileno())):
+            assert main(["train", "--ex", "2", "--episodes", "2", "--seeds", "3"]) == 141
+        stat, devnull = os.fstat(file.fileno()), os.stat(os.devnull)
+        assert (stat.st_dev, stat.st_ino) == (devnull.st_dev, devnull.st_ino)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_pipe_exits_141_with_nothing_on_stderr(unbuffered):
+    # buffered, the pipe's close shows at main's flush; unbuffered, at the first print
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pianofinger", "train", "--ex", "2", "--episodes", "2",
+             "--seeds", "3"],
+            stdout=write, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # --- the option surface ---------------------------------------------------------

@@ -8,11 +8,12 @@ any change to the training loop that moves a single bit of any seed's
 history shows up as a failure.  A speedup has to keep these; a change
 that means to alter histories has to say so and record new values.
 
-Three more runs pin the edges of the per-state target cache: EX2 with
-one-row batches (every bootstrap takes numpy's vector path), EX2 with a
-sync after every gradient step (the cache goes stale every step), and a
-seeded 200-note random walk under the full-keyboard encoding (995
-states, more than one sync window fills).
+Three more runs pin the edges of the table of delayed maxima that the
+bootstrap targets read: EX2 with one-row SGD batches (each step's forward
+and backward take numpy's one-row path), EX2 with a sync after every
+gradient step (the table is refilled every step), and a seeded 200-note
+random walk under the full-keyboard encoding (each fill is 995 states
+wide, and more than one sync happens).
 
 The tabular learner is pinned the same way: criterion 10's run on each
 melody (seed 0, 2000 episodes, gamma 1, alpha 0.5) hashed over its
@@ -60,8 +61,8 @@ GOLDEN = {
 GOLDEN_EPISODES = 40
 
 GOLDEN_EDGES = {
-    "EX2-batch1": ("2686f5ec3b273ab892bba315603b66b533d5aced5591e7ac26641b80f61f8fba",
-                   "ed7db56395ecf79a69c32fb322a35c85dc21fb799b3cc26dcbee8b97536ff3c1"),
+    "EX2-batch1": ("4261c7ab08aa0eb909562a3934eb4a5f381b08f363b1e34f1499bf7c50dffeec",
+                   "6392561eae8ea2828e5c319899653671c1eb5e0e2f5a9e0e5f2ec775c9291c40"),
     "EX2-sync1": ("4a58839e2813853d18e10e8e6f5848a20aa52564397347103740dd1eeb8519ee",
                   "18aafc37f859c3702b05004ae08a86cbaba475141ce4fb89e9bc84899097d6ed"),
     "walk200-88": ("34c8b2fcbd5340ab352ad80412ec7ff17fe4d01fd6d8079391b698a6b05c2655",
