@@ -11,15 +11,28 @@ The hot loop runs on arrays, not objects.  ``train`` steps the integer
 state ids of ``FingeringEnv``, whose per-score tables give each step's
 reward and successor and each state's three one-hot columns, and
 ``greedy_rollout`` is one ``env.walk``.  The network takes one input form, a
-(rows, input_dim) array: ``net.one_hot(env.columns[ids])`` writes those
-rows into one buffer, and acting (one row), target fills and the SGD
-batch all read them from there.  The replay ring is four preallocated
-arrays (state id, action, reward, next state id; next id -1 marks a
-terminal step), and the network keeps its parameters and their
-gradient in one flat float64 buffer each, so an SGD step and its
-finiteness check are one array operation each.  A training step writes
-its activations and deltas into arrays the network allocates once per
-batch size, with ``out=``.
+(rows, input_dim) array.  ``train`` builds the input table
+``inputs = net.one_hot(env.columns)``, one row per state id, once per
+run: acting reads the view ``inputs[s:s+1]``, the SGD batch gathers
+``inputs[states]`` and each sync reads the whole table.  The rows are
+exact 0/1 floats, so they are the bits a row built per call would hold.
+The replay ring is four preallocated arrays (state id, action, reward,
+next state id; next id -1 marks a terminal step), and the network keeps
+its parameters and their gradient in one flat float64 buffer each, so
+an SGD step and its finiteness check are one array operation each.  A
+training step writes its activations and deltas into arrays the network
+allocates once per batch size, with ``out=``.
+
+One generator, ``default_rng(seed)``, makes every draw.  ``QNetwork``
+draws its initial weights with ``uniform``; then ``train`` hands the
+bit generator to ``Draws``, which replays the rest from raw PCG64
+words: per episode, each step's explore pick (a ``random()`` only when
+epsilon > 0, then ``integers(1, 6)`` if it falls below epsilon) and,
+once the ring holds a batch, its replay slots
+(``integers(0, len(ring), size=batch_size)``).  An episode's draws
+depend only on epsilon, the step count and the ring size at each step,
+never on the net, so they are made before the episode runs, and every
+history is the per-call generator's bit for bit.
 
 The learner reads one thing from the delayed network: max_a Q_target(s', a)
 of a successor state, which changes only at a sync.  A score of L notes
@@ -30,9 +43,8 @@ stores each row's max, then a 0.0 that next id -1 (terminal) reads.  A
 bootstrap target is then one gather.  A sync costs 5(L-1) rows, never
 more than the batch_size * target_sync successor rows one sync window
 samples (3200 at the defaults) while L <= 641.  For a very long score
-the fill's one-hot block grows to 5(L-1) * input_dim floats, about 21 MB
-at 3000 notes under the 88-key encoding, and the input buffer keeps
-that size.
+the input table holds 5(L-1) * input_dim floats, about 21 MB at 3000
+notes under the 88-key encoding, for the whole run.
 """
 
 from __future__ import annotations
@@ -77,7 +89,8 @@ class Batch(NamedTuple):
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring sampled uniformly with replacement.
+    """Fixed-capacity FIFO ring, read at the slots the draws pick
+    uniformly with replacement.
 
     Slot ``i`` of the four arrays holds the ``i``-th transition pushed
     until the ring is full; after that each push overwrites the oldest.
@@ -106,13 +119,14 @@ class ReplayBuffer:
         if self._size < self.capacity:
             self._size += 1
 
-    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+    def sample(self, slots) -> Batch:
+        """The transitions in ring slots ``slots`` (each below ``len(self)``),
+        as one Batch; ``Draws.episode`` draws the slots."""
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._size, size=k)
         ring = self._ring
-        return Batch(ring.states[idx], ring.actions[idx], ring.rewards[idx],
-                     ring.next_states[idx])
+        return Batch(ring.states[slots], ring.actions[slots], ring.rewards[slots],
+                     ring.next_states[slots])
 
 
 class _BatchBuffers(NamedTuple):
@@ -171,8 +185,6 @@ class QNetwork:
         self._step = np.empty(n_params)      # learning_rate * grad
         self._finite = np.empty(n_params, dtype=bool)
         self._batch_buffers: Optional[_BatchBuffers] = None
-        self._inputs = np.empty((0, input_dim))   # one_hot's rows
-        self._input_rows = np.empty((0, 1), dtype=np.intp)
 
     def _buffers(self, rows: int) -> _BatchBuffers:
         """The preallocated arrays of a ``rows``-row batch, made anew only
@@ -189,24 +201,18 @@ class QNetwork:
         return buffers
 
     def one_hot(self, columns: np.ndarray) -> np.ndarray:
-        """Input rows for a (rows, 3) array of ``env.columns`` rows: 1.0
-        at each row's three columns, 0.0 elsewhere.  They are the first
-        ``rows`` rows of one buffer, grown to the most rows asked for, so
-        they hold only until the next call."""
-        rows = len(columns)
-        if rows > len(self._inputs):
-            self._inputs = np.empty((rows, self.input_dim))
-            self._input_rows = np.arange(rows)[:, None]
-        x = self._inputs[:rows]
-        x.fill(0.0)
-        x[self._input_rows[:rows], columns] = 1.0
+        """Input rows, a new (rows, input_dim) array, for a (rows, 3) array
+        of ``env.columns`` rows: 1.0 at each row's three columns, 0.0
+        elsewhere."""
+        x = np.zeros((len(columns), self.input_dim))
+        x[np.arange(len(columns))[:, None], columns] = 1.0
         return x
 
-    def sync_target(self, columns: np.ndarray) -> None:
+    def sync_target(self, inputs: np.ndarray) -> None:
         """Refill ``target_max`` from the online parameters: one forward
-        over the input rows of ``columns`` (every state's ``env.columns``
-        row, in state-id order), each row's max, then 0.0."""
-        self.target_max = np.append(self.forward(self.one_hot(columns)).max(axis=1), 0.0)
+        over ``inputs`` (every state's input row, in state-id order, as
+        ``one_hot(env.columns)`` gives them), each row's max, then 0.0."""
+        self.target_max = np.append(self.forward(inputs).max(axis=1), 0.0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values, a new (rows, 5) array, for a (rows, input_dim) array
@@ -331,18 +337,12 @@ def epsilon_at(config: TrainConfig, episode: int) -> float:
     return config.epsilon_start + t * (config.epsilon_end - config.epsilon_start)
 
 
-def select_action(net: QNetwork, state_row: np.ndarray, epsilon: float,
-                  rng: Optional[np.random.Generator] = None) -> int:
-    """Epsilon-greedy finger for a (1, input_dim) input row; greedy ties
-    break to the lowest finger.
+def select_action(net: QNetwork, state_row: np.ndarray) -> int:
+    """Greedy finger for a (1, input_dim) input row; ties break to the
+    lowest finger.
 
-    Raises TrainingError if the greedy pick's Q-value is not finite (a
-    NaN anywhere in the Q-vector is picked first)."""
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("exploration (epsilon > 0) needs an rng")
-        if rng.random() < epsilon:
-            return int(rng.integers(1, 6))
+    Raises TrainingError if the pick's Q-value is not finite (a NaN
+    anywhere in the Q-vector is picked first)."""
     q, = net.forward(state_row)
     a = int(q.argmax())
     if not math.isfinite(q[a]):
@@ -355,6 +355,180 @@ def compute_targets(batch: Batch, net: QNetwork, gamma: float) -> np.ndarray:
     ``net.target_max``; a terminal step (next id -1) reads its 0.0, so
     its target is r."""
     return batch.rewards + gamma * net.target_max[batch.next_states]
+
+
+class Draws:
+    """The draws ``Generator(bits)`` makes for the learners, replayed from
+    blocks of raw PCG64 words.
+
+    ``random()`` is ``(w >> 11) * 2**-53`` of one word ``w``.
+    ``integers(0, n)``, for 1 < n < 2**32, is Lemire's multiply-shift
+    ``(h * n) >> 32`` on the next 32-bit half ``h``: the low half of a
+    fresh word, whose high half PCG64 keeps for the next such draw (its
+    ``has_uint32`` buffer, read here at the hand-over), and a half with
+    ``(h * n) mod 2**32 < 2**32 mod n`` is rejected for the one after
+    it.  ``integers(0, 1)`` draws nothing.  Each block keeps its words'
+    halves, their uniforms and the ``integers(1, 6) - 1`` of each half
+    (-1 if rejected), indexed by word; ``_pending`` is the word whose
+    high half waits (-1 if none).
+
+    The learners' draw schedules depend only on epsilon, the step count
+    and the ring size at each step, never on what they learn, so each
+    episode's draws are made before it runs.
+    """
+
+    def __init__(self, bits: np.random.PCG64, block: int = 4096):
+        self._bits, self._block = bits, block
+        self._halves = np.empty(0, dtype=np.uint32)   # low, high of each word
+        self._uniform, self._low, self._high = [], [], []
+        self._next = 0
+        self._pending = -1
+        state = bits.state
+        if state["has_uint32"]:   # a word whose high half is the buffered one
+            self._append(np.array([state["uinteger"] << 32], dtype=np.uint64))
+            self._next, self._pending = 1, 0
+
+    def _append(self, words: np.ndarray) -> None:
+        halves = words.astype("<u8", copy=False).view("<u4")
+        self._halves = np.concatenate((self._halves, halves))
+        self._uniform += ((words >> 11) * 2.0**-53).tolist()
+        for picks, half in ((self._low, halves[0::2]), (self._high, halves[1::2])):
+            finger = (half.astype(np.uint64) * 5 >> 32).astype(np.int64)
+            picks += np.where(half == 0, -1, finger).tolist()
+
+    def _more(self) -> None:
+        self._append(self._bits.random_raw(self._block))
+
+    def _reserve(self, words: int) -> None:
+        """Make sure ``words`` unread words are at hand: if they are not,
+        drop the words read and no longer pending and read blocks."""
+        if len(self._uniform) - self._next >= words:
+            return
+        keep = self._pending if self._pending >= 0 else self._next
+        del self._uniform[:keep], self._low[:keep], self._high[:keep]
+        self._halves = self._halves[2 * keep:]
+        self._next -= keep
+        if self._pending >= 0:
+            self._pending -= keep
+        while len(self._uniform) - self._next < words:
+            self._more()
+
+    def explore(self, eps: float, steps: int) -> list:
+        """The tabular learner's episode: each step's
+        ``rng.integers(1, 6) - 1`` if ``rng.random() < eps``, else -1
+        (greedy)."""
+        self._reserve(2 * steps)   # a step reads at most two words
+        uniform, low, high = self._uniform, self._low, self._high
+        i, pending = self._next, self._pending
+        picks = []
+        for _ in range(steps):
+            u = uniform[i]
+            i += 1
+            if u >= eps:
+                picks.append(-1)
+                continue
+            while True:
+                if pending < 0:
+                    pick, pending = low[i], i
+                    i += 1
+                else:
+                    pick, pending = high[pending], -1
+                if pick >= 0:
+                    break
+                self._more()   # a rejected half may read past the two words a step
+            picks.append(pick)
+        self._next, self._pending = i, pending
+        return picks
+
+    def episode(self, eps: float, steps: int, size: int, capacity: int, batch: int):
+        """The replay learner's episode, from a ring holding ``size`` of
+        ``capacity`` transitions: each step's explore pick
+        (``rng.integers(1, 6) - 1`` if ``eps > 0`` and
+        ``rng.random() < eps``, else -1) and its replay slots
+        (``rng.integers(0, n, size=batch)`` once the ring holds n >=
+        batch transitions, else None).
+
+        Steps are walked on word counts alone and the slots made in one
+        multiply-shift; an episode with a rejected half is walked again
+        draw by draw."""
+        self._reserve(steps * (2 + (batch + 1) // 2))   # words a step reads, no rejection
+        uniform, low, high = self._uniform, self._low, self._high
+        i, pending = self._next, self._pending
+        picks, rows = [], []   # rows: first half, base of the rest, n, 2**32 mod n
+        for s in range(steps):
+            pick = -1
+            if eps > 0.0:
+                u = uniform[i]
+                i += 1
+                if u < eps:
+                    if pending < 0:
+                        pick, pending = low[i], i
+                        i += 1
+                    else:
+                        pick, pending = high[pending], -1
+                    if pick < 0:
+                        return self._drawn(eps, steps, size, capacity, batch)
+            picks.append(pick)
+            n = min(size + s + 1, capacity)
+            if n < batch:
+                continue
+            if n == 1:
+                rows.append((0, 0, 1, 0))
+                continue
+            if pending < 0:
+                rows.append((2 * i, 2 * i, n, 2**32 % n))
+                fresh = batch
+            else:
+                rows.append((2 * pending + 1, 2 * i - 1, n, 2**32 % n))
+                fresh, pending = batch - 1, -1
+            i += fresh >> 1
+            if fresh & 1:   # the last fresh half is word i's low; its high waits
+                pending = i
+                i += 1
+        slots = []
+        if rows:
+            r = np.array(rows, dtype=np.uint64)
+            idx = r[:, 1:2] + np.arange(batch, dtype=np.uint64)
+            idx[:, 0] = r[:, 0]
+            m = self._halves[idx] * r[:, 2:3]
+            if (m & 0xFFFFFFFF < r[:, 3:]).any():
+                return self._drawn(eps, steps, size, capacity, batch)
+            slots = list((m >> 32).astype(np.intp))
+        self._next, self._pending = i, pending
+        return picks, [None] * (steps - len(slots)) + slots
+
+    def _drawn(self, eps, steps, size, capacity, batch):
+        """``episode`` one draw at a time, rejections included."""
+        picks, slots = [], []
+        for s in range(steps):
+            picks.append(self._integer(5) if eps > 0.0 and self._random() < eps else -1)
+            n = min(size + s + 1, capacity)
+            slots.append(np.array([self._integer(n) for _ in range(batch)], dtype=np.intp)
+                         if n >= batch else None)
+        return picks, slots
+
+    def _random(self) -> float:
+        if self._next == len(self._uniform):
+            self._more()
+        self._next += 1
+        return self._uniform[self._next - 1]
+
+    def _integer(self, n: int) -> int:
+        """``integers(0, n)``."""
+        if n == 1:
+            return 0
+        threshold = 2**32 % n
+        while True:
+            if self._pending >= 0:
+                half, self._pending = int(self._halves[2 * self._pending + 1]), -1
+            else:
+                if self._next == len(self._uniform):
+                    self._more()
+                half, self._pending = int(self._halves[2 * self._next]), self._next
+                self._next += 1
+            m = half * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
 
 
 @dataclass(frozen=True)
@@ -381,30 +555,33 @@ def train(env: FingeringEnv, config: TrainConfig,
     """
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
+    draws = Draws(rng.bit_generator, block=1024)   # ~60 steps of words; 4096 costs ~0.3 MB
     buffer = ReplayBuffer(config.replay_capacity)
-    columns = env.columns
-    net.sync_target(columns)
+    inputs = net.one_hot(env.columns)
+    net.sync_target(inputs)
+    steps = len(env.score) - 1
     history: list[EpisodeRecord] = []
     grad_steps = 0
     for episode in range(config.episodes):
         eps = epsilon_at(config, episode)
+        picks, slot_rows = draws.episode(eps, steps, len(buffer), config.replay_capacity,
+                                         config.batch_size)
         state = env.start_id
         total = 0.0
         losses: list[float] = []
         try:
-            while state >= 0:
-                action = select_action(net, net.one_hot(columns[state:state + 1]), eps, rng)
+            for pick, slots in zip(picks, slot_rows):
+                action = pick + 1 if pick >= 0 else select_action(net, inputs[state:state + 1])
                 reward, nxt = env.transition(state, action)
                 buffer.push(state, action, reward, nxt)
-                if len(buffer) >= config.batch_size:
-                    batch = buffer.sample(config.batch_size, rng)
+                if slots is not None:   # the ring holds a full batch
+                    batch = buffer.sample(slots)
                     targets = compute_targets(batch, net, config.gamma)
-                    losses.append(net.train_step(net.one_hot(columns[batch.states]),
-                                                 batch.actions, targets,
-                                                 config.learning_rate))
+                    losses.append(net.train_step(inputs.take(batch.states, axis=0),
+                                                 batch.actions, targets, config.learning_rate))
                     grad_steps += 1
                     if grad_steps % config.target_sync == 0:
-                        net.sync_target(columns)
+                        net.sync_target(inputs)
                 total += reward
                 state = nxt
         except TrainingError as exc:
@@ -420,4 +597,5 @@ def train(env: FingeringEnv, config: TrainConfig,
 def greedy_rollout(net: QNetwork, env: FingeringEnv):
     """The env's walk at epsilon = 0, consuming no RNG: (fingering
     including the score's given first finger, total reward)."""
-    return env.walk(lambda s: select_action(net, net.one_hot(env.columns[s:s + 1]), 0.0))
+    inputs = net.one_hot(env.columns)
+    return env.walk(lambda s: select_action(net, inputs[s:s + 1]))

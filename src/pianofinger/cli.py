@@ -25,7 +25,7 @@ from .experiments import (
     export_history,
     read_fingering,
 )
-from .oracle import FingeringError, count_position_changes, dp_optimal, fingering_total_reward
+from .oracle import FingeringError, count_position_changes, dp_optimal, evaluate_fingering
 from .reward import RewardModel
 from .score import (Score, ScoreError, integer, lines, mirror_for_left_hand, number, parse_score,
                     read_text, serialize_score)
@@ -206,12 +206,10 @@ def _cmd_eval(args) -> int:
             raise FingeringError(f"fingering file pitches do not match the score: note {i} "
                                  f"is {pitch} in the file, {expected} in the score")
     fingering = [f for _, f in pairs]
-    model = RewardModel()
-    total = fingering_total_reward(score, fingering, model)
-    changes = _position_changes(score, fingering, model)
+    total, changes = evaluate_fingering(score, fingering, RewardModel())
     print(f"total_reward: {total:.6f}")
-    print(f"feasible: {'false' if changes == 'n/a' else 'true'}")
-    print(f"position_changes: {changes}")
+    print(f"feasible: {'false' if changes is None else 'true'}")
+    print(f"position_changes: {'n/a' if changes is None else changes}")
     return 0
 
 

@@ -7,14 +7,16 @@ score left to right, so a score of L notes is exactly L-1 decisions.
 The process is finite: a score of L notes has 5(L-1) states, numbered
 ``5 * index + (cf - 1)``.  ``FingeringEnv``, the only code that knows
 that numbering, tabulates each score once: the reward and the next
-state of every (state, finger) pair and the one-hot columns [finger |
-pitch | next pitch] of every state's input row.  Learners step through
-``transition`` or the tables, greedy rollouts are one ``walk``, and the
-Q-network builds input rows from ``columns`` (``QNetwork.one_hot``).
+state of every (state, finger) pair and, on first read, the one-hot
+columns [finger | pitch | next pitch] of every state's input row.
+Learners step through ``transition`` or the tables, greedy rollouts are
+one ``walk``, and the Q-network builds its input table from ``columns``
+(``QNetwork.one_hot``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,21 +74,28 @@ class FingeringEnv:
         self.score = score
         self.reward_model = reward_model if reward_model is not None else RewardModel()
         self.encoding = encoding if encoding is not None else StateEncoding.full_piano()
-        enc = self.encoding
         # fails fast if the window cannot hold the score
-        offsets = np.array([enc.pitch_index(p) for p in score.pitches])
+        self.encoding.pitch_index(min(score.pitches))
+        self.encoding.pitch_index(max(score.pitches))
         # rewards[5t + f - 1][g - 1]: reward for answering state (t, f) with g
         self.rewards = [cells for block in reward_rows(score, self.reward_model)
                         for cells in block]
         # next_ids[5t + f - 1][g - 1]: the state (t + 1, g), or -1 after the last note
         successors = [tuple(range(5 * t, 5 * t + 5)) for t in range(1, len(score) - 1)]
         self.next_ids = [ids for ids in successors + [(-1,) * 5] for _ in FINGERS]
-        # columns[5t + f - 1]: the one-hot positions of that state's input row
-        columns = np.empty((len(score) - 1, 5, 3), dtype=np.intp)
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """columns[5t + f - 1]: the one-hot positions of that state's
+        input row, built on the first read (the tabular learner never
+        reads them)."""
+        enc = self.encoding
+        offsets = np.array(self.score.pitches) - enc.min_pitch
+        columns = np.empty((len(self.score) - 1, 5, 3), dtype=np.intp)
         columns[:, :, 0] = np.arange(5)
         columns[:, :, 1] = 5 + offsets[:-1, None]
         columns[:, :, 2] = 5 + enc.width + offsets[1:, None]
-        self.columns = columns.reshape(-1, 3)
+        return columns.reshape(-1, 3)
 
     @property
     def input_dim(self) -> int:

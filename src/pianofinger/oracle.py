@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .agent import TrainConfig, epsilon_at
+from .agent import Draws, TrainConfig, epsilon_at
 from .env import FingeringEnv
 from .reward import RewardModel, reward_rows
 from .score import FINGERS, Score, ScoreSizeError
@@ -122,10 +122,7 @@ def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel]
     """Total reward of a complete fingering, added one transition at a
     time from 0.0, left to right, as ``dp_optimal`` adds it (``sum``
     compensates from Python 3.12 on and can round differently)."""
-    total = 0.0
-    for r in _rewards_along(score, fingering, model):
-        total += r
-    return total
+    return evaluate_fingering(score, fingering, model)[0]
 
 
 def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None) -> int:
@@ -144,6 +141,19 @@ def count_position_changes(score: Score, fingering, model: Optional[RewardModel]
             f"{fingering[t + 1]} on {pitches[t + 1]}) is infeasible"
         )
     return rewards.count(model.r_move)
+
+
+def evaluate_fingering(score: Score, fingering,
+                       model: Optional[RewardModel] = None) -> tuple[float, Optional[int]]:
+    """``fingering_total_reward`` and ``count_position_changes`` from one
+    read of the fingering's rewards; the count is None where
+    ``count_position_changes`` raises, for an infeasible transition."""
+    model = model if model is not None else RewardModel()
+    rewards = _rewards_along(score, fingering, model)
+    total = 0.0
+    for r in rewards:
+        total += r
+    return total, None if model.r_infeasible in rewards else rewards.count(model.r_move)
 
 
 _FINGER_INDEX = {f: f - 1 for f in FINGERS}
@@ -203,59 +213,6 @@ class TabularQ:
         return self.env.walk(lambda state: row_of[state].index(max(row_of[state])) + 1)
 
 
-class _Draws:
-    """The draws of ``Generator(bits)`` that exploration makes, replayed
-    from blocks of raw PCG64 words.  ``random()`` is ``(w >> 11) * 2**-53``
-    of one word ``w``.  ``integers(1, 6)`` is Lemire's multiply-shift on
-    the next 32 bits: the low half of a fresh word, whose high half PCG64
-    keeps for the next such draw (its ``has_uint32`` buffer), and a zero
-    half is rejected for the 32 bits after it."""
-
-    def __init__(self, bits: np.random.PCG64, block: int = 4096):
-        self._bits, self._block = bits, block
-        self._uniform, self._low, self._high = [], [], []
-        self._next = 0
-        self._pending = None   # the buffered high half, as a pick
-
-    def _more(self) -> None:
-        """Append a block: each word's ``random()`` and the
-        ``integers(1, 6) - 1`` of its low and high halves (-1 if zero)."""
-        words = self._bits.random_raw(self._block)
-        self._uniform += ((words >> 11) * 2.0**-53).tolist()
-        for picks, half in ((self._low, words & 0xFFFFFFFF), (self._high, words >> 32)):
-            picks += np.where(half == 0, -1, (half * 5 >> 32).astype(np.int64)).tolist()
-
-    def episode(self, eps: float, steps: int) -> list:
-        """Each step's ``rng.integers(1, 6) - 1`` if ``rng.random() < eps``,
-        else -1 (greedy)."""
-        uniform, low, high = self._uniform, self._low, self._high
-        i, pending = self._next, self._pending
-        if len(uniform) - i < 2 * steps:   # a step reads at most two words
-            del uniform[:i], low[:i], high[:i]
-            i = 0
-            while len(uniform) < 2 * steps:
-                self._more()
-        picks = []
-        for _ in range(steps):
-            u = uniform[i]
-            i += 1
-            if u >= eps:
-                picks.append(-1)
-                continue
-            while True:
-                if pending is None:
-                    pick, pending = low[i], high[i]
-                    i += 1
-                else:
-                    pick, pending = pending, None
-                if pick >= 0:
-                    break
-                self._more()   # a rejected half may read past the two words a step
-            picks.append(pick)
-        self._next, self._pending = i, pending
-        return picks
-
-
 def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
                     config: TrainConfig, alpha: float = 0.5) -> TabularQ:
     """One-step Q-learning on the raw state tuples (no function
@@ -271,8 +228,8 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     rows equal those of a walk over (finger, pitch, next pitch) keys
     with ``RewardModel.reward`` bit for bit.  Each step draws
     ``random() < eps`` and, if so, ``integers(1, 6)`` from
-    ``default_rng(config.seed)``; ``_Draws`` replays both from the same
-    raw words, so the stream and the rows are the per-call ones."""
+    ``default_rng(config.seed)``; ``Draws.explore`` replays both from the
+    same raw words, so the stream and the rows are the per-call ones."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     env = FingeringEnv(score, reward_model)
@@ -282,10 +239,10 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
     row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
               for t in range(len(pitches) - 1) for f in FINGERS]
     gamma = config.gamma
-    draws = _Draws(np.random.PCG64(config.seed))
+    draws = Draws(np.random.PCG64(config.seed))
     for episode in range(config.episodes):
         state = env.start_id
-        for pick in draws.episode(epsilon_at(config, episode), len(pitches) - 1):
+        for pick in draws.explore(epsilon_at(config, episode), len(pitches) - 1):
             row = row_of[state]
             action = pick if pick >= 0 else row.index(max(row))   # the first maximum
             target = rewards[state][action]

@@ -1,11 +1,14 @@
 """Reference code the tests check the package against: finite-difference
 gradients, the replay ring's contents in push order, dense one-hot rows
-built from a state's (finger, pitch, next pitch), and each state's max
-Q-value computed from those rows."""
+built from a state's (finger, pitch, next pitch), each state's max
+Q-value computed from those rows, PCG64 streams with a zero word where a
+test wants one, and the replay training loop drawing from the generator
+one call at a time."""
 
 import numpy as np
 
-from pianofinger.agent import Batch, QNetwork
+from pianofinger.agent import (Batch, EpisodeRecord, QNetwork, ReplayBuffer, compute_targets,
+                               epsilon_at, select_action)
 from pianofinger.score import FINGERS
 
 
@@ -84,3 +87,64 @@ def state_maxima(net: QNetwork, score, enc):
     forward over the dense rows of all states."""
     rows = np.stack([one_hot_row(key, enc) for key in state_keys(score)])
     return net.forward(rows).max(axis=1)
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64(seed, zero_at=None, x=1):
+    """PCG64(seed), or its stream moved so that raw word ``zero_at``
+    (counted from 0) is 0: PCG64 steps its 128-bit state s to
+    s * mult + inc and outputs hi(s) ^ lo(s) rotated, which is 0 when the
+    stepped state is x * (2**64 + 1)."""
+    bits = np.random.PCG64(seed)
+    if zero_at is not None:
+        state = bits.state
+        inc = state["state"]["inc"]
+        s = x * (2**64 + 1)
+        for _ in range(zero_at + 1):
+            s = (s - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+        state["state"]["state"] = s
+        bits.state = state
+    return bits
+
+
+def reference_train(env, config):
+    """``agent.train``'s loop with every draw a ``Generator`` call and
+    every input row built when it is read: a step explores if
+    ``rng.random() < eps`` (drawn only when eps > 0) with
+    ``rng.integers(1, 6)``, and once the ring holds a batch samples
+    ``rng.integers(0, len(ring), size=batch_size)``.  Returns (net,
+    history)."""
+    rng = np.random.default_rng(config.seed)
+    net = QNetwork(env.input_dim, rng=rng)
+    buffer = ReplayBuffer(config.replay_capacity)
+    columns = env.columns
+    net.sync_target(net.one_hot(columns))
+    history = []
+    grad_steps = 0
+    for episode in range(config.episodes):
+        eps = epsilon_at(config, episode)
+        state = env.start_id
+        total = 0.0
+        losses = []
+        while state >= 0:
+            if eps > 0.0 and rng.random() < eps:
+                action = int(rng.integers(1, 6))
+            else:
+                action = select_action(net, net.one_hot(columns[state:state + 1]))
+            reward, nxt = env.transition(state, action)
+            buffer.push(state, action, reward, nxt)
+            if len(buffer) >= config.batch_size:
+                batch = buffer.sample(rng.integers(0, len(buffer), size=config.batch_size))
+                targets = compute_targets(batch, net, config.gamma)
+                losses.append(net.train_step(net.one_hot(columns[batch.states]), batch.actions,
+                                             targets, config.learning_rate))
+                grad_steps += 1
+                if grad_steps % config.target_sync == 0:
+                    net.sync_target(net.one_hot(columns))
+            total += reward
+            state = nxt
+        history.append(EpisodeRecord(episode, total, eps,
+                                     float(np.mean(losses)) if losses else 0.0))
+    return net, history

@@ -258,7 +258,7 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     # targets read the table filled at the last sync only: moving the
     # online set between two computations must not move y
     net = QNetwork(env.input_dim, hidden=(8,), rng=np.random.default_rng(0))
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     ids = np.arange(4, dtype=np.intp)
     batch = Batch(ids, ids % 5 + 1, np.full(4, -1.0), ids + 5)
     y_before = compute_targets(batch, net, 0.95)
@@ -278,7 +278,7 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     def maxima(net):
         return np.append(state_maxima(net, score, env.encoding), 0.0)
 
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     checks["sync_exact"] = np.array_equal(net.target_max, maxima(net))
 
     # sync cadence, seen from its endpoints: syncing after every

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pianofinger.agent import (
     Batch,
+    Draws,
     EpisodeRecord,
     QNetwork,
     ReplayBuffer,
@@ -20,11 +21,12 @@ from pianofinger.agent import (
     train,
 )
 from pianofinger.env import FingeringEnv, StateEncoding
-from pianofinger.experiments import ENCODINGS, encoding_for
+from pianofinger.experiments import ENCODINGS, build_experiment, default_train_config, encoding_for
 from pianofinger.oracle import dp_optimal
-from pianofinger.score import Score
+from pianofinger.score import FINGERS, Score
 
-from helpers import gradient_check, one_hot_row, replay_items, state_keys, state_maxima
+from helpers import (gradient_check, one_hot_row, pcg64, reference_train, replay_items,
+                     state_keys, state_maxima)
 from strategies import scores
 
 
@@ -85,7 +87,6 @@ def test_forward_shapes_and_width_check():
 
 
 def test_forward_returns_a_new_array_each_call():
-    # the input rows are one reused buffer; the Q-values are not
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(0))
     first = net.forward(net.one_hot(env.columns[:2]))
@@ -96,27 +97,22 @@ def test_forward_returns_a_new_array_each_call():
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_one_hot_rows_are_the_dense_rows_in_one_buffer(row_counts, seed):
+def test_one_hot_rows_are_the_dense_rows(row_counts, seed):
     # any sequence of row counts over one env: each call's rows are the
-    # dense reference rows, with no 1.0 left over from an earlier, larger
-    # call, and each shares memory with the largest call so far unless
-    # it grew the buffer
+    # dense reference rows in a new array, so an earlier call's rows stay
     score = Score.from_pitches([60, 62, 64, 72, 71, 60, 67, 65, 64, 62, 60], 3)
     enc = StateEncoding.for_score(score)
     env = FingeringEnv(score, encoding=enc)
     keys = state_keys(score)
     net = QNetwork(env.input_dim, hidden=(3,), rng=np.random.default_rng(0))
     rng = np.random.default_rng(seed)
-    widest = None
+    earlier = []
     for rows in row_counts:
         ids = rng.integers(0, len(keys), size=rows)
         x = net.one_hot(env.columns[ids])
         assert x.shape == (rows, env.input_dim)
-        assert np.array_equal(x, np.stack([one_hot_row(keys[i], enc) for i in ids]))
-        if widest is not None and rows <= len(widest):
-            assert np.shares_memory(x, widest)
-        else:
-            widest = x
+        earlier.append((x, np.stack([one_hot_row(keys[i], enc) for i in ids])))
+        assert all(np.array_equal(x, dense) for x, dense in earlier)
 
 
 def test_sync_target_copies_current_online_weights():
@@ -124,12 +120,12 @@ def test_sync_target_copies_current_online_weights():
     # state id, then the terminal 0.0
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(3,), rng=np.random.default_rng(0))
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     synced = net.target_max.copy()
     assert synced.shape == (len(env.columns) + 1,) and synced[-1] == 0.0
     net.biases[-1][:] += 1.0
     assert np.array_equal(net.target_max, synced)
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     assert net.target_max == pytest.approx(synced + np.append(np.ones(len(env.columns)), 0.0))
     assert np.array_equal(net.target_max,
                           np.append(state_maxima(net, env.score, env.encoding), 0.0))
@@ -171,7 +167,7 @@ def test_train_step_reduces_loss():
 def test_train_step_leaves_the_target_table_alone():
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(1))
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     frozen = net.target_max.copy()
     theta = net.theta.copy()
     net.train_step(net.one_hot(env.columns[:4]), [1, 2, 3, 4], np.ones(4), 0.1)
@@ -240,40 +236,37 @@ def test_gradient_check_small_net():
 
 def test_greedy_action_is_argmax_plus_one():
     net = _fixed_q_net([0.1, 0.9, 0.2, 0.2, 0.2])
-    assert select_action(net, np.zeros((1, 4)), 0.0) == 2
+    assert select_action(net, np.zeros((1, 4))) == 2
 
 
 def test_greedy_tie_breaks_to_lowest_finger():
     net = _fixed_q_net([0.5, 0.5, 0.0, 0.0, 0.0])
-    assert select_action(net, np.zeros((1, 4)), 0.0) == 1
-
-
-def test_exploration_requires_rng():
-    net = _fixed_q_net([0.0] * 5)
-    with pytest.raises(ValueError):
-        select_action(net, np.zeros((1, 4)), 0.5)
+    assert select_action(net, np.zeros((1, 4))) == 1
 
 
 def test_greedy_consumes_no_rng():
-    net = _fixed_q_net([0.0] * 5)
+    # at epsilon 0 an episode draws no uniform, and before the ring holds
+    # a batch no slots: the next episode's draws are a fresh generator's
+    draws = Draws(np.random.PCG64(5))
+    assert draws.episode(0.0, 10, 0, 100, 32) == ([-1] * 10, [None] * 10)
     rng = np.random.default_rng(5)
-    probe = np.random.default_rng(5)
-    for _ in range(10):
-        select_action(net, np.zeros((1, 4)), 0.0, rng)
-    assert rng.random() == probe.random()
+    fresh = []
+    for _ in range(3):
+        assert rng.random() < 1.0
+        fresh.append(int(rng.integers(1, 6)) - 1)
+    assert draws.episode(1.0, 3, 10, 100, 32)[0] == fresh
 
 
-def test_full_exploration_is_uniform_and_skips_the_net():
-    class Boom:
-        def forward(self, *args, **kwargs):
-            raise AssertionError("exploration must not evaluate the network")
+def test_full_exploration_is_uniform_and_skips_the_net(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("exploration must not evaluate the network")
 
-    rng = np.random.default_rng(123)
-    draws = [select_action(Boom(), np.zeros((1, 4)), 1.0, rng) for _ in range(4000)]
-    counts = np.bincount(draws, minlength=6)[1:]
-    assert counts.sum() == 4000
-    assert all(c > 0 for c in counts)
+    picks, _ = Draws(np.random.PCG64(123)).episode(1.0, 4000, 0, 10, 10)
+    counts = np.bincount(picks, minlength=5)
+    assert counts.sum() == 4000 and all(c > 0 for c in counts)
     assert scipy.stats.chisquare(counts).pvalue > 0.01
+    monkeypatch.setattr("pianofinger.agent.select_action", boom)
+    train(_small_env(), TrainConfig(episodes=5, seed=0, epsilon_end=1.0))
 
 
 def test_non_finite_greedy_q_raises_training_error():
@@ -281,19 +274,109 @@ def test_non_finite_greedy_q_raises_training_error():
     net = _fixed_q_net([0.0] * 5)
     net.weights[-1][:] = np.nan
     with pytest.raises(TrainingError, match="non-finite Q-value"):
-        select_action(net, np.ones((1, 4)), 0.0)
+        select_action(net, np.ones((1, 4)))
     with pytest.raises(TrainingError):
-        select_action(_fixed_q_net([0.0, np.inf, 0.0, 0.0, 0.0]), np.zeros((1, 4)), 0.0)
+        select_action(_fixed_q_net([0.0, np.inf, 0.0, 0.0, 0.0]), np.zeros((1, 4)))
     # a non-finite value that is not picked is no error
-    assert select_action(_fixed_q_net([0.0, -np.inf, 1.0, 0.0, 0.0]), np.zeros((1, 4)), 0.0) == 3
+    assert select_action(_fixed_q_net([0.0, -np.inf, 1.0, 0.0, 0.0]), np.zeros((1, 4))) == 3
 
 
 @given(st.floats(0.0, 1.0), st.integers(0, 10_000))
 @settings(max_examples=50)
 def test_selected_action_is_always_a_finger(epsilon, seed):
+    # an explore pick or the greedy one, as train takes them
     net = _fixed_q_net([0.3, -0.2, 0.1, 0.0, 0.9])
-    a = select_action(net, np.zeros((1, 4)), epsilon, np.random.default_rng(seed))
-    assert a in (1, 2, 3, 4, 5)
+    picks, _ = Draws(np.random.PCG64(seed)).episode(epsilon, 20, 0, 10, 32)
+    for pick in picks:
+        assert (pick + 1 if pick >= 0 else select_action(net, np.zeros((1, 4)))) in FINGERS
+    if epsilon == 0.0:
+        assert picks == [-1] * 20
+    if epsilon == 1.0:
+        assert -1 not in picks
+
+
+# --- the draws, replayed from raw words --------------------------------------
+
+def _generator_episodes(rng, episodes, size, capacity, batch):
+    """``Draws.episode``'s picks and slot rows, episode after episode,
+    drawn from ``rng`` one call at a time as the per-call loop draws."""
+    out = []
+    for eps, steps in episodes:
+        picks, slots = [], []
+        for s in range(steps):
+            picks.append(int(rng.integers(1, 6)) - 1 if eps > 0.0 and rng.random() < eps else -1)
+            n = min(size + s + 1, capacity)
+            slots.append(rng.integers(0, n, size=batch).tolist() if n >= batch else None)
+        out.append((picks, slots))
+        size = min(size + steps, capacity)
+    return out
+
+
+_RINGS = st.one_of(
+    # (capacity, batch, transitions held at the start)
+    st.integers(1, 40).flatmap(lambda c: st.tuples(
+        st.just(c), st.integers(1, c), st.integers(0, c))),
+    st.integers(2**31, 2**32 - 1).flatmap(lambda c: st.tuples(   # about half the halves rejected
+        st.just(c), st.integers(1, 6), st.integers(c - 30, c))),
+)
+
+
+# a zero word in the first episode's slots; both halves of a word rejected;
+# a half pending across a two-word block boundary
+@example(seed=0, zero_at=3, x=1, block=4096, handed_half=False, ring=(40, 8, 40),
+         episodes=[(0.0, 2)])
+@example(seed=0, zero_at=1, x=1, block=4096, handed_half=False, ring=(10, 1, 0),
+         episodes=[(1.0, 2)])
+@example(seed=0, zero_at=None, x=1, block=2, handed_half=True, ring=(9, 3, 0),
+         episodes=[(1.0, 1)] * 8)
+@given(st.integers(0, 2**32 - 1), st.none() | st.integers(0, 40), st.integers(0, 2**64 - 1),
+       st.integers(1, 16), st.booleans(), _RINGS,
+       st.lists(st.tuples(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                          st.integers(1, 12)), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_episode_draws_replay_the_numpy_generator(seed, zero_at, x, block, handed_half, ring,
+                                                  episodes):
+    # draw by draw: epsilon 0, between and 1; rings of one slot, of one
+    # batch and of 2**31 slots or more; a half pending from a draw made
+    # before the hand-over, across episodes and across block boundaries
+    capacity, batch, size = ring
+    rng = np.random.Generator(pcg64(seed, zero_at, x))
+    if handed_half:
+        rng.integers(1, 6)
+    draws = Draws(rng.bit_generator, block=block)
+    got = []
+    for eps, steps in episodes:
+        picks, slots = draws.episode(eps, steps, size, capacity, batch)
+        got.append((picks, [None if row is None else row.tolist() for row in slots]))
+        size = min(size + steps, capacity)
+    ref = np.random.Generator(pcg64(seed, zero_at, x))
+    if handed_half:
+        ref.integers(1, 6)
+    assert got == _generator_episodes(ref, episodes, ring[2], capacity, batch)
+
+
+@pytest.mark.parametrize("exp_id, rejects", [("EX1", True), ("EX3", False)])
+def test_train_equals_the_per_call_loop_bit_for_bit(monkeypatch, exp_id, rejects):
+    # seed 0 at the baseline config: EX1's run rejects a drawn half (in
+    # episode 672), EX3's anneals epsilon to 0, where no uniform is drawn.
+    # The histories and the weights are those of the loop that calls the
+    # generator for each draw
+    redrawn = []
+    drawn = Draws._drawn
+
+    def counted(self, *args):
+        redrawn.append(args)
+        return drawn(self, *args)
+
+    monkeypatch.setattr(Draws, "_drawn", counted)
+    spec = build_experiment(exp_id)
+    env = FingeringEnv(spec.score, encoding=encoding_for(spec.score, spec.encoding))
+    config = default_train_config(exp_id)
+    net, history = train(env, config)
+    assert bool(redrawn) == rejects
+    ref_net, ref_history = reference_train(env, config)
+    assert history == ref_history
+    assert net.theta.tobytes() == ref_net.theta.tobytes()
 
 
 # --- bootstrap targets -----------------------------------------------------
@@ -310,7 +393,7 @@ def _batch(rewards, next_states, actions=None):
 def test_terminal_target_is_the_reward():
     env = _small_env()
     net = _fixed_q_net([100.0] * 5, input_dim=env.input_dim)
-    net.sync_target(env.columns)       # must be ignored for terminal transitions
+    net.sync_target(net.one_hot(env.columns))  # must be ignored for terminal transitions
     batch = _batch([-10.0, 1.0], [-1, -1], actions=[1, 2])
     assert np.array_equal(compute_targets(batch, net, 0.95), [-10.0, 1.0])
 
@@ -319,8 +402,8 @@ def test_bootstrap_uses_target_network_only():
     env = _small_env()
     net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [2.0, 0.0, 0.0, 0.0, 0.0]
-    net.sync_target(env.columns)       # target says max Q = 2
-    net.biases[-1][:] = 0.0            # online says max Q = 0
+    net.sync_target(net.one_hot(env.columns))  # target says max Q = 2
+    net.biases[-1][:] = 0.0                    # online says max Q = 0
     batch = _batch([-1.0], [5], actions=[3])
     y = compute_targets(batch, net, 0.95)
     assert y.shape == (1,)
@@ -330,7 +413,7 @@ def test_bootstrap_uses_target_network_only():
 def test_gamma_zero_targets_are_rewards():
     env = _small_env()
     net = _fixed_q_net([7.0] * 5, input_dim=env.input_dim)
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     batch = _batch([1.0, -1.0], [5, 6], actions=[1, 2])
     assert np.array_equal(compute_targets(batch, net, 0.0), [1.0, -1.0])
 
@@ -339,7 +422,7 @@ def test_mixed_batch_targets():
     env = _small_env()
     net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [0.0, 3.0, 0.0, 0.0, 0.0]
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     net.biases[-1][:] = 0.0
     batch = _batch([1.0, -10.0, -1.0], [5, -1, 9], actions=[1, 1, 5])
     y = compute_targets(batch, net, 0.5)
@@ -351,7 +434,7 @@ def test_targets_read_the_successor_features():
     # features, one row per live transition
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(2))
-    net.sync_target(env.columns)
+    net.sync_target(net.one_hot(env.columns))
     batch = _batch([0.5, 0.25, -1.0], [7, -1, 13], actions=[2, 4, 1])
     y = compute_targets(batch, net, 0.9)
     expected = [0.5 + 0.9 * net.forward(net.one_hot(env.columns[[7]])).max(),
@@ -389,7 +472,7 @@ def test_buffer_items_before_wraparound():
 def test_buffer_sample_with_replacement():
     buf = ReplayBuffer(4)
     _push_tagged(buf, 9)
-    out = buf.sample(10, np.random.default_rng(0))     # k > len is fine
+    out = buf.sample([0] * 10)     # more slots than items is fine
     assert len(out.rewards) == 10
     assert all(r == 9.0 for r in out.rewards)
     assert all(len(column) == 10 for column in out)
@@ -399,7 +482,8 @@ def test_buffer_sample_draws_only_stored_items():
     buf = ReplayBuffer(16)
     for tag in range(6):
         _push_tagged(buf, tag)
-    out = buf.sample(200, np.random.default_rng(1))
+    _, slots = Draws(np.random.PCG64(1)).episode(0.0, 40, len(buf), len(buf), 5)
+    out = buf.sample(np.concatenate(slots))
     assert set(out.rewards.tolist()) <= {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
     # the columns of one draw stay together
     assert np.array_equal(out.states.astype(float), out.rewards)
@@ -407,19 +491,20 @@ def test_buffer_sample_draws_only_stored_items():
 
 
 def test_buffer_sample_indexes_ring_slots_with_one_draw():
-    # sample draws rng.integers(0, len, size=k) once and returns those ring
-    # slots; slot i holds the i-th push until the ring wraps
+    # sample returns the ring slots of one draw of
+    # rng.integers(0, len, size=k); slot i holds the i-th push until the
+    # ring wraps
     buf = ReplayBuffer(4)
     for tag in range(6):                 # slots now hold 4, 5, 2, 3
         _push_tagged(buf, tag)
-    out = buf.sample(9, np.random.default_rng(3))
     idx = np.random.default_rng(3).integers(0, 4, size=9)
+    out = buf.sample(idx)
     assert out.rewards.tolist() == [[4.0, 5.0, 2.0, 3.0][i] for i in idx]
 
 
 def test_empty_buffer_sample_raises():
     with pytest.raises(ValueError):
-        ReplayBuffer(3).sample(1, np.random.default_rng(0))
+        ReplayBuffer(3).sample([0])
 
 
 def test_buffer_capacity_validated():
@@ -502,7 +587,7 @@ def test_targets_equal_a_forward_of_the_last_synced_weights_bit_for_bit(
     seen = np.empty(0, dtype=np.intp)
     for op in ["sync", *ops]:
         if op == "sync":
-            net.sync_target(env.columns)
+            net.sync_target(net.one_hot(env.columns))
             synced.theta[:] = net.theta
         elif op == "step":   # moves the online set only
             net.theta += rng.normal(scale=0.05, size=net.theta.size)

@@ -336,6 +336,17 @@ def test_eval_good_fingering(tmp_path, capsys):
     assert "position_changes: 0" in out
 
 
+@pytest.mark.parametrize("text", ["60 1\n62 2\n64 3\n", "60 1\n62 1\n64 1\n"])
+def test_eval_reads_the_path_rewards_once(tmp_path, capsys, monkeypatch, text):
+    gathers = []
+    gather = oracle.reward_rows
+    monkeypatch.setattr(oracle, "reward_rows", lambda *args: gathers.append(1) or gather(*args))
+    fingering = tmp_path / "fingering.txt"
+    fingering.write_text(text)
+    assert main(["eval", _write_score(tmp_path, TINY_SCORE), str(fingering)]) == 0
+    assert len(gathers) == 1
+
+
 def test_eval_infeasible_fingering(tmp_path, capsys):
     score = _write_score(tmp_path, "first_finger=2\n60\n59\n")
     fingering = tmp_path / "fingering.txt"

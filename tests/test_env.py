@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pianofinger.env import EncodingError, FingeringEnv, StateEncoding
-from pianofinger.oracle import fingering_total_reward
+from pianofinger.agent import TrainConfig
+from pianofinger.oracle import fingering_total_reward, tabular_q_train
 from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import FINGERS, PITCH_MIN, Score
 
@@ -218,3 +219,12 @@ def test_transition_validates_its_input():
     assert nxt == -1
     with pytest.raises(ValueError):
         env.transition(nxt, 1)
+
+
+def test_columns_are_built_on_first_read_only():
+    # the tabular learner trains and walks without them
+    score = Score.from_pitches([60, 62, 64, 62, 60], 1)
+    q = tabular_q_train(score, None, TrainConfig(episodes=20, seed=0))
+    q.greedy_fingering(score)
+    assert "columns" not in vars(q.env)
+    assert q.env.columns is q.env.columns

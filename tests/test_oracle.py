@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pianofinger.agent import TrainConfig, epsilon_at
+from pianofinger.agent import Draws, TrainConfig, epsilon_at
 from pianofinger.oracle import (
     FingeringError,
-    _Draws,
     _validate_fingering,
     count_position_changes,
     dp_optimal,
+    evaluate_fingering,
     exhaustive_optimal,
     fingering_total_reward,
     tabular_q_train,
@@ -29,6 +29,7 @@ from pianofinger.score import (
     mirror_for_left_hand,
 )
 
+from helpers import pcg64
 from strategies import reward_models, scores, walks
 
 # The five study melodies, written out as plain pitch lists so these
@@ -155,16 +156,19 @@ def test_scorers_add_the_scalar_rule_left_to_right(score, model, data):
     try:
         _validate_fingering(score, fingering)
     except FingeringError as exc:
-        for scorer in (fingering_total_reward, count_position_changes):
+        for scorer in (fingering_total_reward, count_position_changes, evaluate_fingering):
             with pytest.raises(FingeringError, match=f"^{re.escape(str(exc))}$"):
                 scorer(score, fingering, model)
         return
     total, changes, crossing = _scalar_scores(score, fingering, model)
     assert struct.pack("<d", fingering_total_reward(score, fingering, model)) == struct.pack(
         "<d", total)
+    both = evaluate_fingering(score, fingering, model)
+    assert struct.pack("<d", both[0]) == struct.pack("<d", total)
     if crossing is None:
-        assert count_position_changes(score, fingering, model) == changes
+        assert count_position_changes(score, fingering, model) == changes == both[1]
     else:
+        assert both[1] is None
         with pytest.raises(FingeringError, match=f"^{re.escape(crossing)}$"):
             count_position_changes(score, fingering, model)
 
@@ -412,26 +416,6 @@ def test_greedy_fingering_totals_under_the_trained_model():
 
 # --- the exploration draws, replayed from raw words ---------------------------
 
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64(seed, zero_at=None, x=1):
-    """PCG64(seed), or its stream moved so that raw word ``zero_at``
-    (counted from 0) is 0: PCG64 steps its 128-bit state s to
-    s * mult + inc and outputs hi(s) ^ lo(s) rotated, which is 0 when the
-    stepped state is x * (2**64 + 1)."""
-    bits = np.random.PCG64(seed)
-    if zero_at is not None:
-        state = bits.state
-        inc = state["state"]["inc"]
-        s = x * (2**64 + 1)
-        for _ in range(zero_at + 1):
-            s = (s - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
-        state["state"]["state"] = s
-        bits.state = state
-    return bits
-
-
 def _generator_picks(bits, episodes):
     """Each step's ``integers(1, 6) - 1`` after ``random() < eps``, else -1,
     drawn from the generator call by call."""
@@ -449,10 +433,10 @@ def _generator_picks(bits, episodes):
                           st.integers(1, 12)), min_size=1, max_size=20))
 def test_exploration_draws_replay_the_numpy_generator(seed, zero_at, x, block, episodes):
     if zero_at is not None:
-        assert _pcg64(seed, zero_at, x).random_raw(zero_at + 1)[-1] == 0
-    draws = _Draws(_pcg64(seed, zero_at, x), block=block)
-    got = [draws.episode(eps, steps) for eps, steps in episodes]
-    assert got == _generator_picks(_pcg64(seed, zero_at, x), episodes)
+        assert pcg64(seed, zero_at, x).random_raw(zero_at + 1)[-1] == 0
+    draws = Draws(pcg64(seed, zero_at, x), block=block)
+    got = [draws.explore(eps, steps) for eps, steps in episodes]
+    assert got == _generator_picks(pcg64(seed, zero_at, x), episodes)
 
 
 def _reference_tabular_q(score, model, config, alpha):
