@@ -2,16 +2,21 @@
 every input file and numeric flag of the CLI shares.
 
 Input files are UTF-8, a leading byte-order mark dropped, and are read
-through ``lines``: ``#`` starts a comment at the start of a line or after
-whitespace (elsewhere it is a sharp, as in ``C#4``), and blank lines are
-skipped.  Numbers are ASCII tokens: ``integer`` takes ``[+-]?[0-9]+``,
-``number`` Python's float syntax without ``_`` (``1e-3``, ``.5``, ``inf``).
+through ``lines``: lines end at ``\\n``, ``\\r\\n`` or ``\\r``, ``#`` starts a
+comment at the start of a line or after whitespace (elsewhere it is a
+sharp, as in ``C#4``), and blank lines are skipped.  Numbers are ASCII
+tokens: ``integer`` takes ``[+-]?[0-9]+``, ``number`` Python's float
+syntax without ``_`` (``1e-3``, ``.5``, ``inf``).
 
 A score file opens with a ``first_finger=<1-5>`` header; every later line
 holds one note, a MIDI number (21..108) or a scientific pitch name
 ``[A-Ga-g][#b]*-?[0-9]+`` with C4 = 60 (``C4``, ``F#2``, ``Bb5``).  A
 comma-separated duration may follow the pitch; it must be a finite
 number >= 0 and is otherwise ignored.
+
+The form ``serialize_score`` writes (and ``mirror`` prints), the header
+and then one MIDI number per line, is read in one pass.  Any other form
+goes through the line loop, with the same values and errors.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 PITCH_MIN = 21   # A0
@@ -62,8 +68,11 @@ _LETTER_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
 def lines(text: str):
     """``(line_no, content)`` for each line (numbered from 1) that keeps
-    content once its ``#`` comment and surrounding blanks are stripped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    content once its ``#`` comment and surrounding blanks are stripped.
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, not at the other
+    separators of ``str.splitlines`` (``\\f``, ``\\x1c``, ...)."""
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(rows, start=1):
         line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
         if line:
             yield line_no, line
@@ -123,7 +132,12 @@ class Score:
     name: str = "score"
 
     def __post_init__(self):
-        object.__setattr__(self, "pitches", tuple(map(_piano_pitch, self.pitches)))
+        pitches = tuple(self.pitches)
+        # exact ints are checked in bulk; anything else, and every error, goes by _piano_pitch
+        if not (set(map(type, pitches)) == {int}
+                and PITCH_MIN <= min(pitches) and max(pitches) <= PITCH_MAX):
+            pitches = tuple(map(_piano_pitch, pitches))
+        object.__setattr__(self, "pitches", pitches)
         if len(self.pitches) < 2:
             raise ScoreSizeError(f"score needs at least 2 notes, got {len(self.pitches)}")
         if self.first_finger not in FINGERS:   # "1", 1.5 and nan are not; 1.0 and True are
@@ -151,8 +165,32 @@ def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
+_CANONICAL_HEADER = {f"first_finger={f}": f for f in FINGERS}
+_CANONICAL_PITCH = {str(p): p for p in range(PITCH_MIN, PITCH_MAX + 1)}
+
+
 def parse_score(text: str, name: str = "score") -> Score:
-    """Parse the score file format described in the module docstring."""
+    """Parse the score file format described in the module docstring.
+
+    Text in the form ``serialize_score`` writes is read in one pass: one
+    split at ``\\n`` and one table lookup per line.  Any other text goes
+    through ``_parse_lines``, which gives the same values and every error.
+    """
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()
+    try:
+        first_finger = _CANONICAL_HEADER[rows[0]]
+        pitches = list(map(_CANONICAL_PITCH.__getitem__, islice(rows, 1, None)))
+    except (IndexError, KeyError):
+        del rows   # the line loop splits the text again; hold one split at a time
+        return _parse_lines(text, name)
+    return Score(pitches, first_finger, name)
+
+
+def _parse_lines(text: str, name: str) -> Score:
+    """The score file read line by line through ``lines``: pitch names,
+    durations, comments and blank lines, with each error's line number."""
     header_finger = None
     pitches: list[int] = []
     for line_no, line in lines(text):

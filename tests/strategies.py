@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from pianofinger.reward import RewardModel
-from pianofinger.score import PITCH_MAX, PITCH_MIN, Score
+from pianofinger.score import PITCH_MAX, PITCH_MIN, Score, serialize_score
 
 _EDGES = st.sampled_from([PITCH_MIN, PITCH_MAX])
 
@@ -71,3 +71,36 @@ def score_texts():
     valid header."""
     return st.one_of(st.text(), _score_like_text(),
                      _score_like_text().map(lambda body: "first_finger=1\n" + body))
+
+
+def _joined(rows, end="\n"):
+    return "".join(row + end for row in rows)
+
+
+# each takes the canonical lines, a line position i >= 1 and two off-form lines
+_MUTATIONS = [
+    lambda rows, i, note, header: _joined(rows),                        # unchanged
+    lambda rows, i, note, header: _joined(rows, "\r\n"),
+    lambda rows, i, note, header: _joined(rows, "\r"),
+    lambda rows, i, note, header: _joined(rows)[:-1],                   # no final newline
+    lambda rows, i, note, header: _joined(rows[:i] + [""] + rows[i:]),  # a blank line
+    lambda rows, i, note, header: _joined(rows[:i] + [note] + rows[i + 1:]),
+    lambda rows, i, note, header: _joined([header] + rows[1:]),
+    lambda rows, i, note, header: _joined(rows[:1]),                    # header only
+    lambda rows, i, note, header: "",
+]
+_OFF_FORM_NOTES = ["{} ", " {}", "\t{}", "0{}", "+{}", "-{}", "20", "109", "{} {}"]
+_OFF_FORM_HEADERS = ["first_finger = 1", "first_finger=0", "first_finger=6"]
+
+
+@st.composite
+def near_canonical_texts(draw):
+    """The text serialize_score writes, with at most one mutation: other
+    line ends, no final newline, a blank line, a padded, zero-led or signed
+    token, a pitch off the keyboard, two numbers on a line, an off-form
+    header, the header alone, or no text at all."""
+    rows = serialize_score(draw(scores(max_notes=12))).split("\n")[:-1]
+    i = draw(st.integers(1, len(rows) - 1))
+    note = draw(st.sampled_from(_OFF_FORM_NOTES)).format(rows[i], rows[i])
+    header = draw(st.sampled_from(_OFF_FORM_HEADERS))
+    return draw(st.sampled_from(_MUTATIONS))(rows, i, note, header)

@@ -478,6 +478,17 @@ def test_file_token_outside_the_grammar_exits_2(tmp_path, capsys, kind, text, to
     assert repr(token) in captured.err and captured.out == ""
 
 
+# str.splitlines would also end a line at the form feed and at \\x1c
+@pytest.mark.parametrize("text,line,token", [("first_finger=1\n60\f62\n64\n", 2, "60\f62"),
+                                             ("first_finger=1\n60\x1c\n62\nx\n", 4, "x")])
+def test_score_lines_end_only_at_line_breaks(tmp_path, capsys, text, line, token):
+    path = tmp_path / "score.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"line {line}: bad note token {token!r}" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["train", "--ex", "2", "--episodes", "1_0"],
                                   ["train", "--ex", "2", "--episodes", "５"],
                                   ["train", "--ex", "2", "--learning-rate", "٠.١"],

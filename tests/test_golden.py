@@ -23,7 +23,8 @@ episodes whose random draws run through many blocks of raw words.
 
 The DP solver is pinned by the sha256 of ``pianofinger solve``'s stdout
 on each melody and on a seeded 3000-note walk under non-dyadic rewards,
-whose path sums round.  ``eval`` is pinned on a feasible and an
+whose path sums round, and on EX3 written with pitch names, a duration
+and a comment line.  ``eval`` is pinned on a feasible and an
 infeasible fingering of EX2 and on the optimal fingering of a 3000-note
 walk, and a two-seed ``train`` by its stdout and every file it writes.
 """
@@ -44,7 +45,8 @@ from pianofinger.env import FingeringEnv
 from pianofinger.experiments import (build_experiment, default_train_config, encoding_for,
                                      export_fingering)
 from pianofinger.oracle import dp_optimal, tabular_q_train
-from pianofinger.score import FINGERS, PITCH_MAX, PITCH_MIN, Score, serialize_score
+from pianofinger.score import (FINGERS, PITCH_MAX, PITCH_MIN, Score, parse_score,
+                               serialize_score)
 
 GOLDEN = {
     "EX1": ("d2b5df5e3d52ba931d7841c370c02c08dbc1241367a181c82b834fdd36a7ac06",
@@ -85,6 +87,7 @@ GOLDEN_SOLVE = {
     "EX4": "81409e2f029231f36528fe23ad3a07db887f1186a0375abe86daa333f8af5b91",
     "EX5": "cf13fdd6dd64d9a01a8cd1fcc7fb2218da7831e9645871494378cf040f9e89c3",
     "walk3000": "cc83a56218e06cb75513df64b80ea3e8d8b0abaf94a9569b09f580d73089d813",
+    "ex3-names": "113263aa3db1a3ca75215b3238d6d6e396005050683831559549491dceb506fc",
 }
 GOLDEN_EVAL = {
     "feasible": "bbf6539fa066dfa4c5440a9ccb93e72e2ab40b7ffd0c39fa222a065b16a769c8",
@@ -101,6 +104,9 @@ GOLDEN_TRAIN = {   # train --ex 2 --seeds 2 --episodes 20 --out-dir D
     "oracle_fingering.txt": "a977a909f8d0d7273fb65ba791fedd5cd6c23ce5bbf09a24f002049d1f953f16",
 }
 NON_DYADIC = "anchor_tolerance = 1.5\nr_stay = 0.7\nr_move = -0.3\nr_infeasible = -9.1\n"
+# EX3 in the form only the line loop reads; walk3000 is in the form read in one pass
+EX3_NAMES = ("# EX3, the opening phrase of Ode to Joy, in pitch names\nfirst_finger=3\n"
+             "E4\nE4\nF4\nG4\nG4\nF4\nE4\nD4\nC4\nC4\nD4\nE4\nE4, 1.5\nD4\nD4\n")
 
 
 def _env_and_config(exp_id, episodes, seed=0):
@@ -180,6 +186,10 @@ def test_golden_solve_output(tmp_path):
     config.write_text(NON_DYADIC)
     calls = {f"EX{n}": ["solve", "--ex", str(n)] for n in range(1, 6)}
     calls["walk3000"] = ["solve", str(walk), "--config", str(config)]
+    named = tmp_path / "ex3_names.txt"
+    named.write_text(EX3_NAMES)
+    assert parse_score(EX3_NAMES).pitches == build_experiment("EX3").score.pitches
+    calls["ex3-names"] = ["solve", str(named)]
     digests = {}
     for name, argv in calls.items():
         out, err = io.StringIO(), io.StringIO()

@@ -1,8 +1,11 @@
 import re
+from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pianofinger.env import StateEncoding
 from pianofinger.oracle import dp_optimal
@@ -16,6 +19,8 @@ from pianofinger.score import (
     ScoreError,
     ScoreParseError,
     ScoreSizeError,
+    _parse_lines,
+    _piano_pitch,
     integer,
     mirror_for_left_hand,
     number,
@@ -24,7 +29,7 @@ from pianofinger.score import (
     serialize_score,
 )
 
-from strategies import score_texts, scores
+from strategies import near_canonical_texts, score_texts, scores
 
 # spot checks against a standard MIDI note chart (C4 = 60 convention)
 NAME_TABLE = {
@@ -262,6 +267,53 @@ def test_parse_raises_only_score_errors(text):
         return
     assert len(score) >= 2 and score.first_finger in FINGERS
     assert all(PITCH_MIN <= p <= PITCH_MAX for p in score.pitches)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, "t")
+    except ScoreError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500)
+@given(st.one_of(score_texts(), near_canonical_texts()))
+@example("first_finger=1\n60\n20\n")
+@example("first_finger=1\n109\n60\n")
+@example("first_finger=6\n60\n62\n")
+def test_one_pass_read_agrees_with_the_line_loop(text):
+    assert _outcome(parse_score, text) == _outcome(_parse_lines, text)
+
+
+class _Key(IntEnum):
+    MIDDLE_C = 60
+
+
+_PITCH_LIKE = st.one_of(
+    st.integers(PITCH_MIN, PITCH_MAX), st.integers(-300, 300),
+    st.sampled_from([PITCH_MIN - 1, PITCH_MIN, PITCH_MAX, PITCH_MAX + 1, True, False]),
+    st.integers(PITCH_MIN, PITCH_MAX).map(float), st.floats(0, 200), st.just(float("nan")),
+    st.integers(0, 200).map(np.int64), st.just(_Key.MIDDLE_C))
+
+
+@given(st.lists(st.one_of(st.integers(PITCH_MIN, PITCH_MAX), _PITCH_LIKE), max_size=8),
+       st.booleans())
+@settings(max_examples=300)
+def test_bulk_pitch_check_agrees_with_piano_pitch(pitches, as_iterator):
+    given_pitches = iter(pitches) if as_iterator else pitches
+    try:
+        expected = tuple(map(_piano_pitch, pitches))
+    except ScoreError as exc:
+        with pytest.raises(ScoreError) as err:
+            Score(given_pitches, 1)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    if len(expected) < 2:
+        with pytest.raises(ScoreSizeError):
+            Score(given_pitches, 1)
+        return
+    pitches = Score(given_pitches, 1).pitches
+    assert pitches == expected and {type(p) for p in pitches} == {int}
 
 
 # --- the input grammar -----------------------------------------------------
