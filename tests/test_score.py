@@ -3,7 +3,6 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -289,16 +288,17 @@ class _Key(IntEnum):
     MIDDLE_C = 60
 
 
+# beside exact ints in range: ints off the keyboard, bools, whole and fractional
+# floats, nan, numpy ints and an IntEnum member
 _PITCH_LIKE = st.one_of(
-    st.integers(PITCH_MIN, PITCH_MAX), st.integers(-300, 300),
-    st.sampled_from([PITCH_MIN - 1, PITCH_MIN, PITCH_MAX, PITCH_MAX + 1, True, False]),
+    st.integers(-300, 300), st.sampled_from([PITCH_MIN - 1, PITCH_MAX + 1, True, False]),
     st.integers(PITCH_MIN, PITCH_MAX).map(float), st.floats(0, 200), st.just(float("nan")),
     st.integers(0, 200).map(np.int64), st.just(_Key.MIDDLE_C))
 
 
+@settings(max_examples=300)
 @given(st.lists(st.one_of(st.integers(PITCH_MIN, PITCH_MAX), _PITCH_LIKE), max_size=8),
        st.booleans())
-@settings(max_examples=300)
 def test_bulk_pitch_check_agrees_with_piano_pitch(pitches, as_iterator):
     given_pitches = iter(pitches) if as_iterator else pitches
     try:
