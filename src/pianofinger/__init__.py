@@ -5,7 +5,7 @@ everything else is imported from its submodule (``pianofinger.oracle``,
 ``pianofinger.experiments``, ...).
 """
 
-from .agent import Batch, ReplayBuffer, TrainConfig, TrainingError, greedy_rollout, train
+from .agent import TrainConfig, TrainingError, greedy_rollout, train
 from .env import FingeringEnv, StateEncoding
 from .oracle import dp_optimal
 from .score import Score
@@ -13,9 +13,7 @@ from .score import Score
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
     "FingeringEnv",
-    "ReplayBuffer",
     "Score",
     "StateEncoding",
     "TrainConfig",

@@ -16,8 +16,9 @@ reward and successor and each state's three one-hot columns, and
 run: acting reads the view ``inputs[s:s+1]``, the SGD batch gathers
 ``inputs[states]`` and each sync reads the whole table.  The rows are
 exact 0/1 floats, so they are the bits a row built per call would hold.
-The replay ring is four preallocated arrays (state id, action, reward,
-next state id; next id -1 marks a terminal step), and the network keeps
+The replay ring is one preallocated ``intp`` array of transition ids,
+k = 5 * state + action - 1, the flat index into the env's tables; a
+batch is ``k = ring[slots]`` and ``divmod(k, 5)``.  The network keeps
 its parameters and their gradient in one flat float64 buffer each, so
 an SGD step and its finiteness check are one array operation each.  A
 training step writes its activations and deltas into arrays the network
@@ -39,12 +40,14 @@ of a successor state, which changes only at a sync.  A score of L notes
 has exactly 5(L-1) states, so the net keeps that value as one table,
 ``target_max``: at each sync, and once before the first step,
 ``sync_target`` runs one forward over every state's input row and
-stores each row's max, then a 0.0 that next id -1 (terminal) reads.  A
-bootstrap target is then one gather.  A sync costs 5(L-1) rows, never
-more than the batch_size * target_sync successor rows one sync window
-samples (3200 at the defaults) while L <= 641.  For a very long score
-the input table holds 5(L-1) * input_dim floats, about 21 MB at 3000
-notes under the 88-key encoding, for the whole run.
+stores each row's max, then a 0.0 that next id -1 (terminal) reads.
+``train`` then refills the target table r + gamma * target_max[next] of
+all 25(L-1) transitions (``target_table``), so a batch's targets are
+one gather.  A sync costs 5(L-1) rows, never more than the
+batch_size * target_sync successor rows one sync window samples (3200
+at the defaults) while L <= 641.  For a very long score the input
+table holds 5(L-1) * input_dim floats, about 21 MB at 3000 notes under
+the 88-key encoding, for the whole run.
 """
 
 from __future__ import annotations
@@ -77,56 +80,6 @@ class TrainingError(RuntimeError):
                  (("episode", episode), ("gradient step", step), ("layer", layer))
                  if value is not None]
         super().__init__(problem + (" in " + ", ".join(where) if where else ""))
-
-
-class Batch(NamedTuple):
-    """Replayed transitions as parallel arrays; next id -1 = terminal."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-
-
-class ReplayBuffer:
-    """Fixed-capacity FIFO ring, read at the slots the draws pick
-    uniformly with replacement.
-
-    Slot ``i`` of the four arrays holds the ``i``-th transition pushed
-    until the ring is full; after that each push overwrites the oldest.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring = Batch(np.empty(capacity, dtype=np.intp), np.empty(capacity, dtype=np.intp),
-                           np.empty(capacity), np.empty(capacity, dtype=np.intp))
-        self._size = 0
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, state: int, action: int, reward: float, next_state: int) -> None:
-        i = self._cursor
-        ring = self._ring
-        ring.states[i] = state
-        ring.actions[i] = action
-        ring.rewards[i] = reward
-        ring.next_states[i] = next_state
-        self._cursor = (i + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
-
-    def sample(self, slots) -> Batch:
-        """The transitions in ring slots ``slots`` (each below ``len(self)``),
-        as one Batch; ``Draws.episode`` draws the slots."""
-        if not self._size:
-            raise ValueError("cannot sample from an empty buffer")
-        ring = self._ring
-        return Batch(ring.states[slots], ring.actions[slots], ring.rewards[slots],
-                     ring.next_states[slots])
 
 
 class _BatchBuffers(NamedTuple):
@@ -350,11 +303,13 @@ def select_action(net: QNetwork, state_row: np.ndarray) -> int:
     return a + 1
 
 
-def compute_targets(batch: Batch, net: QNetwork, gamma: float) -> np.ndarray:
-    """Bootstrap targets r + gamma * max_a Q_target(s', a), read from
-    ``net.target_max``; a terminal step (next id -1) reads its 0.0, so
-    its target is r."""
-    return batch.rewards + gamma * net.target_max[batch.next_states]
+def target_table(net: QNetwork, rewards: np.ndarray, next_ids: np.ndarray,
+                 gamma: float) -> np.ndarray:
+    """Every transition's bootstrap target r + gamma * max_a Q_target(s', a)
+    for ``env.rewards`` and ``env.next_ids`` as arrays; entry [s, a - 1]
+    answers state id s with finger a.  A terminal step (next id -1) reads
+    ``target_max``'s 0.0, so its target is r."""
+    return rewards + gamma * net.target_max[next_ids]
 
 
 class Draws:
@@ -543,52 +498,58 @@ def train(env: FingeringEnv, config: TrainConfig,
           episode_hook: Optional[Callable[[int, QNetwork], object]] = None):
     """Run the replay-based Q-learning loop; returns (net, history).
 
-    Every environment step acts epsilon-greedily, stores its transition,
-    and (once the ring holds one full batch) samples a minibatch,
-    regresses the online net toward the bootstrap targets, and refills
-    the net's ``target_max`` table before the first step and every
-    ``target_sync`` gradient steps.  ``episode_hook(episode, net)`` runs
-    after each episode and must not change the net; a truthy return ends
-    training there, so a run stopped after episode k has the first k+1
-    records of the full run.  A TrainingError names the episode and the
-    gradient step it happened in.
+    Every environment step acts epsilon-greedily, writes its transition
+    id into the ring, and (once the ring holds one full batch) regresses
+    the online net toward a sampled minibatch's targets.  ``target_max``
+    and the target table are refilled before the first step and every
+    ``target_sync`` gradient steps.  The steps run without numpy's
+    overflow warnings: the finiteness checks raise a TrainingError, which
+    names the episode and the gradient step.  ``episode_hook(episode,
+    net)`` runs after each episode and must not change the net; a truthy
+    return ends training there, so a run stopped after episode k has the
+    first k+1 records of the full run.
     """
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
     draws = Draws(rng.bit_generator, block=1024)   # ~60 steps of words; 4096 costs ~0.3 MB
-    buffer = ReplayBuffer(config.replay_capacity)
+    capacity, gamma = config.replay_capacity, config.gamma
+    ring, pushed = np.empty(capacity, dtype=np.intp), 0   # transition ids, FIFO
+    rewards, next_ids = np.array(env.rewards), np.array(env.next_ids)
     inputs = net.one_hot(env.columns)
     net.sync_target(inputs)
+    targets = target_table(net, rewards, next_ids, gamma)
     steps = len(env.score) - 1
     history: list[EpisodeRecord] = []
     grad_steps = 0
     for episode in range(config.episodes):
         eps = epsilon_at(config, episode)
-        picks, slot_rows = draws.episode(eps, steps, len(buffer), config.replay_capacity,
+        picks, slot_rows = draws.episode(eps, steps, min(pushed, capacity), capacity,
                                          config.batch_size)
         state = env.start_id
         total = 0.0
         losses: list[float] = []
         try:
-            for pick, slots in zip(picks, slot_rows):
-                action = pick + 1 if pick >= 0 else select_action(net, inputs[state:state + 1])
-                reward, nxt = env.transition(state, action)
-                buffer.push(state, action, reward, nxt)
-                if slots is not None:   # the ring holds a full batch
-                    batch = buffer.sample(slots)
-                    targets = compute_targets(batch, net, config.gamma)
-                    losses.append(net.train_step(inputs.take(batch.states, axis=0),
-                                                 batch.actions, targets, config.learning_rate))
-                    grad_steps += 1
-                    if grad_steps % config.target_sync == 0:
-                        net.sync_target(inputs)
-                total += reward
-                state = nxt
+            with np.errstate(over="ignore", invalid="ignore"):
+                for pick, slots in zip(picks, slot_rows):
+                    action = pick + 1 if pick >= 0 else select_action(net, inputs[state:state + 1])
+                    reward, nxt = env.transition(state, action)
+                    ring[pushed % capacity] = 5 * state + action - 1
+                    pushed += 1
+                    if slots is not None:   # the ring holds a full batch
+                        k = ring[slots]
+                        s, a = np.divmod(k, 5)
+                        losses.append(net.train_step(inputs.take(s, axis=0), a + 1,
+                                                     targets.take(k), config.learning_rate))
+                        grad_steps += 1
+                        if grad_steps % config.target_sync == 0:
+                            net.sync_target(inputs)
+                            targets = target_table(net, rewards, next_ids, gamma)
+                    total += reward
+                    state = nxt
         except TrainingError as exc:
             raise TrainingError(exc.problem, exc.layer, episode, grad_steps + 1) from exc
-        history.append(EpisodeRecord(
-            episode, total, eps, float(np.mean(losses)) if losses else 0.0
-        ))
+        history.append(EpisodeRecord(episode, total, eps,
+                                     float(np.mean(losses)) if losses else 0.0))
         if episode_hook is not None and episode_hook(episode, net):
             break
     return net, history
@@ -598,4 +559,5 @@ def greedy_rollout(net: QNetwork, env: FingeringEnv):
     """The env's walk at epsilon = 0, consuming no RNG: (fingering
     including the score's given first finger, total reward)."""
     inputs = net.one_hot(env.columns)
-    return env.walk(lambda s: select_action(net, inputs[s:s + 1]))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite pick raises
+        return env.walk(lambda s: select_action(net, inputs[s:s + 1]))

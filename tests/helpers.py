@@ -1,14 +1,12 @@
 """Reference code the tests check the package against: finite-difference
-gradients, the replay ring's contents in push order, dense one-hot rows
-built from a state's (finger, pitch, next pitch), each state's max
-Q-value computed from those rows, PCG64 streams with a zero word where a
-test wants one, and the replay training loop drawing from the generator
-one call at a time."""
+gradients, dense one-hot rows built from a state's (finger, pitch, next
+pitch), each state's max Q-value computed from those rows, PCG64 streams
+with a zero word where a test wants one, and the replay training loop
+with its own ring, drawing from the generator one call at a time."""
 
 import numpy as np
 
-from pianofinger.agent import (Batch, EpisodeRecord, QNetwork, ReplayBuffer, compute_targets,
-                               epsilon_at, select_action)
+from pianofinger.agent import EpisodeRecord, QNetwork, epsilon_at, select_action
 from pianofinger.score import FINGERS
 
 
@@ -61,14 +59,6 @@ def gradient_check(net: QNetwork, states, actions, targets, delta: float = 1e-4)
     return max_rel, checked, skipped
 
 
-def replay_items(buf) -> Batch:
-    """A ``ReplayBuffer``'s current contents, oldest first."""
-    order = np.arange(buf._size)
-    if buf._size == buf.capacity:
-        order = np.roll(order, -buf._cursor)
-    return Batch(*(column[order] for column in buf._ring))
-
-
 def state_keys(score):
     """(finger, pitch, next pitch) of every state id, in id order."""
     p = score.pitches
@@ -110,15 +100,19 @@ def pcg64(seed, zero_at=None, x=1):
 
 
 def reference_train(env, config):
-    """``agent.train``'s loop with every draw a ``Generator`` call and
-    every input row built when it is read: a step explores if
-    ``rng.random() < eps`` (drawn only when eps > 0) with
-    ``rng.integers(1, 6)``, and once the ring holds a batch samples
-    ``rng.integers(0, len(ring), size=batch_size)``.  Returns (net,
-    history)."""
+    """``agent.train``'s loop with every draw a ``Generator`` call, every
+    input row built when it is read and a FIFO ring of four arrays (state
+    id, finger, reward, next id): a step explores if ``rng.random() <
+    eps`` (drawn only when eps > 0) with ``rng.integers(1, 6)``, and once
+    the ring holds a batch samples ``rng.integers(0, len(ring),
+    size=batch_size)`` and regresses toward r + gamma * target_max[next].
+    Returns (net, history)."""
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
-    buffer = ReplayBuffer(config.replay_capacity)
+    capacity = config.replay_capacity
+    ring_states, ring_actions, ring_next = (np.empty(capacity, dtype=np.intp) for _ in range(3))
+    ring_rewards = np.empty(capacity)
+    size = cursor = 0
     columns = env.columns
     net.sync_target(net.one_hot(columns))
     history = []
@@ -134,12 +128,15 @@ def reference_train(env, config):
             else:
                 action = select_action(net, net.one_hot(columns[state:state + 1]))
             reward, nxt = env.transition(state, action)
-            buffer.push(state, action, reward, nxt)
-            if len(buffer) >= config.batch_size:
-                batch = buffer.sample(rng.integers(0, len(buffer), size=config.batch_size))
-                targets = compute_targets(batch, net, config.gamma)
-                losses.append(net.train_step(net.one_hot(columns[batch.states]), batch.actions,
-                                             targets, config.learning_rate))
+            ring_states[cursor], ring_actions[cursor] = state, action
+            ring_rewards[cursor], ring_next[cursor] = reward, nxt
+            cursor = (cursor + 1) % capacity
+            size = min(size + 1, capacity)
+            if size >= config.batch_size:
+                slots = rng.integers(0, size, size=config.batch_size)
+                targets = ring_rewards[slots] + config.gamma * net.target_max[ring_next[slots]]
+                losses.append(net.train_step(net.one_hot(columns[ring_states[slots]]),
+                                             ring_actions[slots], targets, config.learning_rate))
                 grad_steps += 1
                 if grad_steps % config.target_sync == 0:
                     net.sync_target(net.one_hot(columns))

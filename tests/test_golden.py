@@ -34,7 +34,6 @@ import dataclasses
 import hashlib
 import io
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -238,10 +237,8 @@ def diverge_ex4_seed0():
     Returns (the TrainingError, every episode the hook saw)."""
     env, config = _env_and_config("EX4", 300)
     seen = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # overflow warnings precede the guard
-        with pytest.raises(TrainingError) as info:
-            train(env, config, episode_hook=lambda episode, net: seen.append(episode))
+    with pytest.raises(TrainingError) as info:
+        train(env, config, episode_hook=lambda episode, net: seen.append(episode))
     return info.value, seen
 
 
