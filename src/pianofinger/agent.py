@@ -17,8 +17,9 @@ run: acting reads the view ``inputs[s:s+1]``, the SGD batch gathers
 ``inputs[states]`` and each sync reads the whole table.  The rows are
 exact 0/1 floats, so they are the bits a row built per call would hold.
 The replay ring is one preallocated ``intp`` array of transition ids,
-k = 5 * state + action - 1, the flat index into the env's tables; a
-batch is ``k = ring[slots]`` and ``divmod(k, 5)``.  The network keeps
+k = 5 * state + action - 1, the flat index into the env's tables, with
+no more slots than the run has steps; a batch is ``k = ring[slots]``
+and ``divmod(k, 5)`` its states and finger indices.  The network keeps
 its parameters and their gradient in one flat float64 buffer each, so
 an SGD step and its finiteness check are one array operation each.  A
 training step writes its activations and deltas into arrays the network
@@ -33,7 +34,9 @@ once the ring holds a batch, its replay slots
 (``integers(0, len(ring), size=batch_size)``).  An episode's draws
 depend only on epsilon, the step count and the ring size at each step,
 never on the net, so they are made before the episode runs, and every
-history is the per-call generator's bit for bit.
+history is the per-call generator's bit for bit.  The rare episode in
+which a slot's 32-bit half is rejected is drawn again by those
+``Generator`` calls, from the state at which it began.
 
 The learner reads one thing from the delayed network: max_a Q_target(s', a)
 of a successor state, which changes only at a sync.  A score of L notes
@@ -190,7 +193,8 @@ class QNetwork:
         return hs[:-1], hs[-1]
 
     def train_step(self, states, actions, targets, learning_rate: float) -> float:
-        """One SGD step on the mean squared error of the chosen actions.
+        """One SGD step on the mean squared error of the chosen actions,
+        given as finger indices 0-4 (finger - 1).
 
         The gradient flows only through each sample's chosen output;
         targets are constants.  Returns the pre-step loss.
@@ -207,7 +211,7 @@ class QNetwork:
     def _backward(self, states, actions, targets) -> float:
         """Loss of the online set; writes its gradient into ``grad``."""
         X = np.asarray(states, dtype=float)
-        a_idx = np.asarray(actions, dtype=int) - 1
+        a_idx = np.asarray(actions, dtype=int)
         y = np.asarray(targets, dtype=float)
         n = X.shape[0]
         buffers = self._buffers(n)
@@ -322,10 +326,11 @@ class Draws:
     fresh word, whose high half PCG64 keeps for the next such draw (its
     ``has_uint32`` buffer, read here at the hand-over), and a half with
     ``(h * n) mod 2**32 < 2**32 mod n`` is rejected for the one after
-    it.  ``integers(0, 1)`` draws nothing.  Each block keeps its words'
+    it.  ``integers(0, 1)`` draws nothing.  The words at hand keep their
     halves, their uniforms and the ``integers(1, 6) - 1`` of each half
-    (-1 if rejected), indexed by word; ``_pending`` is the word whose
-    high half waits (-1 if none).
+    (-1 if rejected), indexed like the halves; ``_pending`` is the word
+    whose high half waits (-1 if none) and ``_base`` the count of raw
+    words read before the first word at hand.
 
     The learners' draw schedules depend only on epsilon, the step count
     and the ring size at each step, never on what they learn, so each
@@ -334,22 +339,21 @@ class Draws:
 
     def __init__(self, bits: np.random.PCG64, block: int = 4096):
         self._bits, self._block = bits, block
+        self._start = bits.state
         self._halves = np.empty(0, dtype=np.uint32)   # low, high of each word
-        self._uniform, self._low, self._high = [], [], []
-        self._next = 0
+        self._uniform, self._picks = [], []
+        self._base = self._next = 0
         self._pending = -1
-        state = bits.state
-        if state["has_uint32"]:   # a word whose high half is the buffered one
-            self._append(np.array([state["uinteger"] << 32], dtype=np.uint64))
-            self._next, self._pending = 1, 0
+        if self._start["has_uint32"]:   # a word whose high half is the buffered one
+            self._append(np.array([self._start["uinteger"] << 32], dtype=np.uint64))
+            self._base, self._next, self._pending = -1, 1, 0
 
     def _append(self, words: np.ndarray) -> None:
         halves = words.astype("<u8", copy=False).view("<u4")
         self._halves = np.concatenate((self._halves, halves))
         self._uniform += ((words >> 11) * 2.0**-53).tolist()
-        for picks, half in ((self._low, halves[0::2]), (self._high, halves[1::2])):
-            finger = (half.astype(np.uint64) * 5 >> 32).astype(np.int64)
-            picks += np.where(half == 0, -1, finger).tolist()
+        finger = (halves.astype(np.uint64) * 5 >> 32).astype(np.int64)
+        self._picks += np.where(halves == 0, -1, finger).tolist()
 
     def _more(self) -> None:
         self._append(self._bits.random_raw(self._block))
@@ -360,8 +364,9 @@ class Draws:
         if len(self._uniform) - self._next >= words:
             return
         keep = self._pending if self._pending >= 0 else self._next
-        del self._uniform[:keep], self._low[:keep], self._high[:keep]
+        del self._uniform[:keep], self._picks[:2 * keep]
         self._halves = self._halves[2 * keep:]
+        self._base += keep
         self._next -= keep
         if self._pending >= 0:
             self._pending -= keep
@@ -373,7 +378,7 @@ class Draws:
         ``rng.integers(1, 6) - 1`` if ``rng.random() < eps``, else -1
         (greedy)."""
         self._reserve(2 * steps)   # a step reads at most two words
-        uniform, low, high = self._uniform, self._low, self._high
+        uniform, pick_of = self._uniform, self._picks
         i, pending = self._next, self._pending
         picks = []
         for _ in range(steps):
@@ -384,10 +389,10 @@ class Draws:
                 continue
             while True:
                 if pending < 0:
-                    pick, pending = low[i], i
+                    pick, pending = pick_of[2 * i], i
                     i += 1
                 else:
-                    pick, pending = high[pending], -1
+                    pick, pending = pick_of[2 * pending + 1], -1
                 if pick >= 0:
                     break
                 self._more()   # a rejected half may read past the two words a step
@@ -397,39 +402,26 @@ class Draws:
 
     def episode(self, eps: float, steps: int, size: int, capacity: int, batch: int):
         """The replay learner's episode, from a ring holding ``size`` of
-        ``capacity`` transitions: each step's explore pick
-        (``rng.integers(1, 6) - 1`` if ``eps > 0`` and
-        ``rng.random() < eps``, else -1) and its replay slots
+        ``capacity`` transitions: each step's explore pick (``explore``'s
+        if ``eps > 0``, else -1) and its replay slots
         (``rng.integers(0, n, size=batch)`` once the ring holds n >=
         batch transitions, else None).
 
-        Steps are walked on word counts alone and the slots made in one
-        multiply-shift; an episode with a rejected half is walked again
-        draw by draw."""
-        self._reserve(steps * (2 + (batch + 1) // 2))   # words a step reads, no rejection
-        uniform, low, high = self._uniform, self._low, self._high
-        i, pending = self._next, self._pending
+        The slots of all steps are made in one multiply-shift; an episode
+        in which it finds a rejected half is drawn again by ``_replay``."""
+        # a step's words; a rejected pick half also appends a block, so no step trims
+        self._reserve(steps * (2 + (batch + 1) // 2))
+        start = self._next, self._pending
         picks, rows = [], []   # rows: first half, base of the rest, n, 2**32 mod n
         for s in range(steps):
-            pick = -1
-            if eps > 0.0:
-                u = uniform[i]
-                i += 1
-                if u < eps:
-                    if pending < 0:
-                        pick, pending = low[i], i
-                        i += 1
-                    else:
-                        pick, pending = high[pending], -1
-                    if pick < 0:
-                        return self._drawn(eps, steps, size, capacity, batch)
-            picks.append(pick)
+            picks += self.explore(eps, 1) if eps > 0.0 else (-1,)
             n = min(size + s + 1, capacity)
             if n < batch:
                 continue
             if n == 1:
                 rows.append((0, 0, 1, 0))
                 continue
+            i, pending = self._next, self._pending
             if pending < 0:
                 rows.append((2 * i, 2 * i, n, 2**32 % n))
                 fresh = batch
@@ -440,50 +432,36 @@ class Draws:
             if fresh & 1:   # the last fresh half is word i's low; its high waits
                 pending = i
                 i += 1
-        slots = []
-        if rows:
-            r = np.array(rows, dtype=np.uint64)
-            idx = r[:, 1:2] + np.arange(batch, dtype=np.uint64)
-            idx[:, 0] = r[:, 0]
-            m = self._halves[idx] * r[:, 2:3]
-            if (m & 0xFFFFFFFF < r[:, 3:]).any():
-                return self._drawn(eps, steps, size, capacity, batch)
-            slots = list((m >> 32).astype(np.intp))
-        self._next, self._pending = i, pending
-        return picks, [None] * (steps - len(slots)) + slots
+            self._next, self._pending = i, pending
+        if not rows:
+            return picks, [None] * steps
+        r = np.array(rows, dtype=np.uint64)
+        idx = r[:, 1:2] + np.arange(batch, dtype=np.uint64)
+        idx[:, 0] = r[:, 0]
+        m = self._halves[idx] * r[:, 2:3]
+        if (m & 0xFFFFFFFF < r[:, 3:]).any():
+            return self._replay(*start, eps, steps, size, capacity, batch)
+        return picks, [None] * (steps - len(rows)) + list((m >> 32).astype(np.intp))
 
-    def _drawn(self, eps, steps, size, capacity, batch):
-        """``episode`` one draw at a time, rejections included."""
+    def _replay(self, i, pending, eps, steps, size, capacity, batch):
+        """``episode`` drawn by ``Generator`` calls from the state it began
+        at, word ``i`` unread and word ``pending``'s high half waiting;
+        the draws then restart after it."""
+        bits = self._bits
+        bits.state = self._start
+        bits.advance(self._base + i)
+        state = bits.state
+        if pending >= 0:
+            state["has_uint32"], state["uinteger"] = 1, int(self._halves[2 * pending + 1])
+        bits.state = state
+        rng = np.random.Generator(bits)
         picks, slots = [], []
         for s in range(steps):
-            picks.append(self._integer(5) if eps > 0.0 and self._random() < eps else -1)
+            picks.append(int(rng.integers(1, 6)) - 1 if eps > 0.0 and rng.random() < eps else -1)
             n = min(size + s + 1, capacity)
-            slots.append(np.array([self._integer(n) for _ in range(batch)], dtype=np.intp)
-                         if n >= batch else None)
+            slots.append(rng.integers(0, n, size=batch) if n >= batch else None)
+        self.__init__(bits, self._block)
         return picks, slots
-
-    def _random(self) -> float:
-        if self._next == len(self._uniform):
-            self._more()
-        self._next += 1
-        return self._uniform[self._next - 1]
-
-    def _integer(self, n: int) -> int:
-        """``integers(0, n)``."""
-        if n == 1:
-            return 0
-        threshold = 2**32 % n
-        while True:
-            if self._pending >= 0:
-                half, self._pending = int(self._halves[2 * self._pending + 1]), -1
-            else:
-                if self._next == len(self._uniform):
-                    self._more()
-                half, self._pending = int(self._halves[2 * self._next]), self._next
-                self._next += 1
-            m = half * n
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
 
 
 @dataclass(frozen=True)
@@ -513,12 +491,13 @@ def train(env: FingeringEnv, config: TrainConfig,
     net = QNetwork(env.input_dim, rng=rng)
     draws = Draws(rng.bit_generator, block=1024)   # ~60 steps of words; 4096 costs ~0.3 MB
     capacity, gamma = config.replay_capacity, config.gamma
-    ring, pushed = np.empty(capacity, dtype=np.intp), 0   # transition ids, FIFO
+    steps = len(env.score) - 1
+    # transition ids, FIFO, in no more slots than the run has steps
+    ring, pushed = np.empty(min(capacity, config.episodes * steps), dtype=np.intp), 0
     rewards, next_ids = np.array(env.rewards), np.array(env.next_ids)
     inputs = net.one_hot(env.columns)
     net.sync_target(inputs)
     targets = target_table(net, rewards, next_ids, gamma)
-    steps = len(env.score) - 1
     history: list[EpisodeRecord] = []
     grad_steps = 0
     for episode in range(config.episodes):
@@ -538,7 +517,7 @@ def train(env: FingeringEnv, config: TrainConfig,
                     if slots is not None:   # the ring holds a full batch
                         k = ring[slots]
                         s, a = np.divmod(k, 5)
-                        losses.append(net.train_step(inputs.take(s, axis=0), a + 1,
+                        losses.append(net.train_step(inputs.take(s, axis=0), a,
                                                      targets.take(k), config.learning_rate))
                         grad_steps += 1
                         if grad_steps % config.target_sync == 0:

@@ -184,8 +184,14 @@ def _cmd_train(args) -> int:
     print(f"oracle: " + " ".join(map(str, oracle_fingering))
           + f"  total {oracle_total:.6f}")
     for seed in range(config.seed, config.seed + args.seeds):
-        net, records = train(env, dataclasses.replace(config, seed=seed))
-        fingering, total = greedy_rollout(net, env)
+        stage = ""
+        try:
+            net, records = train(env, dataclasses.replace(config, seed=seed))
+            stage = "greedy rollout after training: "
+            fingering, total = greedy_rollout(net, env)
+        except TrainingError as exc:
+            print(f"training error: seed {seed}: {stage}{exc}", file=sys.stderr)
+            return 3
         print(f"seed {seed}: rollout " + " ".join(map(str, fingering))
               + f"  total {total:.6f}  gap {oracle_total - total:.6f}"
               + f"  changes {_position_changes(score, fingering, model)}")
@@ -244,6 +250,3 @@ def main(argv=None) -> int:
     except (ScoreError, ConfigError, FingeringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return 3

@@ -11,7 +11,8 @@ from pianofinger.score import FINGERS
 
 
 def gradient_check(net: QNetwork, states, actions, targets, delta: float = 1e-4):
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences, for
+    actions given as ``train_step`` takes them, finger indices 0-4.
 
     Coordinates whose +/-delta perturbation flips any hidden-unit
     activation sign are skipped: across a rectifier kink the two-sided
@@ -22,10 +23,10 @@ def gradient_check(net: QNetwork, states, actions, targets, delta: float = 1e-4)
     Returns (max relative error, coordinates checked, coordinates skipped).
     """
     X = np.asarray(states, dtype=float)
-    a_idx = np.asarray(actions, dtype=int) - 1
+    a_idx = np.asarray(actions, dtype=int)
     y = np.asarray(targets, dtype=float)
     n = X.shape[0]
-    net._backward(X, np.asarray(actions), y)
+    net._backward(X, a_idx, y)
     analytic = net.grad.copy()
     theta = net.theta.copy()
 
@@ -136,7 +137,8 @@ def reference_train(env, config):
                 slots = rng.integers(0, size, size=config.batch_size)
                 targets = ring_rewards[slots] + config.gamma * net.target_max[ring_next[slots]]
                 losses.append(net.train_step(net.one_hot(columns[ring_states[slots]]),
-                                             ring_actions[slots], targets, config.learning_rate))
+                                             ring_actions[slots] - 1, targets,
+                                             config.learning_rate))
                 grad_steps += 1
                 if grad_steps % config.target_sync == 0:
                     net.sync_target(net.one_hot(columns))

@@ -220,7 +220,7 @@ def test_criterion_07_gradient_check(capsys):
     for _ in range(100):
         net = QNetwork(12, hidden=(16, 16), rng=rng)
         states = rng.uniform(-1.0, 1.0, size=(8, 12))
-        actions = rng.integers(1, 6, size=8)
+        actions = rng.integers(0, 5, size=8)
         targets = rng.normal(size=8)
         rel, checked, _ = gradient_check(net, states, list(actions), targets)
         assert checked > 0
@@ -230,7 +230,7 @@ def test_criterion_07_gradient_check(capsys):
     prod_net = QNetwork(31, rng=np.random.default_rng(778))
     prod_states = (np.random.default_rng(779).uniform(size=(4, 31)) < 0.1).astype(float)
     prod_rel, prod_checked, _ = gradient_check(
-        prod_net, prod_states, [1, 2, 3, 4], np.array([1.0, -1.0, 0.5, -10.0]))
+        prod_net, prod_states, [0, 1, 2, 3], np.array([1.0, -1.0, 0.5, -10.0]))
 
     ok = worst < 1e-4 and elapsed < 10.0 and prod_rel < 1e-4 and prod_checked > 0
     _report(capsys, 7, "gradient_check", ok,

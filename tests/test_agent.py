@@ -132,9 +132,9 @@ def test_train_step_at_fixpoint_is_a_noop():
     net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
     rng = np.random.default_rng(2)
     states = rng.uniform(size=(8, 4))
-    actions = rng.integers(1, 6, size=8)
+    actions = rng.integers(0, 5, size=8)   # finger indices, finger - 1
     q = net.forward(states)
-    targets = q[np.arange(8), actions - 1]   # already perfect
+    targets = q[np.arange(8), actions]   # already perfect
     before = net.theta.copy()
     loss = net.train_step(states, list(actions), targets, learning_rate=0.5)
     assert loss == 0.0
@@ -145,7 +145,7 @@ def test_zero_learning_rate_changes_nothing():
     net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
     states = np.eye(4)
     before = net.theta.copy()
-    loss = net.train_step(states, [1, 2, 3, 4], np.array([5.0, -5.0, 5.0, -5.0]), 0.0)
+    loss = net.train_step(states, [0, 1, 2, 3], np.array([5.0, -5.0, 5.0, -5.0]), 0.0)
     assert loss > 0.0
     assert np.array_equal(net.theta, before)
 
@@ -153,7 +153,7 @@ def test_zero_learning_rate_changes_nothing():
 def test_train_step_reduces_loss():
     net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(4))
     states = np.eye(4)
-    actions = [1, 2, 3, 4]
+    actions = [0, 1, 2, 3]
     targets = np.array([1.0, -1.0, 0.5, 0.0])
     # a zero step returns the loss and leaves the parameters as they are
     before = net.train_step(states, actions, targets, learning_rate=0.0)
@@ -167,7 +167,7 @@ def test_train_step_leaves_the_target_table_alone():
     net.sync_target(net.one_hot(env.columns))
     frozen = net.target_max.copy()
     theta = net.theta.copy()
-    net.train_step(net.one_hot(env.columns[:4]), [1, 2, 3, 4], np.ones(4), 0.1)
+    net.train_step(net.one_hot(env.columns[:4]), [0, 1, 2, 3], np.ones(4), 0.1)
     assert not np.array_equal(net.theta, theta)
     assert np.array_equal(net.target_max, frozen)
 
@@ -175,7 +175,7 @@ def test_train_step_leaves_the_target_table_alone():
 def test_non_finite_targets_raise_training_error():
     net = QNetwork(4, hidden=(6,), rng=np.random.default_rng(1))
     with pytest.raises(TrainingError):
-        net.train_step(np.eye(4), [1, 2, 3, 4], np.array([1.0, np.nan, 0.0, 0.0]), 0.1)
+        net.train_step(np.eye(4), [0, 1, 2, 3], np.array([1.0, np.nan, 0.0, 0.0]), 0.1)
 
 
 def test_training_error_names_the_first_non_finite_layer():
@@ -186,7 +186,7 @@ def test_training_error_names_the_first_non_finite_layer():
     net.weights[0][0, :] = 1e5
     net.weights[1][:] = 1e-3
     with np.errstate(over="ignore"), pytest.raises(TrainingError) as info:
-        net.train_step(np.array([[1e-3, 0.0]]), [1], np.array([-1e307]), 0.1)
+        net.train_step(np.array([[1e-3, 0.0]]), [0], np.array([-1e307]), 0.1)
     assert info.value.layer == 2
     assert "layer 2" in str(info.value)
     assert np.isfinite(net.grad_weights[0]).all() and np.isfinite(net.grad_biases[0]).all()
@@ -197,7 +197,7 @@ def test_non_finite_loss_with_finite_gradients_names_no_layer():
     net = _zero_net(input_dim=2, hidden=(3,))
     before = net.theta.copy()
     with np.errstate(over="ignore"), pytest.raises(TrainingError, match=r"loss=inf") as info:
-        net.train_step(np.array([[1.0, 0.0]]), [1], np.array([1e200]), 0.1)
+        net.train_step(np.array([[1.0, 0.0]]), [0], np.array([1e200]), 0.1)
     assert info.value.layer is None
     assert np.isfinite(net.grad).all()
     assert np.array_equal(net.theta, before)   # no step was taken
@@ -220,9 +220,9 @@ def test_gradient_check_small_net():
     net = QNetwork(7, hidden=(9, 8), rng=np.random.default_rng(42))
     rng = np.random.default_rng(43)
     states = rng.uniform(-1.0, 1.0, size=(6, 7))
-    actions = rng.integers(1, 6, size=6)
+    actions = rng.integers(0, 5, size=6)
     q = net.forward(states)
-    targets = q[np.arange(6), actions - 1] + rng.normal(size=6)
+    targets = q[np.arange(6), actions] + rng.normal(size=6)
     max_rel, checked, skipped = gradient_check(net, states, list(actions), targets)
     assert checked > 0
     assert skipped < checked          # the kink filter should be the exception
@@ -318,10 +318,16 @@ _RINGS = st.one_of(
 )
 
 
-# a zero word in the first episode's slots; both halves of a word rejected;
-# a half pending across a two-word block boundary
+# a zero word in the first episode's slots; in the second episode's, after
+# a block trim and with a half waiting as it begins; in the first episode's
+# with the handed-over half waiting; both halves of a word rejected; a half
+# pending across a two-word block boundary
 @example(seed=0, zero_at=3, x=1, block=4096, handed_half=False, ring=(40, 8, 40),
          episodes=[(0.0, 2)])
+@example(seed=0, zero_at=13, x=1, block=2, handed_half=False, ring=(40, 8, 40),
+         episodes=[(0.5, 2)] * 3)
+@example(seed=0, zero_at=1, x=1, block=4096, handed_half=True, ring=(40, 8, 40),
+         episodes=[(0.0, 1)] * 3)
 @example(seed=0, zero_at=1, x=1, block=4096, handed_half=False, ring=(10, 1, 0),
          episodes=[(1.0, 2)])
 @example(seed=0, zero_at=None, x=1, block=2, handed_half=True, ring=(9, 3, 0),
@@ -367,13 +373,13 @@ def test_train_equals_the_per_call_loop_bit_for_bit(monkeypatch, exp_id, overrid
     # the weights are those of the loop that calls the generator for each
     # draw and keeps its own four-array ring
     redrawn = []
-    drawn = Draws._drawn
+    replay = Draws._replay
 
     def counted(self, *args):
         redrawn.append(args)
-        return drawn(self, *args)
+        return replay(self, *args)
 
-    monkeypatch.setattr(Draws, "_drawn", counted)
+    monkeypatch.setattr(Draws, "_replay", counted)
     spec = build_experiment(exp_id)
     env = FingeringEnv(spec.score, encoding=encoding_for(spec.score, spec.encoding))
     config = dataclasses.replace(default_train_config(exp_id), **overrides)
@@ -508,7 +514,7 @@ def _check_replay(monkeypatch, config):
         k = np.array([transitions[j + capacity * ((n - 1 - j) // capacity)]
                       for j in drawn[len(checked)]])
         checked.append(np.array_equal(rows, inputs[k // 5])
-                       and np.array_equal(actions, k % 5 + 1)
+                       and np.array_equal(actions, k % 5)
                        and np.array_equal(targets, target_table(
                            self, rewards, next_ids, config.gamma).take(k)))
         return train_step(self, rows, actions, targets, learning_rate)

@@ -301,10 +301,10 @@ def test_train_divergence_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, error", [
     ("--ex 4 --episodes 300 --seed 0",
-     "non-finite loss or gradient (loss=inf) in episode 46, gradient step 668, layer 1"),
+     "seed 0: non-finite loss or gradient (loss=inf) in episode 46, gradient step 668, layer 1"),
     # seed 4 trains to finite weights whose greedy rollout overflows
     ("--ex 1 --episodes 5 --seeds 2 --seed 3 --encoding 88 --learning-rate 1e3",
-     "non-finite Q-value inf for finger 1"),
+     "seed 4: greedy rollout after training: non-finite Q-value inf for finger 1"),
 ])
 def test_train_divergence_writes_one_line_to_stderr(flags, error):
     # the overflow that ends the run prints no numpy warning of its own
@@ -330,6 +330,17 @@ def test_train_batch_larger_than_replay_ring_exits_2(capsys):
                  "--episodes", "30"]) == 2
     captured = capsys.readouterr()
     assert "batch_size 50 exceeds replay_capacity 20" in captured.err and captured.out == ""
+
+
+def test_train_ring_larger_than_the_run_allocates_only_the_run(capsys):
+    # 10**10 slots would take 75 GiB; the run pushes 270 transitions and
+    # trains as it does with a ring that holds them all
+    outs = []
+    for capacity in ("10000000000", "10000"):
+        assert main(["train", "--ex", "2", "--episodes", "30",
+                     "--replay-capacity", capacity]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == ""
 
 
 # --- eval ---------------------------------------------------------------------
