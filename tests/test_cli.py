@@ -299,18 +299,26 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("training error:")
 
 
-@pytest.mark.parametrize("flags, error", [
-    ("--ex 4 --episodes 300 --seed 0",
-     "seed 0: non-finite loss or gradient (loss=inf) in episode 46, gradient step 668, layer 1"),
+def _divergence_case(flags, context, error):
+    # the case id names the flags and the error, without the context
+    # that the message puts before it
+    return pytest.param(flags, context, error, id=f"{flags}-{error}")
+
+
+@pytest.mark.parametrize("flags, context, error", [
+    _divergence_case(
+        "--ex 4 --episodes 300 --seed 0", "seed 0: ",
+        "non-finite loss or gradient (loss=inf) in episode 46, gradient step 668, layer 1"),
     # seed 4 trains to finite weights whose greedy rollout overflows
-    ("--ex 1 --episodes 5 --seeds 2 --seed 3 --encoding 88 --learning-rate 1e3",
-     "seed 4: greedy rollout after training: non-finite Q-value inf for finger 1"),
+    _divergence_case(
+        "--ex 1 --episodes 5 --seeds 2 --seed 3 --encoding 88 --learning-rate 1e3",
+        "seed 4: greedy rollout after training: ", "non-finite Q-value inf for finger 1"),
 ])
-def test_train_divergence_writes_one_line_to_stderr(flags, error):
+def test_train_divergence_writes_one_line_to_stderr(flags, context, error):
     # the overflow that ends the run prints no numpy warning of its own
     run = subprocess.run([sys.executable, "-m", "pianofinger", "train", *flags.split()],
                          capture_output=True, text=True, timeout=120)
-    assert (run.returncode, run.stderr) == (3, f"training error: {error}\n")
+    assert (run.returncode, run.stderr) == (3, f"training error: {context}{error}\n")
 
 
 def test_solve_prints_n_a_when_the_optimum_crosses(tmp_path, capsys):
