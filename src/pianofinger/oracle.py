@@ -4,9 +4,10 @@ Because the reward for a transition depends only on (current finger,
 current pitch, next pitch, chosen finger), the best total reward from any
 position is a function of (note index, finger) and backward induction
 over that 5-wide table is exact.  ``dp_optimal`` runs it in plain
-Python floats over the model's cached blocks (``reward_rows``), one
-IEEE ``reward + value`` add per cell, and keeps each step's best next
-finger, so the forward pass is a walk over those choices.
+Python floats, one IEEE ``reward + value`` add per cell, and keeps each
+step's best next finger, so the forward pass is a walk over those
+choices; each (row of values, interval) step is computed once and then
+looked up, and a handful of rows serve every score while sums are exact.
 ``exhaustive_optimal`` recomputes the same answer by scoring every
 finger sequence outright, so the two routes validate each other; a
 tabular Q-learner on the raw state tuples gives a third, learning-based
@@ -23,16 +24,20 @@ and ``fingering_total_reward`` agree to the last bit.
 
 from __future__ import annotations
 
+import functools
+import struct
 from typing import Optional
 
 import numpy as np
 
 from .agent import Draws, TrainConfig, epsilon_at
 from .env import FingeringEnv
-from .reward import RewardModel, reward_rows
+from .reward import RewardModel, _bits, _blocks, block_index, reward_rows
 from .score import FINGERS, Score, ScoreSizeError
 
 _EXHAUSTIVE_MAX_LEN = 12
+_DEFAULT_MODEL = RewardModel()
+_MEMO_ROWS = 4096   # rows a memo holds before it starts over (each row keeps <= 175 steps)
 
 
 class FingeringError(ValueError):
@@ -42,53 +47,78 @@ class FingeringError(ValueError):
 def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     """Best achievable total reward and one optimal fingering.
 
-    Backward induction on (note index, finger) over ``reward_rows``, in
-    Python floats: each step adds the five next-finger rewards of every
-    held finger's row to the five values of the step after it and keeps
-    the first best next finger (strict ``>``, so the lowest on ties, as
-    ``argmax`` keeps it).  Walking those choices forward from the fixed
-    first finger gives the lexicographically smallest optimal fingering
-    when path sums are exact, as with integer or dyadic rewards (the
-    defaults among them).  With arbitrary float rewards the backward pass
-    adds right to left, so rounding can break a mathematical tie and
-    another optimal fingering may come back.  Returns (fingering,
-    total_reward) with the fingering including the score's fixed first
-    finger; the total is the fingering's rewards added left to right, as
-    ``fingering_total_reward`` adds them.
+    Backward induction on (note index, finger) in Python floats: each
+    step adds every held finger's five rewards in the interval's block to
+    the five values of the step after it and keeps the first best next
+    finger (strict ``>``, so the lowest on ties, as ``argmax`` keeps it).
+    Each (row of values, interval) step is computed once, then read from
+    a memo: the model's, over rows less their maximum, while path sums
+    are exact (``_solver``); else the call's, over the values themselves.
+    The walk over the choices from the first finger is the smallest
+    optimal fingering in lexicographic order when path sums are exact
+    (integer or dyadic rewards); with arbitrary floats, rounding can break
+    a mathematical tie and give another.  Returns (fingering, total_reward),
+    the total added left to right, as ``fingering_total_reward`` adds it.
     """
-    steps = reward_rows(score, model if model is not None else RewardModel())
-    # v[f-1] = best total reward from the note after this step on, holding finger f
-    v0 = v1 = v2 = v3 = v4 = 0.0
+    model = _DEFAULT_MODEL if model is None else model
+    index = block_index(score, model)
+    blocks, longest, memo = _solver(_bits(model))
+    exact = len(index) <= longest
+    memo = memo if exact else {}
+    row = (0.0,) * 5   # row[f-1]: the best total from the next note on, holding finger f
+    steps = memo.setdefault(row, {})   # interval index -> (next row, its steps, choices)
     choices = []
-    for block in reversed(steps):
-        value, choice = [], []
-        for r0, r1, r2, r3, r4 in block:
-            best, g = r0 + v0, 0
-            c = r1 + v1
-            if c > best:
-                best, g = c, 1
-            c = r2 + v2
-            if c > best:
-                best, g = c, 2
-            c = r3 + v3
-            if c > best:
-                best, g = c, 3
-            c = r4 + v4
-            if c > best:
-                best, g = c, 4
-            value.append(best)
-            choice.append(g)
-        v0, v1, v2, v3, v4 = value
+    for i in reversed(index):
+        step = steps.get(i)
+        if step is None:
+            v0, v1, v2, v3, v4 = row
+            value, choice = [], []
+            for r0, r1, r2, r3, r4 in blocks[i]:
+                best, g = r0 + v0, 0
+                c = r1 + v1
+                if c > best:
+                    best, g = c, 1
+                c = r2 + v2
+                if c > best:
+                    best, g = c, 2
+                c = r3 + v3
+                if c > best:
+                    best, g = c, 3
+                c = r4 + v4
+                if c > best:
+                    best, g = c, 4
+                value.append(best)
+                choice.append(g)
+            if exact:
+                top = max(value)
+                value = [v - top for v in value]
+            if len(memo) >= _MEMO_ROWS - 1:   # start over, leaving room for a call's first row
+                memo.clear()
+            row = tuple(value)
+            step = steps[i] = row, memo.setdefault(row, {}), tuple(choice)
+        row, steps, choice = step
         choices.append(choice)
     f = score.first_finger - 1
     fingering = [score.first_finger]
     total = 0.0
-    for block, choice in zip(steps, reversed(choices)):
+    for i, choice in zip(index, reversed(choices)):
         g = choice[f]
-        total += block[f][g]
+        total += blocks[i][f][g]
         fingering.append(g + 1)
         f = g
     return fingering, total
+
+
+@functools.lru_cache(maxsize=8)
+def _solver(bits: bytes) -> tuple:
+    """A model's blocks, the most transitions k whose path sums are exact,
+    and its memo.  With rewards n/d and D the largest d (a power of two),
+    sums of k rewards and their differences are multiples of 1/D of size
+    at most 2k·max|r|, exact while 2k·max|r|·D <= 2**53."""
+    rewards = [r.as_integer_ratio() for r in struct.unpack("4d", bits)[1:]]
+    scale = max(d for _, d in rewards)
+    top = max(abs(n) * (scale // d) for n, d in rewards)
+    return _blocks(bits), 2**53 // (2 * top), {}
 
 
 def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
@@ -105,7 +135,7 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
             f"exhaustive search is capped at {_EXHAUSTIVE_MAX_LEN} notes, "
             f"got {len(score)}"
         )
-    table = np.array(reward_rows(score, model if model is not None else RewardModel()))
+    table = np.array(reward_rows(score, _DEFAULT_MODEL if model is None else model))
     totals = table[0, score.first_finger - 1].copy()
     for t in range(1, table.shape[0]):
         totals = (totals.reshape(-1, 5, 1) + table[t][None, :, :]).reshape(-1)
@@ -131,7 +161,7 @@ def count_position_changes(score: Score, fingering, model: Optional[RewardModel]
     Raises FingeringError if any transition is infeasible — a crossing
     has no meaningful relocation count.
     """
-    model = model if model is not None else RewardModel()
+    model = _DEFAULT_MODEL if model is None else model
     rewards = _rewards_along(score, fingering, model)
     if model.r_infeasible in rewards:
         t = rewards.index(model.r_infeasible)
@@ -148,7 +178,7 @@ def evaluate_fingering(score: Score, fingering,
     """``fingering_total_reward`` and ``count_position_changes`` from one
     read of the fingering's rewards; the count is None where
     ``count_position_changes`` raises, for an infeasible transition."""
-    model = model if model is not None else RewardModel()
+    model = _DEFAULT_MODEL if model is None else model
     rewards = _rewards_along(score, fingering, model)
     total = 0.0
     for r in rewards:
@@ -159,7 +189,7 @@ def evaluate_fingering(score: Score, fingering,
 _FINGER_INDEX = {f: f - 1 for f in FINGERS}
 
 
-def _rewards_along(score: Score, fingering, model: Optional[RewardModel]) -> list:
+def _rewards_along(score: Score, fingering, model: RewardModel) -> list:
     """The reward of each transition of a complete fingering (first entry
     must match the score's fixed first finger): entry t is note t -> t+1.
     An entry equal to a finger (``2.0``, ``True``) counts as that finger."""
@@ -170,7 +200,7 @@ def _rewards_along(score: Score, fingering, model: Optional[RewardModel]) -> lis
         f = [FINGERS.index(g) for g in fingering]   # unhashable, but equal to a finger
     if len(f) != len(score) or f[0] != score.first_finger - 1:
         _validate_fingering(score, fingering)
-    rows = reward_rows(score, model if model is not None else RewardModel())
+    rows = reward_rows(score, model)
     return [row[a][b] for row, a, b in zip(rows, f, f[1:])]
 
 

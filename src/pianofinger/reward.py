@@ -22,8 +22,8 @@ The scalar functions state the rules.  A transition's 5x5 block of
 (held finger, next finger) rewards depends only on the model and the
 interval nn - cn, so each model's 175 blocks (intervals -87..+87) are
 built once, by one numpy broadcast, and held as nested tuples of floats.
-``reward_rows`` gathers a score's blocks by its intervals for the DP
-solver, the scorers, the learners and the environment.
+``block_index`` reads a score's intervals as block indices, which the DP
+solver takes and ``reward_rows`` gathers for the others.
 """
 
 from __future__ import annotations
@@ -116,26 +116,26 @@ class RewardModel:
         return self.r_stay
 
 
-def _check_path_totals(score: Score, model: RewardModel) -> None:
-    """Raise ScoreSizeError unless (L-1) times the largest reward, the
-    largest path total, is at most a quarter of the largest float64, so
-    that path totals and Q-learning updates stay finite with room to spare."""
-    largest = max(abs(model.r_stay), abs(model.r_infeasible))
-    if largest > sys.float_info.max / (4 * (len(score) - 1)):
-        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
-                             "can overflow float64 totals")
-
-
 def reward_rows(score: Score, model: RewardModel) -> list:
     """The score's rewards: entry t is the model's cached block for the
     interval from note t to t+1, read as ``[t][f-1][g-1]`` for playing
     note t+1 with finger g when note t is held by finger f; equal to
-    ``model.reward`` cell by cell.  Raises ScoreSizeError as
-    ``_check_path_totals`` does."""
-    _check_path_totals(score, model)
+    ``model.reward`` cell by cell.  Raises as ``block_index`` does."""
     blocks = _blocks(_bits(model))
+    return [blocks[i] for i in block_index(score, model)]
+
+
+def block_index(score: Score, model: RewardModel) -> list:
+    """Entry t: the index of the model's block for note t -> t+1.  Raises
+    ScoreSizeError unless (L-1) times the largest reward, the largest path
+    total, is at most a quarter of the largest float64, so that path totals
+    and Q-learning updates stay finite with room to spare."""
+    largest = max(abs(model.r_stay), abs(model.r_infeasible))
+    if largest > sys.float_info.max / (4 * (len(score) - 1)):
+        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
+                             "can overflow float64 totals")
     pitches = score.pitches
-    return [blocks[q - p + _WIDEST] for p, q in zip(pitches, pitches[1:])]
+    return [q - p + _WIDEST for p, q in zip(pitches, pitches[1:])]
 
 
 def _bits(model: RewardModel) -> bytes:

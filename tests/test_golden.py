@@ -22,9 +22,10 @@ The same 200-note walk, trained for 300 episodes, pins 199-step
 episodes whose random draws run through many blocks of raw words.
 
 The DP solver is pinned by the sha256 of ``pianofinger solve``'s stdout
-on each melody and on a seeded 3000-note walk under non-dyadic rewards,
-whose path sums round, and on EX3 written with pitch names, a duration
-and a comment line.  ``eval`` is pinned on a feasible and an
+on each melody, on a seeded 3000-note walk under non-dyadic rewards,
+whose path sums round, and under two more models, one whose sums stay
+exact (r_stay=1.5) and one whose sums round (r_stay=0.1, r_move=0.05),
+and on EX3 written with pitch names, a duration and a comment line.  ``eval`` is pinned on a feasible and an
 infeasible fingering of EX2 and on the optimal fingering of a 3000-note
 walk, and a two-seed ``train`` by its stdout and every file it writes.
 """
@@ -86,6 +87,8 @@ GOLDEN_SOLVE = {
     "EX4": "81409e2f029231f36528fe23ad3a07db887f1186a0375abe86daa333f8af5b91",
     "EX5": "cf13fdd6dd64d9a01a8cd1fcc7fb2218da7831e9645871494378cf040f9e89c3",
     "walk3000": "cc83a56218e06cb75513df64b80ea3e8d8b0abaf94a9569b09f580d73089d813",
+    "walk3000-exact": "c2c454fa316647cd90d691a0c32d20be39853442d175dc2535d118b0a701d813",
+    "walk3000-inexact": "5d2e566f5a44f5f96feff2611095f089940f176709c067dd5046af67c3106943",
     "ex3-names": "113263aa3db1a3ca75215b3238d6d6e396005050683831559549491dceb506fc",
 }
 GOLDEN_EVAL = {
@@ -103,6 +106,9 @@ GOLDEN_TRAIN = {   # train --ex 2 --seeds 2 --episodes 20 --out-dir D
     "oracle_fingering.txt": "a977a909f8d0d7273fb65ba791fedd5cd6c23ce5bbf09a24f002049d1f953f16",
 }
 NON_DYADIC = "anchor_tolerance = 1.5\nr_stay = 0.7\nr_move = -0.3\nr_infeasible = -9.1\n"
+# the DP's two memos: rows less their maximum while sums are exact, plain values otherwise
+MEMO_CONFIGS = {"walk3000-exact": "r_stay = 1.5\n",
+                "walk3000-inexact": "r_stay = 0.1\nr_move = 0.05\n"}
 # EX3 in the form only the line loop reads; walk3000 is in the form read in one pass
 EX3_NAMES = ("# EX3, the opening phrase of Ode to Joy, in pitch names\nfirst_finger=3\n"
              "E4\nE4\nF4\nG4\nG4\nF4\nE4\nD4\nC4\nC4\nD4\nE4\nE4, 1.5\nD4\nD4\n")
@@ -185,6 +191,9 @@ def test_golden_solve_output(tmp_path):
     config.write_text(NON_DYADIC)
     calls = {f"EX{n}": ["solve", "--ex", str(n)] for n in range(1, 6)}
     calls["walk3000"] = ["solve", str(walk), "--config", str(config)]
+    for name, text in MEMO_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+        calls[name] = ["solve", str(walk), "--config", str(tmp_path / f"{name}.cfg")]
     named = tmp_path / "ex3_names.txt"
     named.write_text(EX3_NAMES)
     assert parse_score(EX3_NAMES).pitches == build_experiment("EX3").score.pitches

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pianofinger import oracle
 from pianofinger.agent import Draws, TrainConfig, epsilon_at
 from pianofinger.oracle import (
     FingeringError,
@@ -18,7 +19,7 @@ from pianofinger.oracle import (
     fingering_total_reward,
     tabular_q_train,
 )
-from pianofinger.reward import RewardModel, reward_rows
+from pianofinger.reward import RewardModel, _bits, reward_rows
 from pianofinger.score import (
     FINGERS,
     PITCH_MAX,
@@ -197,6 +198,14 @@ def _reference_dp(score, model):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Integer rewards up to 2**48: path sums stay exact over 16 transitions
+_BOUNDARY_MODEL = RewardModel(0.0, r_stay=2.0**48, r_move=-3.0, r_infeasible=-2.0**48)
+_BOUNDARY_PITCHES = [60, 64, 59, 67, 62, 60, 72, 65, 60, 61, 63, 58, 70, 66, 60, 55, 57, 52]
+# Rewards of 2**50 are exact over 4 transitions; over this walk's 17 the
+# values less their maximum would round and pick another fingering.
+_ROUNDING_MODEL = RewardModel(0.0, r_stay=2.0**50, r_move=-1.0, r_infeasible=-2.0**50)
+_ROUNDING_WALK = Score.from_pitches(
+    [70, 67, 67, 64, 62, 59, 62, 61, 63, 65, 67, 65, 66, 69, 67, 70, 69, 66], 4)
 
 
 @given(st.one_of(scores(), walks(max_notes=300)),
@@ -204,6 +213,9 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
                      tolerances=st.one_of(st.just(0.0), st.floats(0, 100), _FINITE.map(abs))))
 @example(Score.from_pitches([108, 108, 108, 108, 101], 1),
          RewardModel(0.0, r_stay=85.5572113248941, r_move=0.05))
+@example(Score.from_pitches(_BOUNDARY_PITCHES[:17], 2), _BOUNDARY_MODEL)   # 16 transitions: exact
+@example(Score.from_pitches(_BOUNDARY_PITCHES, 2), _BOUNDARY_MODEL)   # 17: one past the bound
+@example(_ROUNDING_WALK, _ROUNDING_MODEL)
 @settings(max_examples=200, deadline=None)
 def test_dp_equals_the_numpy_backward_pass_bit_for_bit(score, model):
     try:
@@ -215,6 +227,87 @@ def test_dp_equals_the_numpy_backward_pass_bit_for_bit(score, model):
     fingering, total = dp_optimal(score, model)
     assert fingering == expected_fingering
     assert struct.pack("<d", total) == struct.pack("<d", expected_total)
+
+
+def test_the_exactness_bound_of_a_model():
+    # 2·k·max|r|·D <= 2**53, D the largest denominator of the rewards
+    assert oracle._solver(_bits(_BOUNDARY_MODEL))[1] == 16
+    assert oracle._solver(_bits(_ROUNDING_MODEL))[1] == 4
+    assert oracle._solver(_bits(RewardModel()))[1] == 2**53 // 20
+    assert oracle._solver(_bits(RewardModel(r_stay=1.5, r_move=-0.0625)))[1] == 2**53 // 320
+    assert oracle._solver(_bits(RewardModel(r_stay=0.1, r_move=0.05)))[1] == 0
+
+
+def _exact(result):
+    fingering, total = result
+    return fingering, struct.pack("<d", total)
+
+
+def _benchmark_walks(seed):
+    """Scores like the solve benchmark's: 1000-note walks of -5..+5
+    semitones from any key, then one walk of each length from 2 to 10."""
+    rng = np.random.default_rng(seed)
+    walks = []
+    for n in [1000] * 3 + list(range(2, 11)):
+        pitches = [int(rng.integers(PITCH_MIN, PITCH_MAX + 1))]
+        for step in rng.integers(-5, 6, size=n - 1).tolist():
+            pitches.append(min(PITCH_MAX, max(PITCH_MIN, pitches[-1] + step)))
+        walks.append(Score.from_pitches(pitches, int(rng.integers(1, 6))))
+    return walks
+
+
+def test_cold_and_warm_solves_agree():
+    walks = _benchmark_walks(0)
+    results = []
+    for model in (RewardModel(), RewardModel(r_move=0.0), RewardModel(r_move=-0.0),
+                  RewardModel(1.5, r_stay=0.75, r_move=-0.125, r_infeasible=-8.0625)):
+        cold = []
+        for score in walks:
+            oracle._solver.cache_clear()
+            cold.append(_exact(dp_optimal(score, model)))
+        assert oracle._solver(_bits(model))[2]   # the memo outlasts the call
+        warm = [_exact(dp_optimal(score, model)) for score in walks + walks[::-1]]
+        assert warm == cold + cold[::-1]
+        assert cold[0] == _exact(_reference_dp(walks[0], model))
+        results.append(cold)
+    assert results[1] == results[2]   # r_move=-0.0 has its own memo and the same answers
+
+
+def test_a_model_whose_sums_can_round_keeps_no_memo():
+    model = RewardModel(r_stay=0.1, r_move=0.05)
+    oracle._solver.cache_clear()
+    for score in _benchmark_walks(1):
+        assert _exact(dp_optimal(score, model)) == _exact(_reference_dp(score, model))
+    assert oracle._solver(_bits(model))[2] == {}
+
+
+class _WatchedMemo(dict):
+    """A memo that checks its size at every row it takes in, and counts
+    the times it starts over."""
+
+    clears = 0
+
+    def setdefault(self, row, steps):
+        steps = super().setdefault(row, steps)
+        assert len(self) <= oracle._MEMO_ROWS
+        return steps
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+@pytest.mark.parametrize("bound", [3, 8])
+def test_a_models_memo_never_exceeds_its_bound(monkeypatch, bound):
+    monkeypatch.setattr(oracle, "_MEMO_ROWS", bound)
+    solver, memos = oracle._solver, {}
+    monkeypatch.setattr(oracle, "_solver",
+                        lambda bits: solver(bits)[:2] + (memos.setdefault(bits, _WatchedMemo()),))
+    walks = _benchmark_walks(2) + [REPEATED_NOTE, LONG_MELODY]
+    for model in (RewardModel(), RewardModel(r_stay=1.5, r_move=-0.0625)):
+        for score in walks + walks:
+            assert _exact(dp_optimal(score, model)) == _exact(_reference_dp(score, model))
+        assert memos[_bits(model)].clears > 0
 
 
 def test_dp_raises_the_reward_tables_size_error():
