@@ -112,9 +112,9 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
 @functools.lru_cache(maxsize=8)
 def _solver(bits: bytes) -> tuple:
     """A model's blocks, the most transitions k whose path sums are exact,
-    and its memo.  With rewards n/d and D the largest d (a power of two),
-    sums of k rewards and their differences are multiples of 1/D of size
-    at most 2k·max|r|, exact while 2k·max|r|·D <= 2**53."""
+    and the memo its calls share.  With rewards n/d and D the largest d (a
+    power of two), sums of k rewards and their differences are multiples
+    of 1/D of size at most 2k·max|r|, exact while 2k·max|r|·D <= 2**53."""
     rewards = [r.as_integer_ratio() for r in struct.unpack("4d", bits)[1:]]
     scale = max(d for _, d in rewards)
     top = max(abs(n) * (scale // d) for n, d in rewards)

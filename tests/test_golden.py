@@ -25,9 +25,10 @@ The DP solver is pinned by the sha256 of ``pianofinger solve``'s stdout
 on each melody, on a seeded 3000-note walk under non-dyadic rewards,
 whose path sums round, and under two more models, one whose sums stay
 exact (r_stay=1.5) and one whose sums round (r_stay=0.1, r_move=0.05),
-and on EX3 written with pitch names, a duration and a comment line.  ``eval`` is pinned on a feasible and an
-infeasible fingering of EX2 and on the optimal fingering of a 3000-note
-walk, and a two-seed ``train`` by its stdout and every file it writes.
+and on EX3 written with pitch names, a duration and a comment line.
+``eval`` is pinned on a feasible and an infeasible fingering of EX2 and
+on the optimal fingering of a 3000-note walk, and a two-seed ``train``
+by its stdout and every file it writes.
 """
 
 import contextlib
