@@ -25,7 +25,7 @@ from .experiments import (
     export_history,
     read_fingering,
 )
-from .oracle import FingeringError, count_position_changes, dp_optimal, evaluate_fingering
+from .oracle import FingeringError, dp_optimal, evaluate_fingering, solve
 from .reward import RewardModel
 from .score import (Score, ScoreError, integer, lines, mirror_for_left_hand, number, parse_score,
                     read_text, serialize_score)
@@ -106,12 +106,11 @@ def _configure(args) -> tuple[ExperimentSpec, RewardModel]:
     return spec, model
 
 
-def _position_changes(score: Score, fingering, model: RewardModel) -> str:
-    """The fingering's position-change count, or 'n/a' if a transition is infeasible."""
-    try:
-        return str(count_position_changes(score, fingering, model))
-    except FingeringError:
-        return "n/a"
+def _fingering_text(fingering) -> str:
+    """``" ".join(map(str, fingering))``: the fingers in the even bytes of a zeroed buffer."""
+    text = bytearray(2 * len(fingering) - 1)
+    text[::2] = fingering
+    return text.translate(bytes.maketrans(b"\0\1\2\3\4\5", b" 12345")).decode()
 
 
 @functools.lru_cache(maxsize=1)   # parsing keeps no state in the parser
@@ -158,11 +157,11 @@ def _build_parser() -> _Parser:
 def _cmd_solve(args) -> int:
     spec, model = _configure(args)
     score = spec.score
-    fingering, total = dp_optimal(score, model)
+    fingering, total, changes = solve(score, model)
     print(f"score: {score.name} ({len(score)} notes)")
-    print("fingering: " + " ".join(map(str, fingering)))
+    print("fingering: " + _fingering_text(fingering))
     print(f"total_reward: {total:.6f}")
-    print(f"position_changes: {_position_changes(score, fingering, model)}")
+    print(f"position_changes: {'n/a' if changes is None else changes}")
     return 0
 
 
@@ -181,7 +180,7 @@ def _cmd_train(args) -> int:
 
     print(f"score: {score.name} ({len(score)} notes), encoding={spec.encoding}, "
           f"episodes={config.episodes}")
-    print(f"oracle: " + " ".join(map(str, oracle_fingering))
+    print(f"oracle: " + _fingering_text(oracle_fingering)
           + f"  total {oracle_total:.6f}")
     for seed in range(config.seed, config.seed + args.seeds):
         stage = ""
@@ -192,9 +191,10 @@ def _cmd_train(args) -> int:
         except TrainingError as exc:
             print(f"training error: seed {seed}: {stage}{exc}", file=sys.stderr)
             return 3
-        print(f"seed {seed}: rollout " + " ".join(map(str, fingering))
+        changes = evaluate_fingering(score, fingering, model)[1]
+        print(f"seed {seed}: rollout " + _fingering_text(fingering)
               + f"  total {total:.6f}  gap {oracle_total - total:.6f}"
-              + f"  changes {_position_changes(score, fingering, model)}")
+              + f"  changes {'n/a' if changes is None else changes}")
         if out_dir is not None:
             export_history(records, out_dir / f"history_seed{seed}.csv")
             export_fingering(score, fingering, out_dir / f"fingering_seed{seed}.txt")

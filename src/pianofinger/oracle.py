@@ -5,17 +5,17 @@ current pitch, next pitch, chosen finger), the best total reward from any
 position is a function of (note index, finger) and backward induction
 over that 5-wide table is exact.  ``dp_optimal`` runs it in plain
 Python floats, one IEEE ``reward + value`` add per cell, and keeps each
-step's best next finger, so the forward pass is a walk over those
-choices; each (row of values, interval) step is computed once and then
-looked up, and a handful of rows serve every score while sums are exact.
-``exhaustive_optimal`` recomputes the same answer by scoring every
-finger sequence outright, so the two routes validate each other; a
-tabular Q-learner on the raw state tuples gives a third, learning-based
-route to the same optimum.  It trains on a ``FingeringEnv``'s reward
-and successor tables with plain-float Q rows, one per (finger, pitch,
-next pitch) key and shared by every state with that key, and reads its
-exploration draws from lists that numpy fills a block of raw PCG64
-words at a time, each the one ``default_rng(seed)`` makes.
+step's best next finger and its reward; ``solve`` takes the fingering,
+its total and its position changes from one walk over those choices.
+While sums are exact, a handful of (row of values, interval) steps
+serve every score.  ``exhaustive_optimal`` recomputes the same answer by
+scoring every finger sequence outright, so the two routes validate each
+other; a tabular Q-learner on the raw state tuples gives a third,
+learning-based route to the same optimum.  It trains on a
+``FingeringEnv``'s reward and successor tables with plain-float Q rows,
+one per (finger, pitch, next pitch) key and shared by every state with
+that key, and reads its exploration draws from lists that numpy fills a
+block of raw PCG64 words at a time, each the one ``default_rng(seed)`` makes.
 
 The scorers and the learner read the same rows.  Totals of a fingering
 are added one transition at a time, left to right, so ``dp_optimal``
@@ -50,30 +50,42 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     Backward induction on (note index, finger) in Python floats: each
     step adds every held finger's five rewards in the interval's block to
     the five values of the step after it and keeps the first best next
-    finger (strict ``>``, so the lowest on ties, as ``argmax`` keeps it).
-    Each (row of values, interval) step is computed once, then read from
-    a memo: the model's, over rows less their maximum, while path sums
-    are exact (``_solver``); else the call's, over the values themselves.
-    The walk over the choices from the first finger is the smallest
-    optimal fingering in lexicographic order when path sums are exact
-    (integer or dyadic rewards); with arbitrary floats, rounding can break
-    a mathematical tie and give another.  Returns (fingering, total_reward),
-    the total added left to right, as ``fingering_total_reward`` adds it.
+    finger (strict ``>``, so the lowest on ties, as ``argmax`` keeps it)
+    with its reward.  While path sums are exact (``_solver``), each (row of
+    values, interval) step is computed once, then read from the model's
+    memo over rows less their maximum; otherwise none is kept.  The walk
+    from the first finger is the smallest optimal fingering in
+    lexicographic order when path sums are exact (integer or dyadic
+    rewards); with arbitrary floats, rounding can break a mathematical tie
+    and give another.  Returns (fingering, total_reward), the total added
+    left to right, as ``fingering_total_reward`` adds it.
     """
+    return _optimal_path(score, _DEFAULT_MODEL if model is None else model)[:2]
+
+
+def solve(score: Score, model: Optional[RewardModel] = None):
+    """``dp_optimal``'s answer and its position changes (None at a crossing), from one walk."""
     model = _DEFAULT_MODEL if model is None else model
+    fingering, total, rewards = _optimal_path(score, model)
+    return fingering, total, _tally(rewards, model)
+
+
+def _optimal_path(score: Score, model: RewardModel):
+    """Backward induction and its walk: (fingering, total, each transition's reward)."""
     index = block_index(score, model)
     blocks, longest, memo = _solver(_bits(model))
     exact = len(index) <= longest
-    memo = memo if exact else {}
     row = (0.0,) * 5   # row[f-1]: the best total from the next note on, holding finger f
-    steps = memo.setdefault(row, {})   # interval index -> (next row, its steps, choices)
-    choices = []
+    # steps: interval index -> (next row, its steps, move); none are kept unless exact
+    steps = memo.setdefault(row, {}) if exact else {}
+    moves = []
     for i in reversed(index):
         step = steps.get(i)
         if step is None:
             v0, v1, v2, v3, v4 = row
-            value, choice = [], []
-            for r0, r1, r2, r3, r4 in blocks[i]:
+            value, move = [], []   # move[f]: (the best next finger index, its reward)
+            for cells in blocks[i]:   # the held finger's five rewards
+                r0, r1, r2, r3, r4 = cells
                 best, g = r0 + v0, 0
                 c = r1 + v1
                 if c > best:
@@ -88,25 +100,26 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
                 if c > best:
                     best, g = c, 4
                 value.append(best)
-                choice.append(g)
+                move.append((g, cells[g]))
+            step = value, steps, move
             if exact:
                 top = max(value)
-                value = [v - top for v in value]
-            if len(memo) >= _MEMO_ROWS - 1:   # start over, leaving room for a call's first row
-                memo.clear()
-            row = tuple(value)
-            step = steps[i] = row, memo.setdefault(row, {}), tuple(choice)
-        row, steps, choice = step
-        choices.append(choice)
+                if len(memo) >= _MEMO_ROWS - 1:   # start over, leaving room for a call's first row
+                    memo.clear()
+                row = tuple([v - top for v in value])
+                step = steps[i] = row, memo.setdefault(row, {}), tuple(move)
+        row, steps, move = step
+        moves.append(move)
     f = score.first_finger - 1
     fingering = [score.first_finger]
+    rewards = []
     total = 0.0
-    for i, choice in zip(index, reversed(choices)):
-        g = choice[f]
-        total += blocks[i][f][g]
-        fingering.append(g + 1)
-        f = g
-    return fingering, total
+    for move in reversed(moves):
+        f, r = move[f]
+        fingering.append(f + 1)
+        rewards.append(r)
+        total += r
+    return fingering, total, rewards
 
 
 @functools.lru_cache(maxsize=8)
@@ -183,7 +196,12 @@ def evaluate_fingering(score: Score, fingering,
     total = 0.0
     for r in rewards:
         total += r
-    return total, None if model.r_infeasible in rewards else rewards.count(model.r_move)
+    return total, _tally(rewards, model)
+
+
+def _tally(rewards: list, model: RewardModel) -> Optional[int]:
+    """The position changes along a path's rewards; None if one is infeasible."""
+    return None if model.r_infeasible in rewards else rewards.count(model.r_move)
 
 
 _FINGER_INDEX = {f: f - 1 for f in FINGERS}

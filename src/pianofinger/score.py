@@ -133,9 +133,9 @@ class Score:
 
     def __post_init__(self):
         pitches = tuple(self.pitches)
-        # exact ints are checked in bulk; anything else, and every error, goes by _piano_pitch
-        if not (set(map(type, pitches)) == {int}
-                and PITCH_MIN <= min(pitches) and max(pitches) <= PITCH_MAX):
+        try:   # a number equal to a piano key reads as that key's int
+            pitches = tuple(map(_PIANO.__getitem__, pitches))
+        except (KeyError, TypeError):   # off the piano, or unhashable: _piano_pitch says why
             pitches = tuple(map(_piano_pitch, pitches))
         object.__setattr__(self, "pitches", pitches)
         if len(self.pitches) < 2:
@@ -167,6 +167,7 @@ def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
 
 _CANONICAL_HEADER = {f"first_finger={f}": f for f in FINGERS}
 _CANONICAL_PITCH = {str(p): p for p in range(PITCH_MIN, PITCH_MAX + 1)}
+_PIANO = {p: p for p in range(PITCH_MIN, PITCH_MAX + 1)}   # Score's check: each key to its int
 
 
 def parse_score(text: str, name: str = "score") -> Score:

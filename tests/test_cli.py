@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pianofinger
-from pianofinger import cli, oracle
+from pianofinger import cli, oracle, reward
 from pianofinger.agent import TrainConfig
 from pianofinger.cli import _CONFIG_KEYS, _build_parser, main, read_config_file, ConfigError
 from pianofinger.env import FingeringEnv
@@ -60,6 +60,35 @@ def test_solve_score_file(tmp_path, capsys):
     assert "(3 notes)" in out
     assert "fingering: 1 2 3" in out
     assert "total_reward: 2.000000" in out
+
+
+def test_solve_gathers_the_blocks_once_and_scores_no_fingering(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for owner, name in [(reward, "block_index"), (oracle, "block_index"), (reward, "reward_rows"),
+                        (oracle, "reward_rows"), (oracle, "_rewards_along")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    walk = [60 + (t * 7) % 12 for t in range(300)]
+    assert main(["solve", _write_score(tmp_path, "first_finger=1\n" + "\n".join(map(str, walk)))]) == 0
+    assert "position_changes: " in capsys.readouterr().out
+    assert calls == ["block_index"]
+
+
+@st.composite
+def _fingerings(draw):
+    length = draw(st.integers(2, 3000))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(1, 6, length).tolist()
+
+
+@given(_fingerings())
+@example([1, 2])
+@example([5] * 3000)
+@settings(max_examples=50, deadline=None)
+def test_fingering_text_is_the_fingers_joined_by_spaces(fingering):
+    assert cli._fingering_text(fingering) == " ".join(map(str, fingering))
 
 
 def test_solve_missing_file_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from pianofinger.oracle import (
     evaluate_fingering,
     exhaustive_optimal,
     fingering_total_reward,
+    solve,
     tabular_q_train,
 )
 from pianofinger.reward import RewardModel, _bits, reward_rows
@@ -308,6 +309,34 @@ def test_a_models_memo_never_exceeds_its_bound(monkeypatch, bound):
         for score in walks + walks:
             assert _exact(dp_optimal(score, model)) == _exact(_reference_dp(score, model))
         assert memos[_bits(model)].clears > 0
+
+
+# a mild crossing penalty: the optimum of this score crosses fingers once
+_MILD_CROSSING = RewardModel(r_infeasible=-1.5)
+_CROSSING_SCORE = Score.from_pitches([62, 65, 67, 64, 61, 60], 5)
+
+
+@given(st.one_of(scores(), walks()), st.one_of(
+    reward_models(),
+    st.sampled_from([RewardModel(), RewardModel(r_move=0.0), RewardModel(r_move=-0.0),
+                     RewardModel(r_stay=0.1, r_move=0.05), _ROUNDING_MODEL]),
+    st.floats(-3.0, -1.0, exclude_max=True).map(lambda r: RewardModel(r_infeasible=r))))
+@example(_CROSSING_SCORE, _MILD_CROSSING)
+@example(_ROUNDING_WALK, _ROUNDING_MODEL)
+@settings(max_examples=200, deadline=None)
+def test_solve_is_the_dp_optimum_and_its_count(score, model):
+    fingering, total, changes = solve(score, model)
+    expected_fingering, expected_total = dp_optimal(score, model)
+    assert fingering == expected_fingering
+    assert struct.pack("<d", total) == struct.pack("<d", expected_total)
+    scored_total, expected_changes = evaluate_fingering(score, fingering, model)
+    assert struct.pack("<d", scored_total) == struct.pack("<d", total)
+    assert changes == expected_changes
+
+
+def test_solve_counts_none_where_the_optimum_crosses():
+    assert solve(_CROSSING_SCORE, _MILD_CROSSING) == ([5, 2, 4, 3, 2, 1], 2.5, None)
+    assert solve(_CROSSING_SCORE) == ([5, 1, 2, 1, 2, 1], 1.0, 2)
 
 
 def test_dp_raises_the_reward_tables_size_error():
