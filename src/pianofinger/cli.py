@@ -158,10 +158,10 @@ def _cmd_solve(args) -> int:
     spec, model = _configure(args)
     score = spec.score
     fingering, total, changes = solve(score, model)
-    print(f"score: {score.name} ({len(score)} notes)")
-    print("fingering: " + _fingering_text(fingering))
-    print(f"total_reward: {total:.6f}")
-    print(f"position_changes: {'n/a' if changes is None else changes}")
+    sys.stdout.write(f"score: {score.name} ({len(score)} notes)\n"
+                     f"fingering: {_fingering_text(fingering)}\n"
+                     f"total_reward: {total:.6f}\n"
+                     f"position_changes: {'n/a' if changes is None else changes}\n")
     return 0
 
 

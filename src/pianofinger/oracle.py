@@ -83,7 +83,7 @@ def _optimal_path(score: Score, model: RewardModel):
         step = steps.get(i)
         if step is None:
             v0, v1, v2, v3, v4 = row
-            value, move = [], []   # move[f]: (the best next finger index, its reward)
+            value, move = [], []   # move[f]: (best next finger's index, its reward, that finger)
             for cells in blocks[i]:   # the held finger's five rewards
                 r0, r1, r2, r3, r4 = cells
                 best, g = r0 + v0, 0
@@ -100,7 +100,7 @@ def _optimal_path(score: Score, model: RewardModel):
                 if c > best:
                     best, g = c, 4
                 value.append(best)
-                move.append((g, cells[g]))
+                move.append((g, cells[g], g + 1))
             step = value, steps, move
             if exact:
                 top = max(value)
@@ -115,8 +115,8 @@ def _optimal_path(score: Score, model: RewardModel):
     rewards = []
     total = 0.0
     for move in reversed(moves):
-        f, r = move[f]
-        fingering.append(f + 1)
+        f, r, finger = move[f]
+        fingering.append(finger)
         rewards.append(r)
         total += r
     return fingering, total, rewards

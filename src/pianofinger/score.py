@@ -16,7 +16,9 @@ number >= 0 and is otherwise ignored.
 
 The form ``serialize_score`` writes (and ``mirror`` prints), the header
 and then one MIDI number per line, is read in one pass.  Any other form
-goes through the line loop, with the same values and errors.
+goes through the line loop, with the same values and errors.  Either
+reader checks each pitch once, as it reads it, and hands ``Score`` the
+checked tuple; a ``Score(...)`` built directly checks every pitch itself.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ def _piano_pitch(p) -> int:
     return pitch
 
 
+def _check_size(pitches: tuple) -> None:
+    if len(pitches) < 2:
+        raise ScoreSizeError(f"score needs at least 2 notes, got {len(pitches)}")
+
+
 @dataclass(frozen=True)
 class Score:
     """A monophonic pitch sequence plus the finger that plays its first note."""
@@ -138,11 +145,19 @@ class Score:
         except (KeyError, TypeError):   # off the piano, or unhashable: _piano_pitch says why
             pitches = tuple(map(_piano_pitch, pitches))
         object.__setattr__(self, "pitches", pitches)
-        if len(self.pitches) < 2:
-            raise ScoreSizeError(f"score needs at least 2 notes, got {len(self.pitches)}")
+        _check_size(pitches)
         if self.first_finger not in FINGERS:   # "1", 1.5 and nan are not; 1.0 and True are
             raise HeaderError(f"first_finger must be in 1..5, got {self.first_finger!r}")
         object.__setattr__(self, "first_finger", int(self.first_finger))
+
+    @classmethod
+    def _parsed(cls, pitches: tuple[int, ...], first_finger: int, name: str) -> "Score":
+        """A score of pitches a reader has already checked (exact ints in
+        [21, 108], in a tuple) and a finger in 1..5: only the size is checked."""
+        _check_size(pitches)
+        score = object.__new__(cls)
+        score.__dict__.update(pitches=pitches, first_finger=first_finger, name=name)
+        return score
 
     @classmethod
     def from_pitches(cls, pitches, first_finger: int, name: str = "score") -> "Score":
@@ -160,7 +175,7 @@ def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
     and the path.
     """
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return (path if isinstance(path, Path) else Path(path)).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
@@ -182,11 +197,11 @@ def parse_score(text: str, name: str = "score") -> Score:
         rows.pop()
     try:
         first_finger = _CANONICAL_HEADER[rows[0]]
-        pitches = list(map(_CANONICAL_PITCH.__getitem__, islice(rows, 1, None)))
+        pitches = tuple(map(_CANONICAL_PITCH.__getitem__, islice(rows, 1, None)))
     except (IndexError, KeyError):
         del rows   # the line loop splits the text again; hold one split at a time
         return _parse_lines(text, name)
-    return Score(pitches, first_finger, name)
+    return Score._parsed(pitches, first_finger, name)
 
 
 def _parse_lines(text: str, name: str) -> Score:
@@ -225,7 +240,7 @@ def _parse_lines(text: str, name: str) -> Score:
         pitches.append(pitch)
     if header_finger is None:
         raise HeaderError("missing first_finger=<1-5> header")
-    return Score(pitches, header_finger, name)
+    return Score._parsed(tuple(pitches), header_finger, name)
 
 
 def serialize_score(score: Score) -> str:

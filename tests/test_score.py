@@ -195,12 +195,18 @@ score_pitches = st.lists(st.integers(PITCH_MIN, PITCH_MAX), min_size=2, max_size
 fingers = st.integers(1, 5)
 
 
+def _types(score):
+    """What Score equality does not see: 60 == 60.0, and two lists compare equal too."""
+    return type(score.pitches), tuple(map(type, score.pitches)), type(score.first_finger)
+
+
 @given(score_pitches, fingers)
 def test_serialize_parse_round_trip(pitches, ff):
     s = Score.from_pitches(pitches, ff)
     back = parse_score(serialize_score(s))
     assert back.pitches == s.pitches
     assert back.first_finger == s.first_finger
+    assert _types(back) == _types(s) == (tuple, (int,) * len(s), int)
 
 
 def test_parse_sharps_are_not_comments():
@@ -270,9 +276,11 @@ def test_parse_raises_only_score_errors(text):
 
 def _outcome(parse, text):
     try:
-        return parse(text, "t")
+        score = parse(text, "t")
     except ScoreError as exc:
         return type(exc), str(exc)
+    assert _types(score) == (tuple, (int,) * len(score), int)
+    return score
 
 
 @settings(max_examples=500)
@@ -280,6 +288,8 @@ def _outcome(parse, text):
 @example("first_finger=1\n60\n20\n")
 @example("first_finger=1\n109\n60\n")
 @example("first_finger=6\n60\n62\n")
+@example("first_finger=1\n60\n")   # the size error from the one-pass read
+@example("first_finger=2\nC4\nF#4, 0.5\n")   # pitch names: the line loop
 def test_one_pass_read_agrees_with_the_line_loop(text):
     assert _outcome(parse_score, text) == _outcome(_parse_lines, text)
 
