@@ -17,22 +17,22 @@ one per (finger, pitch, next pitch) key and shared by every state with
 that key, and reads its exploration draws from lists that numpy fills a
 block of raw PCG64 words at a time, each the one ``default_rng(seed)`` makes.
 
-The scorers and the learner read the same rows.  Totals of a fingering
-are added one transition at a time, left to right, so ``dp_optimal``
-and ``fingering_total_reward`` agree to the last bit.
+The solver, the scorers and the learner read the same blocks, from the
+model's compiled form (``reward._compile``), which also holds the DP's
+exact-sum horizon and memo.  Totals of a fingering are added one
+transition at a time, left to right, so ``dp_optimal`` and
+``fingering_total_reward`` agree to the last bit.
 """
 
 from __future__ import annotations
 
-import functools
-import struct
 from typing import Optional
 
 import numpy as np
 
 from .agent import Draws, TrainConfig, epsilon_at
 from .env import FingeringEnv
-from .reward import RewardModel, _bits, _blocks, block_index, reward_rows
+from .reward import RewardModel, _compile, block_index, reward_rows
 from .score import FINGERS, Score, ScoreSizeError
 
 _EXHAUSTIVE_MAX_LEN = 12
@@ -51,14 +51,15 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     step adds every held finger's five rewards in the interval's block to
     the five values of the step after it and keeps the first best next
     finger (strict ``>``, so the lowest on ties, as ``argmax`` keeps it)
-    with its reward.  While path sums are exact (``_solver``), each (row of
-    values, interval) step is computed once, then read from the model's
-    memo over rows less their maximum; otherwise none is kept.  The walk
-    from the first finger is the smallest optimal fingering in
-    lexicographic order when path sums are exact (integer or dyadic
-    rewards); with arbitrary floats, rounding can break a mathematical tie
-    and give another.  Returns (fingering, total_reward), the total added
-    left to right, as ``fingering_total_reward`` adds it.
+    with its reward.  While path sums are exact (the compiled model's
+    ``longest``), each (row of values, interval) step is computed once,
+    then read from the model's memo over rows less their maximum;
+    otherwise none is kept.  The walk from the first finger is the
+    smallest optimal fingering in lexicographic order when path sums are
+    exact (integer or dyadic rewards); with arbitrary floats, rounding can
+    break a mathematical tie and give another.  Returns (fingering,
+    total_reward), the total added left to right, as
+    ``fingering_total_reward`` adds it.
     """
     return _optimal_path(score, _DEFAULT_MODEL if model is None else model)[:2]
 
@@ -73,7 +74,7 @@ def solve(score: Score, model: Optional[RewardModel] = None):
 def _optimal_path(score: Score, model: RewardModel):
     """Backward induction and its walk: (fingering, total, each transition's reward)."""
     index = block_index(score, model)
-    blocks, longest, memo = _solver(_bits(model))
+    blocks, longest, memo, _ = _compile(model._key)
     exact = len(index) <= longest
     row = (0.0,) * 5   # row[f-1]: the best total from the next note on, holding finger f
     # steps: interval index -> (next row, its steps, move); none are kept unless exact
@@ -122,18 +123,6 @@ def _optimal_path(score: Score, model: RewardModel):
     return fingering, total, rewards
 
 
-@functools.lru_cache(maxsize=8)
-def _solver(bits: bytes) -> tuple:
-    """A model's blocks, the most transitions k whose path sums are exact,
-    and the memo its calls share.  With rewards n/d and D the largest d (a
-    power of two), sums of k rewards and their differences are multiples
-    of 1/D of size at most 2k·max|r|, exact while 2k·max|r|·D <= 2**53."""
-    rewards = [r.as_integer_ratio() for r in struct.unpack("4d", bits)[1:]]
-    scale = max(d for _, d in rewards)
-    top = max(abs(n) * (scale // d) for n, d in rewards)
-    return _blocks(bits), 2**53 // (2 * top), {}
-
-
 def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
     """Score every finger sequence and return the best.
 
@@ -176,14 +165,12 @@ def count_position_changes(score: Score, fingering, model: Optional[RewardModel]
     """
     model = _DEFAULT_MODEL if model is None else model
     rewards = _rewards_along(score, fingering, model)
-    if model.r_infeasible in rewards:
-        t = rewards.index(model.r_infeasible)
-        pitches = score.pitches
-        raise FingeringError(
-            f"transition {t} ({fingering[t]} on {pitches[t]} -> "
-            f"{fingering[t + 1]} on {pitches[t + 1]}) is infeasible"
-        )
-    return rewards.count(model.r_move)
+    changes = _tally(rewards, model)
+    if changes is None:
+        t, pitches = rewards.index(model.r_infeasible), score.pitches
+        raise FingeringError(f"transition {t} ({fingering[t]} on {pitches[t]} -> "
+                             f"{fingering[t + 1]} on {pitches[t + 1]}) is infeasible")
+    return changes
 
 
 def evaluate_fingering(score: Score, fingering,
@@ -218,8 +205,8 @@ def _rewards_along(score: Score, fingering, model: RewardModel) -> list:
         f = [FINGERS.index(g) for g in fingering]   # unhashable, but equal to a finger
     if len(f) != len(score) or f[0] != score.first_finger - 1:
         _validate_fingering(score, fingering)
-    rows = reward_rows(score, model)
-    return [row[a][b] for row, a, b in zip(rows, f, f[1:])]
+    blocks = _compile(model._key).blocks
+    return [blocks[step][a][b] for step, a, b in zip(block_index(score, model), f, f[1:])]
 
 
 def _validate_fingering(score: Score, fingering) -> None:

@@ -20,38 +20,32 @@ feasible.
 
 The scalar functions state the rules.  A transition's 5x5 block of
 (held finger, next finger) rewards depends only on the model and the
-interval nn - cn, so each model's 175 blocks (intervals -87..+87) are
-built once, by one numpy broadcast, and held as nested tuples of floats.
-``block_index`` reads a score's intervals as block indices, which the DP
-solver takes and ``reward_rows`` gathers for the others.
+interval nn - cn, so ``_compile`` builds a model's 175 blocks once per
+float64 key, in plain Python, with what else its readers need.
+``block_index`` reads a score's intervals, which the DP solver takes and
+``reward_rows`` gathers for the others.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import reprlib
 import struct
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, islice
 from numbers import Real
-
-import numpy as np
 
 from .score import FINGERS, PITCH_MAX, PITCH_MIN, Score, ScoreSizeError
 
 NATURAL_OFFSET = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7}
 
-# Finger facts over the 5x5 grid [held finger - 1, next finger - 1]
-_HELD = np.array(FINGERS)[:, None]
-_NEXT = np.array(FINGERS)[None, :]
-_SAME_FINGER = _HELD == _NEXT
-_ALWAYS_FEASIBLE = _SAME_FINGER | (_HELD == 1) | (_NEXT == 1)
-_FINGERS_ASCEND = _NEXT > _HELD
-_OFFSET = np.array([NATURAL_OFFSET[f] for f in FINGERS])
-_SPAN = _OFFSET[None, :] - _OFFSET[:, None]   # NATURAL_OFFSET[next] - NATURAL_OFFSET[held]
-
-_WIDEST = PITCH_MAX - PITCH_MIN   # block i is for the interval i - _WIDEST
+_FIELDS = ("anchor_tolerance", "r_stay", "r_move", "r_infeasible")
+_INF, _pack = math.inf, struct.Struct("4d").pack
+_WIDEST = PITCH_MAX - PITCH_MIN   # intervals run -_WIDEST..+_WIDEST
 
 
 def anchor(finger: int, pitch: int) -> int:
@@ -74,37 +68,25 @@ def is_position_change(cf: int, cn: int, nf: int, nn: int, tolerance: float = 2.
     return abs(anchor(nf, nn) - anchor(cf, cn)) > tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RewardModel:
-    """Reward constants; defaults follow the expert fingering rules above."""
+    """Reward constants; defaults follow the expert fingering rules above.
+    Held as float64s, whose bytes ``_key`` packs to look up ``_compile``."""
 
     anchor_tolerance: float = 2.0
     r_stay: float = 1.0
     r_move: float = -1.0
     r_infeasible: float = -10.0
 
-    def __post_init__(self):
-        for name in ("anchor_tolerance", "r_stay", "r_move", "r_infeasible"):
-            value = getattr(self, name)
-            if type(value) is float:   # held as float64, the width of every table and cache key
-                continue
-            try:
-                if not isinstance(value, Real):
-                    raise TypeError
-                object.__setattr__(self, name, float(value))
-            except (TypeError, OverflowError):
-                raise ValueError(f"{name} must be a real number within float64 range, "
-                                 f"got {reprlib.repr(value)}") from None
-        for name in ("r_stay", "r_move", "r_infeasible"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.anchor_tolerance >= 0:   # also rejects nan
-            raise ValueError(f"anchor_tolerance must be >= 0, got {self.anchor_tolerance}")
-        if not self.r_infeasible < self.r_move < self.r_stay:
-            raise ValueError(
-                "reward ordering violated: need r_infeasible < r_move < r_stay, got "
-                f"{self.r_infeasible}, {self.r_move}, {self.r_stay}"
-            )
+    def __init__(self, anchor_tolerance=2.0, r_stay=1.0, r_move=-1.0, r_infeasible=-10.0):
+        f64 = type(anchor_tolerance) is type(r_stay) is type(r_move) is type(r_infeasible) is float
+        if not (f64 and anchor_tolerance >= 0 and -_INF < r_infeasible < r_move < r_stay < _INF):
+            anchor_tolerance, r_stay, r_move, r_infeasible = _checked(
+                anchor_tolerance, r_stay, r_move, r_infeasible)
+        fields = self.__dict__   # frozen, so set past __setattr__
+        fields["anchor_tolerance"], fields["r_stay"] = anchor_tolerance, r_stay
+        fields["r_move"], fields["r_infeasible"] = r_move, r_infeasible
+        fields["_key"] = _pack(anchor_tolerance, r_stay, r_move, r_infeasible)
 
     def reward(self, state, action: int) -> float:
         """Reward for answering state (cf, cn, nn, ...) with the next finger."""
@@ -116,47 +98,86 @@ class RewardModel:
         return self.r_stay
 
 
+def _checked(*values) -> tuple:
+    """The fields as float64s, for inputs the fast path of ``RewardModel``
+    leaves; raises ValueError on the first field that is wrong."""
+    values = list(values)
+    for i, (name, value) in enumerate(zip(_FIELDS, values)):
+        try:
+            if not isinstance(value, Real):
+                raise TypeError
+            values[i] = float(value)   # held as float64, the width of every table and cache key
+        except (TypeError, OverflowError):
+            raise ValueError(f"{name} must be a real number within float64 range, "
+                             f"got {reprlib.repr(value)}") from None
+    tolerance, r_stay, r_move, r_infeasible = values
+    for name, value in zip(_FIELDS[1:], values[1:]):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not tolerance >= 0:   # also rejects nan
+        raise ValueError(f"anchor_tolerance must be >= 0, got {tolerance}")
+    if not r_infeasible < r_move < r_stay:
+        raise ValueError("reward ordering violated: need r_infeasible < r_move < r_stay, "
+                         f"got {r_infeasible}, {r_move}, {r_stay}")
+    return tuple(values)
+
+
 def reward_rows(score: Score, model: RewardModel) -> list:
-    """The score's rewards: entry t is the model's cached block for the
-    interval from note t to t+1, read as ``[t][f-1][g-1]`` for playing
-    note t+1 with finger g when note t is held by finger f; equal to
+    """The score's rewards: entry t is the model's block for the interval
+    from note t to t+1, read as ``[t][f-1][g-1]`` for playing note t+1
+    with finger g when note t is held by finger f; equal to
     ``model.reward`` cell by cell.  Raises as ``block_index`` does."""
-    blocks = _blocks(_bits(model))
-    return [blocks[i] for i in block_index(score, model)]
+    blocks = _compile(model._key).blocks
+    return [blocks[step] for step in block_index(score, model)]
 
 
 def block_index(score: Score, model: RewardModel) -> list:
-    """Entry t: the index of the model's block for note t -> t+1.  Raises
-    ScoreSizeError unless (L-1) times the largest reward, the largest path
-    total, is at most a quarter of the largest float64, so that path totals
-    and Q-learning updates stay finite with room to spare."""
-    largest = max(abs(model.r_stay), abs(model.r_infeasible))
-    if largest > sys.float_info.max / (4 * (len(score) - 1)):
-        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(score)} notes "
-                             "can overflow float64 totals")
+    """Entry t: the interval from note t to t+1, its block's index in the
+    compiled ``blocks``.  Raises ScoreSizeError unless (L-1) times the
+    largest reward, the largest path total, is at most a quarter of the
+    largest float64, so that path totals and Q-learning updates stay
+    finite with room to spare."""
     pitches = score.pitches
-    return [q - p + _WIDEST for p, q in zip(pitches, pitches[1:])]
+    if len(pitches) > _compile(model._key).limit:
+        largest = max(abs(model.r_stay), abs(model.r_infeasible))
+        raise ScoreSizeError(f"rewards up to {largest:g} in size over {len(pitches)} notes "
+                             "can overflow float64 totals")
+    return list(map(operator.sub, islice(pitches, 1, None), pitches))
 
 
-def _bits(model: RewardModel) -> bytes:
-    """The cache key of a model's blocks: its fields' float64 bytes, since
-    r_move=0.0 and -0.0 compare equal, but their tables do not."""
-    return struct.pack("4d", model.anchor_tolerance, model.r_stay, model.r_move,
-                       model.r_infeasible)
+_Compiled = namedtuple("_Compiled", "blocks longest memo limit")
 
 
-@functools.lru_cache(maxsize=8)   # 190 KB of blocks per model
-def _blocks(bits: bytes) -> tuple:
-    """The rules of ``is_feasible`` and ``is_position_change`` broadcast over
-    every piano interval and the 5x5 finger grid: (175, 5, 5) nested tuples
-    of Python floats."""
-    tolerance, r_stay, r_move, r_infeasible = struct.unpack("4d", bits)
-    step = np.arange(-_WIDEST, _WIDEST + 1)[:, None, None]   # nn - cn
-    repeat = step == 0
-    feasible = _ALWAYS_FEASIBLE | repeat | ((step > 0) == _FINGERS_ASCEND)
-    # |anchor(g, nn) - anchor(f, cn)| = |step - (offset[g] - offset[f])|
-    drift = np.abs(step - _SPAN)
-    move = np.where(_SAME_FINGER, ~repeat, repeat | (drift > tolerance))
-    outcome = np.where(feasible, move, 2)   # 0 stay, 1 move, 2 infeasible
-    blocks = np.array([r_stay, r_move, r_infeasible])[outcome]
-    return tuple(tuple(map(tuple, block)) for block in blocks.tolist())
+@functools.lru_cache(maxsize=8)
+def _compile(key: bytes) -> _Compiled:
+    """The compiled form every model packed as ``key`` shares, built on
+    first use.  ``blocks[s]`` is the block of interval s (-87..+87, a
+    falling one read from the end), equal blocks one tuple: the rewards the
+    scalar rules pick for finger f on pitch 0 and g on pitch s, so no
+    arithmetic touches a float.
+    ``longest`` is the most transitions k whose path sums are exact: with
+    rewards n/d and D the largest d (a power of two), sums of k rewards and
+    their differences are multiples of 1/D of size at most 2k·max|r|, exact
+    while 2k·max|r|·D <= 2**53; ``memo`` holds the DP's steps while they are.
+    ``limit``: the most notes L <= ``sys.maxsize`` with ``largest <= float_max /
+    (4 * (L-1))``, found by bisection, since the quotient never rises with L."""
+    tolerance, r_stay, r_move, r_infeasible = struct.unpack("4d", key)
+    # past 7 + tolerance semitones every new finger moves the hand: wider blocks repeat the edge
+    edge = min(_WIDEST, 8 + int(min(tolerance, _WIDEST)))
+    interned, near = {}, {}
+    for step in range(-edge, edge + 1):
+        block = tuple([tuple([r_infeasible if not is_feasible(f, 0, g, step)
+                              else r_move if is_position_change(f, 0, g, step, tolerance)
+                              else r_stay for g in FINGERS]) for f in FINGERS])
+        near[step] = interned.setdefault(block, block)
+    blocks = tuple(near[max(-edge, min(edge, step))]   # falling intervals from the end
+                   for step in chain(range(_WIDEST + 1), range(-_WIDEST, 0)))
+    ratios = [r.as_integer_ratio() for r in (r_stay, r_move, r_infeasible)]
+    scale = max(d for _, d in ratios)
+    top = max(abs(n) * (scale // d) for n, d in ratios)
+    largest, fits, over = max(abs(r_stay), abs(r_infeasible)), 1, sys.maxsize + 1
+    while over - fits > 1:
+        notes = (fits + over) // 2
+        too_many = largest > sys.float_info.max / (4 * (notes - 1))
+        fits, over = (fits, notes) if too_many else (notes, over)
+    return _Compiled(blocks, 2**53 // (2 * top), {}, fits)

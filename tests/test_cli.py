@@ -396,8 +396,8 @@ def test_eval_good_fingering(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["60 1\n62 2\n64 3\n", "60 1\n62 1\n64 1\n"])
 def test_eval_reads_the_path_rewards_once(tmp_path, capsys, monkeypatch, text):
     gathers = []
-    gather = oracle.reward_rows
-    monkeypatch.setattr(oracle, "reward_rows", lambda *args: gathers.append(1) or gather(*args))
+    gather = oracle._rewards_along
+    monkeypatch.setattr(oracle, "_rewards_along", lambda *args: gathers.append(1) or gather(*args))
     fingering = tmp_path / "fingering.txt"
     fingering.write_text(text)
     assert main(["eval", _write_score(tmp_path, TINY_SCORE), str(fingering)]) == 0

@@ -20,7 +20,7 @@ from pianofinger.oracle import (
     solve,
     tabular_q_train,
 )
-from pianofinger.reward import RewardModel, _bits, reward_rows
+from pianofinger.reward import RewardModel, _compile, reward_rows
 from pianofinger.score import (
     FINGERS,
     PITCH_MAX,
@@ -232,11 +232,11 @@ def test_dp_equals_the_numpy_backward_pass_bit_for_bit(score, model):
 
 def test_the_exactness_bound_of_a_model():
     # 2·k·max|r|·D <= 2**53, D the largest denominator of the rewards
-    assert oracle._solver(_bits(_BOUNDARY_MODEL))[1] == 16
-    assert oracle._solver(_bits(_ROUNDING_MODEL))[1] == 4
-    assert oracle._solver(_bits(RewardModel()))[1] == 2**53 // 20
-    assert oracle._solver(_bits(RewardModel(r_stay=1.5, r_move=-0.0625)))[1] == 2**53 // 320
-    assert oracle._solver(_bits(RewardModel(r_stay=0.1, r_move=0.05)))[1] == 0
+    assert _compile(_BOUNDARY_MODEL._key).longest == 16
+    assert _compile(_ROUNDING_MODEL._key).longest == 4
+    assert _compile(RewardModel()._key).longest == 2**53 // 20
+    assert _compile(RewardModel(r_stay=1.5, r_move=-0.0625)._key).longest == 2**53 // 320
+    assert _compile(RewardModel(r_stay=0.1, r_move=0.05)._key).longest == 0
 
 
 def _exact(result):
@@ -264,9 +264,9 @@ def test_cold_and_warm_solves_agree():
                   RewardModel(1.5, r_stay=0.75, r_move=-0.125, r_infeasible=-8.0625)):
         cold = []
         for score in walks:
-            oracle._solver.cache_clear()
+            _compile.cache_clear()
             cold.append(_exact(dp_optimal(score, model)))
-        assert oracle._solver(_bits(model))[2]   # the memo outlasts the call
+        assert _compile(model._key).memo   # the memo outlasts the call
         warm = [_exact(dp_optimal(score, model)) for score in walks + walks[::-1]]
         assert warm == cold + cold[::-1]
         assert cold[0] == _exact(_reference_dp(walks[0], model))
@@ -276,10 +276,10 @@ def test_cold_and_warm_solves_agree():
 
 def test_a_model_whose_sums_can_round_keeps_no_memo():
     model = RewardModel(r_stay=0.1, r_move=0.05)
-    oracle._solver.cache_clear()
+    _compile.cache_clear()
     for score in _benchmark_walks(1):
         assert _exact(dp_optimal(score, model)) == _exact(_reference_dp(score, model))
-    assert oracle._solver(_bits(model))[2] == {}
+    assert _compile(model._key).memo == {}
 
 
 class _WatchedMemo(dict):
@@ -301,14 +301,14 @@ class _WatchedMemo(dict):
 @pytest.mark.parametrize("bound", [3, 8])
 def test_a_models_memo_never_exceeds_its_bound(monkeypatch, bound):
     monkeypatch.setattr(oracle, "_MEMO_ROWS", bound)
-    solver, memos = oracle._solver, {}
-    monkeypatch.setattr(oracle, "_solver",
-                        lambda bits: solver(bits)[:2] + (memos.setdefault(bits, _WatchedMemo()),))
+    compiled, memos = oracle._compile, {}
+    monkeypatch.setattr(oracle, "_compile",
+                        lambda key: compiled(key)._replace(memo=memos.setdefault(key, _WatchedMemo())))
     walks = _benchmark_walks(2) + [REPEATED_NOTE, LONG_MELODY]
     for model in (RewardModel(), RewardModel(r_stay=1.5, r_move=-0.0625)):
         for score in walks + walks:
             assert _exact(dp_optimal(score, model)) == _exact(_reference_dp(score, model))
-        assert memos[_bits(model)].clears > 0
+        assert memos[model._key].clears > 0
 
 
 # a mild crossing penalty: the optimum of this score crosses fingers once
