@@ -292,7 +292,7 @@ sys.modules["pianofinger"] = package
 from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import Score
 model = RewardModel(1.5, r_stay=0.3, r_move=-0.7, r_infeasible=-9.1)
-score = Score.from_pitches(eval(sys.argv[2]), 1)
+score = Score.from_pitches([int(p) for p in sys.argv[2].split()], 1)
 p = score.pitches
 rows = reward_rows(score, model)
 for t in range(len(p) - 1):
@@ -309,7 +309,8 @@ def test_the_reward_tables_need_no_numpy():
     ex4 = build_experiment("EX4").score
     assert ex4.first_finger == 1
     run = subprocess.run([sys.executable, "-c", _NO_NUMPY, str(Path(reward.__file__).parent),
-                          repr(list(ex4.pitches))], capture_output=True, text=True, timeout=60)
+                          " ".join(map(str, ex4.pitches))], capture_output=True, text=True,
+                         timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == f"{len(ex4) - 1}\n"
 
