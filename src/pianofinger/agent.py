@@ -9,13 +9,13 @@ targets come from the network as it stood at the last sync, one every
 
 The hot loop runs on arrays, not objects.  ``train`` steps the integer
 state ids of ``FingeringEnv``, whose per-score tables give each step's
-reward and successor and each state's three one-hot columns, and
+reward and successor and each state's one-hot input row, and
 ``greedy_rollout`` is one ``env.walk``.  The network takes one input form, a
-(rows, input_dim) array.  ``train`` builds the input table
-``inputs = net.one_hot(env.columns)``, one row per state id, once per
-run: acting reads the view ``inputs[s:s+1]``, the SGD batch gathers
-``inputs[states]`` and each sync reads the whole table.  The rows are
-exact 0/1 floats, so they are the bits a row built per call would hold.
+(rows, input_dim) array.  ``train`` and ``greedy_rollout`` read the env's
+input table ``env.inputs``, one row per state id: acting reads the view
+``inputs[s:s+1]``, the SGD batch gathers ``inputs[states]`` and each sync
+reads the whole table.  The rows are exact 0/1 floats, so they are the
+bits a row built per call would hold.
 The replay ring is one preallocated ``intp`` array of transition ids,
 k = 5 * state + action - 1, the flat index into the env's tables, with
 no more slots than the run has steps; a batch is ``k = ring[slots]``
@@ -50,7 +50,7 @@ one gather.  A sync costs 5(L-1) rows, never more than the
 batch_size * target_sync successor rows one sync window samples (3200
 at the defaults) while L <= 641.  For a very long score the input
 table holds 5(L-1) * input_dim floats, about 21 MB at 3000 notes under
-the 88-key encoding, for the whole run.
+the 88-key encoding, for as long as its env lives.
 """
 
 from __future__ import annotations
@@ -156,18 +156,10 @@ class QNetwork:
             )
         return buffers
 
-    def one_hot(self, columns: np.ndarray) -> np.ndarray:
-        """Input rows, a new (rows, input_dim) array, for a (rows, 3) array
-        of ``env.columns`` rows: 1.0 at each row's three columns, 0.0
-        elsewhere."""
-        x = np.zeros((len(columns), self.input_dim))
-        x[np.arange(len(columns))[:, None], columns] = 1.0
-        return x
-
     def sync_target(self, inputs: np.ndarray) -> None:
         """Refill ``target_max`` from the online parameters: one forward
         over ``inputs`` (every state's input row, in state-id order, as
-        ``one_hot(env.columns)`` gives them), each row's max, then 0.0."""
+        ``env.inputs`` holds them), each row's max, then 0.0."""
         self.target_max = np.append(self.forward(inputs).max(axis=1), 0.0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -495,7 +487,7 @@ def train(env: FingeringEnv, config: TrainConfig,
     # transition ids, FIFO, in no more slots than the run has steps
     ring, pushed = np.empty(min(capacity, config.episodes * steps), dtype=np.intp), 0
     rewards, next_ids = np.array(env.rewards), np.array(env.next_ids)
-    inputs = net.one_hot(env.columns)
+    inputs = env.inputs
     net.sync_target(inputs)
     targets = target_table(net, rewards, next_ids, gamma)
     history: list[EpisodeRecord] = []
@@ -537,6 +529,6 @@ def train(env: FingeringEnv, config: TrainConfig,
 def greedy_rollout(net: QNetwork, env: FingeringEnv):
     """The env's walk at epsilon = 0, consuming no RNG: (fingering
     including the score's given first finger, total reward)."""
-    inputs = net.one_hot(env.columns)
+    inputs = env.inputs
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite pick raises
         return env.walk(lambda s: select_action(net, inputs[s:s + 1]))

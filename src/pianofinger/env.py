@@ -8,10 +8,9 @@ The process is finite: a score of L notes has 5(L-1) states, numbered
 ``5 * index + (cf - 1)``.  ``FingeringEnv``, the only code that knows
 that numbering, tabulates each score once: the reward and the next
 state of every (state, finger) pair and, on first read, the one-hot
-columns [finger | pitch | next pitch] of every state's input row.
+input row [finger | pitch | next pitch] of every state, ``inputs``.
 Learners step through ``transition`` or the tables, greedy rollouts are
-one ``walk``, and the Q-network builds its input table from ``columns``
-(``QNetwork.one_hot``).
+one ``walk``, and the Q-network reads its rows from ``inputs``.
 """
 
 from __future__ import annotations
@@ -85,17 +84,20 @@ class FingeringEnv:
         self.next_ids = [ids for ids in successors + [(-1,) * 5] for _ in FINGERS]
 
     @functools.cached_property
-    def columns(self) -> np.ndarray:
-        """columns[5t + f - 1]: the one-hot positions of that state's
-        input row, built on the first read (the tabular learner never
-        reads them)."""
+    def inputs(self) -> np.ndarray:
+        """inputs[5t + f - 1]: that state's input row, 1.0 at its finger,
+        pitch and next-pitch columns and 0.0 elsewhere.  Built on the
+        first read (the tabular learner never reads it) and read-only,
+        since every run and rollout on this env shares it."""
         enc = self.encoding
         offsets = np.array(self.score.pitches) - enc.min_pitch
-        columns = np.empty((len(self.score) - 1, 5, 3), dtype=np.intp)
-        columns[:, :, 0] = np.arange(5)
-        columns[:, :, 1] = 5 + offsets[:-1, None]
-        columns[:, :, 2] = 5 + enc.width + offsets[1:, None]
-        return columns.reshape(-1, 3)
+        t = np.arange(len(offsets) - 1)
+        inputs = np.zeros((len(t), 5, enc.dim))
+        inputs[:, range(5), range(5)] = 1.0
+        inputs[t, :, 5 + offsets[:-1]] = 1.0
+        inputs[t, :, 5 + enc.width + offsets[1:]] = 1.0
+        inputs.flags.writeable = False
+        return inputs.reshape(-1, enc.dim)
 
     @property
     def input_dim(self) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .agent import TrainConfig
 from .env import StateEncoding
-from .oracle import FingeringError
+from .oracle import FingeringError, _validate_fingering
 from .score import FINGERS, Score, integer, lines, read_text
 
 # Baseline training overrides for the long in-position melodies.  EX3 and
@@ -98,14 +98,12 @@ def export_history(records, path) -> None:
 
 
 def export_fingering(score: Score, fingering, path) -> None:
-    """Write '<pitch> <finger>' per note."""
-    if len(fingering) != len(score):
-        raise FingeringError(
-            f"fingering length {len(fingering)} != score length {len(score)}"
-        )
-    path = Path(path)
-    lines = [f"{p} {f}" for p, f in zip(score.pitches, fingering)]
-    path.write_text("\n".join(lines) + "\n")
+    """Write '<pitch> <finger>' per note, for a fingering of the score that
+    ``evaluate_fingering`` accepts; an entry equal to a finger (``2.0``,
+    ``True``) is written as that finger."""
+    _validate_fingering(score, fingering)
+    rows = [f"{p} {FINGERS[FINGERS.index(f)]}" for p, f in zip(score.pitches, fingering)]
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def read_fingering(path) -> list[tuple[int, int]]:

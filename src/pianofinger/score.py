@@ -148,7 +148,7 @@ class Score:
         _check_size(pitches)
         if self.first_finger not in FINGERS:   # "1", 1.5 and nan are not; 1.0 and True are
             raise HeaderError(f"first_finger must be in 1..5, got {self.first_finger!r}")
-        object.__setattr__(self, "first_finger", int(self.first_finger))
+        object.__setattr__(self, "first_finger", FINGERS[FINGERS.index(self.first_finger)])
 
     @classmethod
     def _parsed(cls, pitches: tuple[int, ...], first_finger: int, name: str) -> "Score":

@@ -73,11 +73,15 @@ def one_hot_row(key, enc):
     return v
 
 
+def dense_inputs(score, enc):
+    """The dense input rows of every state id of ``score``, in id order."""
+    return np.stack([one_hot_row(key, enc) for key in state_keys(score)])
+
+
 def state_maxima(net: QNetwork, score, enc):
     """max_a Q(s, a) of every state id of ``score``, in id order: one
     forward over the dense rows of all states."""
-    rows = np.stack([one_hot_row(key, enc) for key in state_keys(score)])
-    return net.forward(rows).max(axis=1)
+    return net.forward(dense_inputs(score, enc)).max(axis=1)
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -101,21 +105,21 @@ def pcg64(seed, zero_at=None, x=1):
 
 
 def reference_train(env, config):
-    """``agent.train``'s loop with every draw a ``Generator`` call, every
-    input row built when it is read and a FIFO ring of four arrays (state
-    id, finger, reward, next id): a step explores if ``rng.random() <
-    eps`` (drawn only when eps > 0) with ``rng.integers(1, 6)``, and once
-    the ring holds a batch samples ``rng.integers(0, len(ring),
-    size=batch_size)`` and regresses toward r + gamma * target_max[next].
-    Returns (net, history)."""
+    """``agent.train``'s loop with every draw a ``Generator`` call, input
+    rows from ``dense_inputs`` rather than ``env.inputs`` and a FIFO ring
+    of four arrays (state id, finger, reward, next id): a step explores if
+    ``rng.random() < eps`` (drawn only when eps > 0) with
+    ``rng.integers(1, 6)``, and once the ring holds a batch samples
+    ``rng.integers(0, len(ring), size=batch_size)`` and regresses toward
+    r + gamma * target_max[next].  Returns (net, history)."""
     rng = np.random.default_rng(config.seed)
     net = QNetwork(env.input_dim, rng=rng)
     capacity = config.replay_capacity
     ring_states, ring_actions, ring_next = (np.empty(capacity, dtype=np.intp) for _ in range(3))
     ring_rewards = np.empty(capacity)
     size = cursor = 0
-    columns = env.columns
-    net.sync_target(net.one_hot(columns))
+    inputs = dense_inputs(env.score, env.encoding)
+    net.sync_target(inputs)
     history = []
     grad_steps = 0
     for episode in range(config.episodes):
@@ -127,7 +131,7 @@ def reference_train(env, config):
             if eps > 0.0 and rng.random() < eps:
                 action = int(rng.integers(1, 6))
             else:
-                action = select_action(net, net.one_hot(columns[state:state + 1]))
+                action = select_action(net, inputs[state:state + 1])
             reward, nxt = env.transition(state, action)
             ring_states[cursor], ring_actions[cursor] = state, action
             ring_rewards[cursor], ring_next[cursor] = reward, nxt
@@ -136,12 +140,12 @@ def reference_train(env, config):
             if size >= config.batch_size:
                 slots = rng.integers(0, size, size=config.batch_size)
                 targets = ring_rewards[slots] + config.gamma * net.target_max[ring_next[slots]]
-                losses.append(net.train_step(net.one_hot(columns[ring_states[slots]]),
+                losses.append(net.train_step(inputs[ring_states[slots]],
                                              ring_actions[slots] - 1, targets,
                                              config.learning_rate))
                 grad_steps += 1
                 if grad_steps % config.target_sync == 0:
-                    net.sync_target(net.one_hot(columns))
+                    net.sync_target(inputs)
             total += reward
             state = nxt
         history.append(EpisodeRecord(episode, total, eps,

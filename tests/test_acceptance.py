@@ -254,7 +254,7 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     # the target table reads the maxima stored at the last sync only:
     # moving the online set after a sync must not move y
     net = QNetwork(env.input_dim, hidden=(8,), rng=np.random.default_rng(0))
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     rewards, next_ids = np.array(env.rewards), np.array(env.next_ids)
     y_before = target_table(net, rewards, next_ids, 0.95)
     for w in net.weights:
@@ -271,7 +271,7 @@ def test_criterion_08_replay_and_target_mechanics(capsys):
     def maxima(net):
         return np.append(state_maxima(net, score, env.encoding), 0.0)
 
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     checks["sync_exact"] = np.array_equal(net.target_max, maxima(net))
 
     # sync cadence, seen from its endpoints: syncing after every

@@ -23,7 +23,7 @@ from pianofinger.experiments import ENCODINGS, build_experiment, default_train_c
 from pianofinger.oracle import dp_optimal
 from pianofinger.score import FINGERS, Score
 
-from helpers import gradient_check, one_hot_row, pcg64, reference_train, state_keys, state_maxima
+from helpers import dense_inputs, gradient_check, pcg64, reference_train, state_maxima
 from strategies import scores
 
 
@@ -86,30 +86,31 @@ def test_forward_shapes_and_width_check():
 def test_forward_returns_a_new_array_each_call():
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(0))
-    first = net.forward(net.one_hot(env.columns[:2]))
+    first = net.forward(env.inputs[:2])
     kept = first.copy()
-    net.forward(net.one_hot(env.columns[5:7]))
+    net.forward(env.inputs[5:7])
     assert np.array_equal(first, kept)
 
 
-@given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+@given(scores(), st.sampled_from(ENCODINGS),
+       st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_one_hot_rows_are_the_dense_rows(row_counts, seed):
-    # any sequence of row counts over one env: each call's rows are the
-    # dense reference rows in a new array, so an earlier call's rows stay
-    score = Score.from_pitches([60, 62, 64, 72, 71, 60, 67, 65, 64, 62, 60], 3)
-    enc = StateEncoding.for_score(score)
+def test_one_hot_rows_are_the_dense_rows(score, encoding, row_counts, seed):
+    # the network's input rows come from env.inputs: for any score and
+    # encoding they are the dense reference rows, and any sequence of row
+    # picks gives a new array each time, so an earlier pick's rows stay
+    enc = encoding_for(score, encoding)
     env = FingeringEnv(score, encoding=enc)
-    keys = state_keys(score)
-    net = QNetwork(env.input_dim, hidden=(3,), rng=np.random.default_rng(0))
+    dense = dense_inputs(score, enc)
+    assert np.array_equal(env.inputs, dense) and env.inputs.dtype == np.float64
     rng = np.random.default_rng(seed)
     earlier = []
     for rows in row_counts:
-        ids = rng.integers(0, len(keys), size=rows)
-        x = net.one_hot(env.columns[ids])
+        ids = rng.integers(0, len(dense), size=rows)
+        x = env.inputs[ids]
         assert x.shape == (rows, env.input_dim)
-        earlier.append((x, np.stack([one_hot_row(keys[i], enc) for i in ids])))
-        assert all(np.array_equal(x, dense) for x, dense in earlier)
+        earlier.append((x, dense[ids]))
+        assert all(np.array_equal(x, want) for x, want in earlier)
 
 
 def test_sync_target_copies_current_online_weights():
@@ -117,13 +118,13 @@ def test_sync_target_copies_current_online_weights():
     # state id, then the terminal 0.0
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(3,), rng=np.random.default_rng(0))
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     synced = net.target_max.copy()
-    assert synced.shape == (len(env.columns) + 1,) and synced[-1] == 0.0
+    assert synced.shape == (len(env.inputs) + 1,) and synced[-1] == 0.0
     net.biases[-1][:] += 1.0
     assert np.array_equal(net.target_max, synced)
-    net.sync_target(net.one_hot(env.columns))
-    assert net.target_max == pytest.approx(synced + np.append(np.ones(len(env.columns)), 0.0))
+    net.sync_target(env.inputs)
+    assert net.target_max == pytest.approx(synced + np.append(np.ones(len(env.inputs)), 0.0))
     assert np.array_equal(net.target_max,
                           np.append(state_maxima(net, env.score, env.encoding), 0.0))
 
@@ -164,10 +165,10 @@ def test_train_step_reduces_loss():
 def test_train_step_leaves_the_target_table_alone():
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(1))
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     frozen = net.target_max.copy()
     theta = net.theta.copy()
-    net.train_step(net.one_hot(env.columns[:4]), [0, 1, 2, 3], np.ones(4), 0.1)
+    net.train_step(env.inputs[:4], [0, 1, 2, 3], np.ones(4), 0.1)
     assert not np.array_equal(net.theta, theta)
     assert np.array_equal(net.target_max, frozen)
 
@@ -403,7 +404,7 @@ def test_terminal_target_is_the_reward():
     # the last note's five states lead to next id -1 whatever the finger
     env = _small_env()
     net = _fixed_q_net([100.0] * 5, input_dim=env.input_dim)
-    net.sync_target(net.one_hot(env.columns))  # must be ignored for terminal transitions
+    net.sync_target(env.inputs)  # must be ignored for terminal transitions
     assert np.array_equal(_targets(net, env, 0.95)[-5:], env.rewards[-5:])
 
 
@@ -411,17 +412,17 @@ def test_bootstrap_uses_target_network_only():
     env = _small_env()
     net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [2.0, 0.0, 0.0, 0.0, 0.0]
-    net.sync_target(net.one_hot(env.columns))  # target says max Q = 2
-    net.biases[-1][:] = 0.0                    # online says max Q = 0
+    net.sync_target(env.inputs)  # target says max Q = 2
+    net.biases[-1][:] = 0.0      # online says max Q = 0
     y = _targets(net, env, 0.95)
-    assert y.shape == (len(env.columns), 5)
+    assert y.shape == (len(env.inputs), 5)
     assert y[0, 2] == pytest.approx(env.rewards[0][2] + 0.95 * 2.0)
 
 
 def test_gamma_zero_targets_are_rewards():
     env = _small_env()
     net = _fixed_q_net([7.0] * 5, input_dim=env.input_dim)
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     assert np.array_equal(_targets(net, env, 0.0), env.rewards)
 
 
@@ -430,7 +431,7 @@ def test_mixed_batch_targets():
     env = _small_env()
     net = _zero_net(input_dim=env.input_dim)
     net.biases[-1][:] = [0.0, 3.0, 0.0, 0.0, 0.0]
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     net.biases[-1][:] = 0.0
     y = _targets(net, env, 0.5)
     rewards, live = np.array(env.rewards), np.array(env.next_ids) >= 0
@@ -444,12 +445,11 @@ def test_targets_read_the_successor_features():
     # features
     env = _small_env()
     net = QNetwork(env.input_dim, hidden=(6,), rng=np.random.default_rng(2))
-    net.sync_target(net.one_hot(env.columns))
+    net.sync_target(env.inputs)
     y = _targets(net, env, 0.9)
     for s, (rewards, successors) in enumerate(zip(env.rewards, env.next_ids)):
         for a, (r, nxt) in enumerate(zip(rewards, successors)):
-            expected = r if nxt < 0 else r + 0.9 * net.forward(
-                net.one_hot(env.columns[[nxt]])).max()
+            expected = r if nxt < 0 else r + 0.9 * net.forward(env.inputs[[nxt]]).max()
             assert y[s, a] == pytest.approx(expected, rel=1e-12)
 
 
@@ -473,12 +473,12 @@ def test_targets_equal_a_forward_of_the_last_synced_weights_bit_for_bit(
     rewards = rng.normal(scale=1e-3, size=next_ids.shape)
     for op in ["sync", *ops]:
         if op == "sync":
-            net.sync_target(net.one_hot(env.columns))
+            net.sync_target(env.inputs)
             synced.theta[:] = net.theta
         elif op == "step":   # moves the online set only
             net.theta += rng.normal(scale=0.05, size=net.theta.size)
         else:
-            maxima = synced.forward(synced.one_hot(env.columns)).max(axis=1)
+            maxima = synced.forward(env.inputs).max(axis=1)
             expected = rewards.copy()
             expected[live] += gamma * maxima[next_ids[live]]
             assert np.array_equal(target_table(net, rewards, next_ids, gamma), expected)
@@ -494,7 +494,7 @@ def _check_replay(monkeypatch, config):
     gradient step's slots)."""
     env = _small_env()
     rewards, next_ids = np.array(env.rewards), np.array(env.next_ids)
-    inputs = _zero_net(input_dim=env.input_dim).one_hot(env.columns)
+    inputs = dense_inputs(env.score, env.encoding)
     capacity = config.replay_capacity
     transitions, drawn, checked = [], [], []
 

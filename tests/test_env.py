@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pianofinger.env import EncodingError, FingeringEnv, StateEncoding
 from pianofinger.agent import TrainConfig
+from pianofinger.experiments import ENCODINGS, encoding_for
 from pianofinger.oracle import fingering_total_reward, tabular_q_train
 from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import FINGERS, PITCH_MIN, Score
@@ -13,7 +14,7 @@ from strategies import reward_models, scores
 
 
 def _hot(env, state_id):
-    return set(env.columns[state_id].tolist())
+    return set(np.flatnonzero(env.inputs[state_id]).tolist())
 
 
 def _random_walk(env, rng):
@@ -131,7 +132,9 @@ def test_env_rejects_score_outside_encoding():
 def test_encoding_sums_to_three(cf, cn, nn):
     # one column in each block, so the input row holds three 1.0s
     env = FingeringEnv(Score.from_pitches([cn, nn], cf), encoding=StateEncoding(60, 13))
-    finger, pitch, next_pitch = env.columns[env.start_id].tolist()
+    row = env.inputs[env.start_id]
+    finger, pitch, next_pitch = np.flatnonzero(row).tolist()
+    assert row.sum() == 3.0
     assert 0 <= finger < 5 <= pitch < 5 + 13 <= next_pitch < env.input_dim
 
 
@@ -141,8 +144,8 @@ def test_encoding_injective_over_reachable_states():
     for cn in range(60, 68):
         for nn in range(60, 68):
             env = FingeringEnv(Score.from_pitches([cn, nn], 1), encoding=enc)
-            for cf, columns in zip(FINGERS, env.columns[:5]):
-                key = tuple(columns.tolist())
+            for cf, row in zip(FINGERS, env.inputs[:5]):
+                key = tuple(np.flatnonzero(row).tolist())
                 assert key not in seen, (cf, cn, nn, seen.get(key))
                 seen[key] = (cf, cn, nn)
 
@@ -152,7 +155,7 @@ def test_index_not_part_of_features():
     # the learner is deliberately position-blind
     env = FingeringEnv(Score.from_pitches([64, 64] + [60] * 10 + [64, 64], 1),
                        encoding=StateEncoding(60, 8))
-    assert np.array_equal(env.columns[5 * 0 + 2], env.columns[5 * 12 + 2])
+    assert np.array_equal(env.inputs[5 * 0 + 2], env.inputs[5 * 12 + 2])
 
 
 def test_reward_is_encoding_independent():
@@ -174,11 +177,11 @@ def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
     enc = StateEncoding.full_piano() if full_piano else StateEncoding.for_score(score)
     env = FingeringEnv(score, reward_model=model, encoding=enc)
     keys = state_keys(score)
-    assert env.columns.shape == (len(keys), 3)
-    assert env.columns.dtype.kind == "i"
+    assert env.inputs.shape == (len(keys), enc.dim)
+    assert env.inputs.dtype == np.float64
     assert keys[env.start_id] == (first, pitches[0], pitches[1])
     for sid, key in enumerate(keys):
-        assert env.columns[sid].tolist() == [
+        assert np.flatnonzero(env.inputs[sid]).tolist() == [
             key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]
         for action in FINGERS:
             reward, nxt = env.transition(sid, action)
@@ -221,10 +224,19 @@ def test_transition_validates_its_input():
         env.transition(nxt, 1)
 
 
-def test_columns_are_built_on_first_read_only():
-    # the tabular learner trains and walks without them
-    score = Score.from_pitches([60, 62, 64, 62, 60], 1)
-    q = tabular_q_train(score, None, TrainConfig(episodes=20, seed=0))
+@given(scores(), st.sampled_from(ENCODINGS))
+@settings(max_examples=60, deadline=None)
+def test_columns_are_built_on_first_read_only(score, encoding):
+    # env.inputs, the one input table per env, shared by every run and
+    # rollout on it: never built by the tabular learner, which trains and
+    # walks without it, built once on the first read, and never written
+    q = tabular_q_train(score, None, TrainConfig(episodes=5, seed=0))
     q.greedy_fingering(score)
-    assert "columns" not in vars(q.env)
-    assert q.env.columns is q.env.columns
+    assert "inputs" not in vars(q.env)
+    env = FingeringEnv(score, encoding=encoding_for(score, encoding))
+    assert "inputs" not in vars(env)
+    inputs = env.inputs
+    assert env.inputs is inputs
+    assert not inputs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        inputs[0, 0] = 1.0

@@ -133,12 +133,22 @@ def test_fingering_file_round_trip(tmp_path):
     export_fingering(score, [1, 2], path)
     assert path.read_text() == "60 1\n62 2\n"
     assert read_fingering(path) == [(60, 1), (62, 2)]
+    # entries equal to a finger are written as that finger
+    score = Score.from_pitches([60, 62, 64], 1)
+    export_fingering(score, [1, 2.0, True], path)
+    assert path.read_text() == "60 1\n62 2\n64 1\n"
+    assert read_fingering(path) == [(60, 1), (62, 2), (64, 1)]
 
 
 def test_export_fingering_rejects_wrong_length(tmp_path):
+    # and every other fingering that read_fingering or evaluate_fingering
+    # would refuse: no file is written
     score = Score.from_pitches([60, 62, 64], 1)
-    with pytest.raises(FingeringError):
-        export_fingering(score, [1, 2], tmp_path / "x.txt")
+    path = tmp_path / "x.txt"
+    for bad in ([1, 2], [1, 9, 3], [1, 2.5, 3], [2, 2, 3]):
+        with pytest.raises(FingeringError):
+            export_fingering(score, bad, path)
+        assert not path.exists()
 
 
 def test_exported_oracle_fingering_reads_back(tmp_path):

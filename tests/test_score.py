@@ -80,7 +80,7 @@ def test_score_first_finger_validated():
     for bad in (0, 6, -1, 1.5, float("nan"), "1"):
         with pytest.raises(HeaderError, match=rf"got {re.escape(repr(bad))}$"):
             Score.from_pitches([60, 62], bad)
-    for ok in (*FINGERS, 1.0, True):
+    for ok in (*FINGERS, 1.0, True, 1 + 0j, np.complex128(1), np.float64(2.0)):
         score = Score.from_pitches([60, 62, 64], ok)
         assert type(score.first_finger) is int and score.first_finger == ok
         assert all(type(f) is int for f in dp_optimal(score)[0])
