@@ -56,6 +56,7 @@ the 88-key encoding, for as long as its env lives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -235,6 +236,9 @@ class TrainConfig:
     for adaptive optimizers) are two orders of magnitude too small to fit
     the bootstrap targets inside the desk-scale episode budgets used
     here.
+
+    The five counts must be integers (numpy ints and bools pass, ``2.5``
+    and ``3.0`` do not) and the four fractions lie in [0, 1].
     """
 
     episodes: int
@@ -249,31 +253,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.episodes < 0:
-            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        for nm in ("epsilon_start", "epsilon_end"):
-            v = getattr(self, nm)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{nm} must be in [0, 1], got {v}")
-        if not 0.0 <= self.epsilon_decay_fraction <= 1.0:
-            raise ValueError(
-                f"epsilon_decay_fraction must be in [0, 1], got {self.epsilon_decay_fraction}"
-            )
-        if self.replay_capacity < 1:
-            raise ValueError(f"replay_capacity must be >= 1, got {self.replay_capacity}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("episodes", 0), ("replay_capacity", 1), ("batch_size", 1),
+                            ("target_sync", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.batch_size > self.replay_capacity:
             raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
                              f"{self.replay_capacity}: no gradient step would run")
-        if self.target_sync < 1:
-            raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def epsilon_at(config: TrainConfig, episode: int) -> float:
@@ -347,12 +342,10 @@ class Draws:
         finger = (halves.astype(np.uint64) * 5 >> 32).astype(np.int64)
         self._picks += np.where(halves == 0, -1, finger).tolist()
 
-    def _more(self) -> None:
-        self._append(self._bits.random_raw(self._block))
-
     def _reserve(self, words: int) -> None:
         """Make sure ``words`` unread words are at hand: if they are not,
-        drop the words read and no longer pending and read blocks."""
+        drop the words read and no longer pending and read the shortfall,
+        at least one block, in one ``random_raw``."""
         if len(self._uniform) - self._next >= words:
             return
         keep = self._pending if self._pending >= 0 else self._next
@@ -362,8 +355,8 @@ class Draws:
         self._next -= keep
         if self._pending >= 0:
             self._pending -= keep
-        while len(self._uniform) - self._next < words:
-            self._more()
+        shortfall = words - (len(self._uniform) - self._next)
+        self._append(self._bits.random_raw(max(self._block, shortfall)))
 
     def explore(self, eps: float, steps: int) -> list:
         """The tabular learner's episode: each step's
@@ -387,7 +380,8 @@ class Draws:
                     pick, pending = pick_of[2 * pending + 1], -1
                 if pick >= 0:
                     break
-                self._more()   # a rejected half may read past the two words a step
+                # a rejected half may read past the two words a step: read a block more
+                self._append(self._bits.random_raw(self._block))
             picks.append(pick)
         self._next, self._pending = i, pending
         return picks
@@ -399,10 +393,13 @@ class Draws:
         (``rng.integers(0, n, size=batch)`` once the ring holds n >=
         batch transitions, else None).
 
-        The slots of all steps are made in one multiply-shift; an episode
-        in which it finds a rejected half is drawn again by ``_replay``."""
-        # a step's words; a rejected pick half also appends a block, so no step trims
-        self._reserve(steps * (2 + (batch + 1) // 2))
+        It reserves only the words its steps can draw: two per step, plus
+        ceil(batch / 2) per step whose ring holds a batch.  The slots of
+        all steps are made in one multiply-shift; an episode in which it
+        finds a rejected half is drawn again by ``_replay``."""
+        # a rejected pick half also appends a block, so no step trims
+        drawing = max(steps - max(batch - size - 1, 0), 0) if capacity >= batch else 0
+        self._reserve(2 * steps + drawing * ((batch + 1) // 2))
         start = self._next, self._pending
         picks, rows = [], []   # rows: first half, base of the rest, n, 2**32 mod n
         for s in range(steps):

@@ -212,7 +212,7 @@ def _cmd_eval(args) -> int:
             raise FingeringError(f"fingering file pitches do not match the score: note {i} "
                                  f"is {pitch} in the file, {expected} in the score")
     fingering = [f for _, f in pairs]
-    total, changes = evaluate_fingering(score, fingering, RewardModel())
+    total, changes = evaluate_fingering(score, fingering)
     print(f"total_reward: {total:.6f}")
     print(f"feasible: {'false' if changes is None else 'true'}")
     print(f"position_changes: {'n/a' if changes is None else changes}")

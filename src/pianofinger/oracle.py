@@ -21,7 +21,9 @@ The solver, the scorers and the learner read the same blocks, from the
 model's compiled form (``reward._compile``), which also holds the DP's
 exact-sum horizon and memo.  Totals of a fingering are added one
 transition at a time, left to right, so ``dp_optimal`` and
-``fingering_total_reward`` agree to the last bit.
+``fingering_total_reward`` agree to the last bit.  The solvers' and the
+scorers' ``model`` defaults to one shared, frozen ``RewardModel()``;
+only ``tabular_q_train`` takes ``None`` for it, as ``FingeringEnv`` does.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class FingeringError(ValueError):
     """Raised for malformed or infeasible complete fingerings."""
 
 
-def dp_optimal(score: Score, model: Optional[RewardModel] = None):
+def dp_optimal(score: Score, model: RewardModel = _DEFAULT_MODEL):
     """Best achievable total reward and one optimal fingering.
 
     Backward induction on (note index, finger) in Python floats: each
@@ -61,12 +63,11 @@ def dp_optimal(score: Score, model: Optional[RewardModel] = None):
     total_reward), the total added left to right, as
     ``fingering_total_reward`` adds it.
     """
-    return _optimal_path(score, _DEFAULT_MODEL if model is None else model)[:2]
+    return _optimal_path(score, model)[:2]
 
 
-def solve(score: Score, model: Optional[RewardModel] = None):
+def solve(score: Score, model: RewardModel = _DEFAULT_MODEL):
     """``dp_optimal``'s answer and its position changes (None at a crossing), from one walk."""
-    model = _DEFAULT_MODEL if model is None else model
     fingering, total, rewards = _optimal_path(score, model)
     return fingering, total, _tally(rewards, model)
 
@@ -123,7 +124,7 @@ def _optimal_path(score: Score, model: RewardModel):
     return fingering, total, rewards
 
 
-def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
+def exhaustive_optimal(score: Score, model: RewardModel = _DEFAULT_MODEL):
     """Score every finger sequence and return the best.
 
     Grows a vector of path totals by a factor of five per note, so it is
@@ -137,7 +138,7 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
             f"exhaustive search is capped at {_EXHAUSTIVE_MAX_LEN} notes, "
             f"got {len(score)}"
         )
-    table = np.array(reward_rows(score, _DEFAULT_MODEL if model is None else model))
+    table = np.array(reward_rows(score, model))
     totals = table[0, score.first_finger - 1].copy()
     for t in range(1, table.shape[0]):
         totals = (totals.reshape(-1, 5, 1) + table[t][None, :, :]).reshape(-1)
@@ -150,20 +151,19 @@ def exhaustive_optimal(score: Score, model: Optional[RewardModel] = None):
     return fingering, float(totals.max())
 
 
-def fingering_total_reward(score: Score, fingering, model: Optional[RewardModel] = None) -> float:
+def fingering_total_reward(score: Score, fingering, model: RewardModel = _DEFAULT_MODEL) -> float:
     """Total reward of a complete fingering, added one transition at a
     time from 0.0, left to right, as ``dp_optimal`` adds it (``sum``
     compensates from Python 3.12 on and can round differently)."""
     return evaluate_fingering(score, fingering, model)[0]
 
 
-def count_position_changes(score: Score, fingering, model: Optional[RewardModel] = None) -> int:
+def count_position_changes(score: Score, fingering, model: RewardModel = _DEFAULT_MODEL) -> int:
     """Number of hand relocations along a fingering.
 
     Raises FingeringError if any transition is infeasible — a crossing
     has no meaningful relocation count.
     """
-    model = _DEFAULT_MODEL if model is None else model
     rewards = _rewards_along(score, fingering, model)
     changes = _tally(rewards, model)
     if changes is None:
@@ -174,11 +174,10 @@ def count_position_changes(score: Score, fingering, model: Optional[RewardModel]
 
 
 def evaluate_fingering(score: Score, fingering,
-                       model: Optional[RewardModel] = None) -> tuple[float, Optional[int]]:
+                       model: RewardModel = _DEFAULT_MODEL) -> tuple[float, Optional[int]]:
     """``fingering_total_reward`` and ``count_position_changes`` from one
     read of the fingering's rewards; the count is None where
     ``count_position_changes`` raises, for an infeasible transition."""
-    model = _DEFAULT_MODEL if model is None else model
     rewards = _rewards_along(score, fingering, model)
     total = 0.0
     for r in rewards:

@@ -111,10 +111,15 @@ def pitch_from_name(name: str) -> int:
     return semitone + 12 * (int(octave) + 1)
 
 
+_PIANO = {p: p for p in range(PITCH_MIN, PITCH_MAX + 1)}   # each key to its int
+
+
 def _piano_pitch(p) -> int:
-    """``p`` as a MIDI number on the piano, or the error that says why not."""
+    """``p`` as a MIDI number on the piano, or the error that says why not.
+    A value equal to a key (``60.0``, ``60+0j``, ``np.int64(60)``) reads
+    as that key's int."""
     try:
-        pitch = int(p)
+        pitch = _PIANO[p] if p in _PIANO else int(p)
         whole = pitch == p
     except (TypeError, ValueError, OverflowError):
         whole = False
@@ -139,11 +144,7 @@ class Score:
     name: str = "score"
 
     def __post_init__(self):
-        pitches = tuple(self.pitches)
-        try:   # a number equal to a piano key reads as that key's int
-            pitches = tuple(map(_PIANO.__getitem__, pitches))
-        except (KeyError, TypeError):   # off the piano, or unhashable: _piano_pitch says why
-            pitches = tuple(map(_piano_pitch, pitches))
+        pitches = tuple(map(_piano_pitch, self.pitches))
         object.__setattr__(self, "pitches", pitches)
         _check_size(pitches)
         if self.first_finger not in FINGERS:   # "1", 1.5 and nan are not; 1.0 and True are
@@ -182,7 +183,6 @@ def read_text(path, what: str, error: type[ValueError] = ScoreError) -> str:
 
 _CANONICAL_HEADER = {f"first_finger={f}": f for f in FINGERS}
 _CANONICAL_PITCH = {str(p): p for p in range(PITCH_MIN, PITCH_MAX + 1)}
-_PIANO = {p: p for p in range(PITCH_MIN, PITCH_MAX + 1)}   # Score's check: each key to its int
 
 
 def parse_score(text: str, name: str = "score") -> Score:

@@ -359,6 +359,15 @@ def test_episode_draws_replay_the_numpy_generator(seed, zero_at, x, block, hande
     assert got == _generator_episodes(ref, episodes, ring[2], capacity, batch)
 
 
+def test_an_episode_reads_only_the_words_it_can_draw():
+    # no step of this episode fills a batch of 10**5, so it reads only its
+    # picks' 30 words, within one block
+    bits = np.random.PCG64(0)
+    _, slots = Draws(bits).episode(1.0, 15, 0, 10**5, 10**5)
+    assert slots == [None] * 15
+    assert bits.state == np.random.PCG64(0).advance(4096).state
+
+
 @pytest.mark.parametrize("exp_id, overrides, rejects", [
     pytest.param("EX1", {}, True, id="EX1-True"),
     pytest.param("EX3", {}, False, id="EX3-False"),
@@ -572,27 +581,38 @@ def test_epsilon_stays_between_endpoints(episodes, episode):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^episodes must be >= 0, got -1$"):
         TrainConfig(episodes=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
         TrainConfig(episodes=10, gamma=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(episodes=10, epsilon_start=-0.1)
-    with pytest.raises(ValueError):
+    for name in ("epsilon_start", "epsilon_end", "epsilon_decay_fraction"):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got -0.1$"):
+            TrainConfig(episodes=10, **{name: -0.1})
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
         TrainConfig(episodes=10, batch_size=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^target_sync must be >= 1, got 0$"):
         TrainConfig(episodes=10, target_sync=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^learning_rate must be finite and >= 0, got -0.01$"):
         TrainConfig(episodes=10, learning_rate=-0.01)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(episodes=10, learning_rate=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^replay_capacity must be >= 1, got 0$"):
         TrainConfig(episodes=10, replay_capacity=0)
     with pytest.raises(ValueError, match="batch_size 50 exceeds replay_capacity 20"):
         TrainConfig(episodes=10, batch_size=50, replay_capacity=20)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         TrainConfig(episodes=10, seed=-1)
+    # the five counts must be integers: a float count would fail only inside
+    # train, or as target_sync sync at other steps than its value says
+    counts = ("episodes", "replay_capacity", "batch_size", "target_sync", "seed")
+    for name in counts:
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                TrainConfig(**{"episodes": 10, name: bad})
+        for good in (np.int64(3), True):
+            config = TrainConfig(**{"episodes": 10, "batch_size": 1, name: good})
+            assert getattr(config, name) == good
 
 
 # --- training loop ---------------------------------------------------------

@@ -63,6 +63,8 @@ def test_note_range_enforced():
     # the pitch check comes before the length check
     with pytest.raises(PitchRangeError, match="^pitch 200 outside piano range"):
         Score.from_pitches([200], 1)
+    with pytest.raises(PitchRangeError, match="^pitch 200 outside piano range"):
+        Score.from_pitches([60 + 0j, 200], 1)
     for bad in (60.9, 62.2, float("nan"), float("inf"), "60", None):
         with pytest.raises(ScoreError, match=rf"^pitch {re.escape(repr(bad))} is not a whole"):
             Score.from_pitches([bad, 62], 1)
@@ -299,18 +301,25 @@ class _Key(IntEnum):
 
 
 # beside exact ints in range: ints off the keyboard, bools, whole and fractional
-# floats, nan, numpy ints and an IntEnum member
+# floats, nan, numpy ints, an IntEnum member and complex numbers on the piano
+# (numpy complex off it is left out: int() on one warns ComplexWarning)
 _PITCH_LIKE = st.one_of(
     st.integers(-300, 300), st.sampled_from([PITCH_MIN - 1, PITCH_MAX + 1, True, False]),
     st.integers(PITCH_MIN, PITCH_MAX).map(float), st.floats(0, 200), st.just(float("nan")),
-    st.integers(0, 200).map(np.int64), st.just(_Key.MIDDLE_C))
+    st.integers(0, 200).map(np.int64), st.just(_Key.MIDDLE_C),
+    st.integers(PITCH_MIN, PITCH_MAX).map(complex))
+_KEYS = range(PITCH_MIN, PITCH_MAX + 1)
 
 
 @settings(max_examples=300)
 @given(st.lists(st.one_of(st.integers(PITCH_MIN, PITCH_MAX), _PITCH_LIKE), max_size=8),
        st.booleans())
+@example([60 + 0j, 200], False)   # 60+0j reads as 60, so the error names 200
 def test_bulk_pitch_check_agrees_with_piano_pitch(pitches, as_iterator):
     given_pitches = iter(pitches) if as_iterator else pitches
+    for p in pitches:   # a value equal to a key reads as that key's int
+        if p in _KEYS:
+            assert (type(_piano_pitch(p)), _piano_pitch(p)) == (int, p)
     try:
         expected = tuple(map(_piano_pitch, pitches))
     except ScoreError as exc:
