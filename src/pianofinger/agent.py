@@ -238,7 +238,7 @@ class TrainConfig:
     here.
 
     The five counts must be integers (numpy ints and bools pass, ``2.5``
-    and ``3.0`` do not) and the four fractions lie in [0, 1].
+    and ``3.0`` do not) and the four fractions real numbers in [0, 1].
     """
 
     episodes: int
@@ -262,13 +262,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.batch_size > self.replay_capacity:
             raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
                              f"{self.replay_capacity}: no gradient step would run")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        rate = self.learning_rate
+        if not (isinstance(rate, numbers.Real) and math.isfinite(rate) and rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {rate}")
 
 
 def epsilon_at(config: TrainConfig, episode: int) -> float:

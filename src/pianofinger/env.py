@@ -9,8 +9,9 @@ The process is finite: a score of L notes has 5(L-1) states, numbered
 that numbering, tabulates each score once: the reward and the next
 state of every (state, finger) pair and, on first read, the one-hot
 input row [finger | pitch | next pitch] of every state, ``inputs``.
-Learners step through ``transition`` or the tables, greedy rollouts are
-one ``walk``, and the Q-network reads its rows from ``inputs``.
+Learners step through ``transition`` (its action read by ``score.as_finger``,
+the one finger rule) or the tables, greedy rollouts are one ``walk``, and
+the Q-network reads its rows from ``inputs``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .reward import RewardModel, reward_rows
-from .score import FINGERS, PITCH_MAX, PITCH_MIN, Score
+from .score import FINGERS, PITCH_MAX, PITCH_MIN, Score, as_finger
 
 
 class EncodingError(ValueError):
@@ -109,13 +110,12 @@ class FingeringEnv:
         return self.score.first_finger - 1
 
     def transition(self, state_id: int, action: int) -> tuple[float, int]:
-        """(reward, next state id) for answering a state id with a finger;
-        the next id is -1 once the last note is assigned."""
+        """(reward, next state id) for answering a state id with a finger, by
+        ``score.as_finger``; the next id is -1 once the last note is assigned."""
         if state_id < 0:
             raise ValueError("cannot step a terminal state")
-        if action not in (1, 2, 3, 4, 5):
-            raise ValueError(f"action must be a finger in 1..5, got {action}")
-        return self.rewards[state_id][action - 1], self.next_ids[state_id][action - 1]
+        g = as_finger(action, "action", ValueError) - 1
+        return self.rewards[state_id][g], self.next_ids[state_id][g]
 
     def walk(self, choose: Callable[[int], int]) -> tuple[list, float]:
         """One episode from ``start_id`` answering each state id with the

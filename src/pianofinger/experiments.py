@@ -23,7 +23,7 @@ from pathlib import Path
 from .agent import TrainConfig
 from .env import StateEncoding
 from .oracle import FingeringError, _validate_fingering
-from .score import FINGERS, Score, integer, lines, read_text
+from .score import Score, as_finger, integer, lines, read_text
 
 # Baseline training overrides for the long in-position melodies.  EX3 and
 # EX5 judge the learning curve itself (the smoothed training reward must
@@ -98,11 +98,9 @@ def export_history(records, path) -> None:
 
 
 def export_fingering(score: Score, fingering, path) -> None:
-    """Write '<pitch> <finger>' per note, for a fingering of the score that
-    ``evaluate_fingering`` accepts; an entry equal to a finger (``2.0``,
-    ``True``) is written as that finger."""
-    _validate_fingering(score, fingering)
-    rows = [f"{p} {FINGERS[FINGERS.index(f)]}" for p, f in zip(score.pitches, fingering)]
+    """Write '<pitch> <finger>' per note of a fingering ``evaluate_fingering``
+    accepts, each entry as the finger it equals (``2.0`` as 2, ``True`` as 1)."""
+    rows = [f"{p} {i + 1}" for p, i in zip(score.pitches, _validate_fingering(score, fingering))]
     Path(path).write_text("\n".join(rows) + "\n")
 
 
@@ -117,7 +115,5 @@ def read_fingering(path) -> list[tuple[int, int]]:
             pitch, finger = integer(parts[0]), integer(parts[1])
         except ValueError:
             raise FingeringError(f"line {line_no}: expected two integers, got {line!r}") from None
-        if finger not in FINGERS:
-            raise FingeringError(f"line {line_no}: finger {finger} out of range 1-5")
-        pairs.append((pitch, finger))
+        pairs.append((pitch, as_finger(finger, f"line {line_no}: field 2", FingeringError)))
     return pairs

@@ -24,6 +24,8 @@ transition at a time, left to right, so ``dp_optimal`` and
 ``fingering_total_reward`` agree to the last bit.  The solvers' and the
 scorers' ``model`` defaults to one shared, frozen ``RewardModel()``;
 only ``tabular_q_train`` takes ``None`` for it, as ``FingeringEnv`` does.
+Every scorer checks a fingering by ``_validate_fingering``, which reads
+each entry by ``score.as_finger``, the one finger rule of the package.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .agent import Draws, TrainConfig, epsilon_at
 from .env import FingeringEnv
 from .reward import RewardModel, _compile, block_index, reward_rows
-from .score import FINGERS, Score, ScoreSizeError
+from .score import FINGERS, Score, ScoreSizeError, as_finger
 
 _EXHAUSTIVE_MAX_LEN = 12
 _DEFAULT_MODEL = RewardModel()
@@ -194,33 +196,26 @@ _FINGER_INDEX = {f: f - 1 for f in FINGERS}
 
 
 def _rewards_along(score: Score, fingering, model: RewardModel) -> list:
-    """The reward of each transition of a complete fingering (first entry
-    must match the score's fixed first finger): entry t is note t -> t+1.
-    An entry equal to a finger (``2.0``, ``True``) counts as that finger."""
-    try:
-        f = [_FINGER_INDEX[g] for g in fingering]
-    except (KeyError, TypeError):   # an entry that is no finger, or unhashable
-        _validate_fingering(score, fingering)
-        f = [FINGERS.index(g) for g in fingering]   # unhashable, but equal to a finger
-    if len(f) != len(score) or f[0] != score.first_finger - 1:
-        _validate_fingering(score, fingering)
+    """The reward of each transition of a fingering: entry t is note t -> t+1."""
+    f = _validate_fingering(score, fingering)
     blocks = _compile(model._key).blocks
     return [blocks[step][a][b] for step, a, b in zip(block_index(score, model), f, f[1:])]
 
 
-def _validate_fingering(score: Score, fingering) -> None:
+def _validate_fingering(score: Score, fingering) -> list:
+    """The finger indices (0-4) of a fingering of ``score``, the one check of
+    the scorers and ``export_fingering``: one entry per note, each a finger
+    by ``score.as_finger``, the first the score's; else FingeringError."""
     if len(fingering) != len(score):
-        raise FingeringError(
-            f"fingering length {len(fingering)} != score length {len(score)}"
-        )
-    for i, f in enumerate(fingering):
-        if f not in FINGERS:
-            raise FingeringError(f"entry {i} is {f!r}, expected a finger 1-5")
-    if fingering[0] != score.first_finger:
-        raise FingeringError(
-            f"fingering starts with {fingering[0]} but the score fixes "
-            f"finger {score.first_finger}"
-        )
+        raise FingeringError(f"fingering length {len(fingering)} != score length {len(score)}")
+    try:
+        f = [_FINGER_INDEX[g] for g in fingering]
+    except (KeyError, TypeError):   # an entry that is no finger, or unhashable
+        f = [as_finger(g, f"entry {i}", FingeringError) - 1 for i, g in enumerate(fingering)]
+    if f[0] != score.first_finger - 1:
+        raise FingeringError(f"fingering starts with {fingering[0]} but the score fixes "
+                             f"finger {score.first_finger}")
+    return f
 
 
 class TabularQ:

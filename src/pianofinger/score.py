@@ -130,6 +130,16 @@ def _piano_pitch(p) -> int:
     return pitch
 
 
+def as_finger(value, what: str, error: type[ValueError]) -> int:
+    """``value`` as a finger, the one finger rule of the package: a value equal
+    to a finger (``2.0``, ``True``, ``1+0j``, ``np.array([2])``) reads as that
+    int; anything else (``2.5``, ``"2"``, ``None``) raises ``error`` naming ``what``."""
+    try:
+        return FINGERS[FINGERS.index(value)]
+    except (ValueError, TypeError):   # equal to none, or no answer to ==
+        raise error(f"{what} must be a finger in 1..5, got {value!r}") from None
+
+
 def _check_size(pitches: tuple) -> None:
     if len(pitches) < 2:
         raise ScoreSizeError(f"score needs at least 2 notes, got {len(pitches)}")
@@ -145,11 +155,9 @@ class Score:
 
     def __post_init__(self):
         pitches = tuple(map(_piano_pitch, self.pitches))
-        object.__setattr__(self, "pitches", pitches)
         _check_size(pitches)
-        if self.first_finger not in FINGERS:   # "1", 1.5 and nan are not; 1.0 and True are
-            raise HeaderError(f"first_finger must be in 1..5, got {self.first_finger!r}")
-        object.__setattr__(self, "first_finger", FINGERS[FINGERS.index(self.first_finger)])
+        finger = as_finger(self.first_finger, "first_finger", HeaderError)
+        self.__dict__.update(pitches=pitches, first_finger=finger)
 
     @classmethod
     def _parsed(cls, pitches: tuple[int, ...], first_finger: int, name: str) -> "Score":

@@ -613,6 +613,21 @@ def test_config_validation():
         for good in (np.int64(3), True):
             config = TrainConfig(**{"episodes": 10, "batch_size": 1, name: good})
             assert getattr(config, name) == good
+    # the four fractions and the learning rate must be real numbers: these
+    # would fail a comparison or math.isfinite with a bare TypeError
+    fractions = ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction")
+    for name in fractions:
+        for bad in ("0.5", None, [0.1], 1 + 0j):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must be in \[0, 1\], got {re.escape(str(bad))}$"):
+                TrainConfig(**{"episodes": 10, name: bad})
+    for bad in ("0.1", None, 1 + 0j):
+        with pytest.raises(ValueError, match="^learning_rate must be finite and >= 0, got "
+                                             f"{re.escape(str(bad))}$"):
+            TrainConfig(episodes=10, learning_rate=bad)
+    for good in (np.float64(0.5), np.int64(1), np.float32(0.25)):
+        config = TrainConfig(episodes=10, learning_rate=good, **dict.fromkeys(fractions, good))
+        assert config.gamma == config.learning_rate == good
 
 
 # --- training loop ---------------------------------------------------------

@@ -442,7 +442,8 @@ def test_eval_bad_fingering_file_exits_2(tmp_path, capsys):
     fingering = tmp_path / "fingering.txt"
     fingering.write_text("60 1\n62 7\n64 3\n")
     assert main(["eval", score, str(fingering)]) == 2
-    assert "finger 7" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: line 2: field 2 must be a finger in 1..5, got 7\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "eval"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,13 @@ def test_step_validates_action():
             env.transition(state, 0)
         with pytest.raises(ValueError):
             env.transition(state, 6)
+        # score.as_finger's rule: a value equal to a finger steps as that finger
+        for value, finger in ((2.0, 2), (np.complex128(2), 2), (True, 1)):
+            assert env.transition(state, value) == env.transition(state, finger)
+        for bad in (2.5, "2", None, np.array([1, 2])):
+            with pytest.raises(ValueError, match=("^action must be a finger in 1..5, got "
+                                                  f"{re.escape(repr(bad))}$")):
+                env.transition(state, bad)
 
 
 def test_episode_length_is_fixed():

@@ -124,7 +124,8 @@ def test_dp_matches_exhaustive_under_non_integer_rewards(score, model):
 
 # entries equal to a finger, and entries that are no finger
 _AS_A_FINGER = st.sampled_from([2.0, True, np.int64(3), np.float64(4.0)])
-_NO_FINGER = st.sampled_from([0, 6, 2.5, -1, "3", None, [1]])   # [1] is unhashable
+# [1] is unhashable; np.array([1, 2]) == 2 has no truth value
+_NO_FINGER = st.sampled_from([0, 6, 2.5, -1, "3", None, [1], np.array([1, 2])])
 _ENTRIES = st.one_of(st.sampled_from(FINGERS), _AS_A_FINGER)
 _MOVES_OF_NEGATIVE_ZERO = st.builds(RewardModel, st.floats(0, 90), st.floats(0.5, 100),
                                     st.just(-0.0), st.floats(-100, -0.5))

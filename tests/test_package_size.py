@@ -2,7 +2,8 @@
 
 ``test_package_size`` prints one ``PACKAGE lines=<n> code=<n>`` line
 straight to the terminal, as the acceptance tests print their
-``ACCEPTANCE`` lines.  ``lines`` counts the lines of
+``ACCEPTANCE`` lines, then one ``PACKAGE_MODULES <module>=<lines>/<code> ...``
+line with each module's two counts.  ``lines`` counts the lines of
 ``src/pianofinger/*.py`` as ``wc -l`` does; ``code`` leaves out blank
 lines, ``#`` comment lines and the lines of module, class and function
 docstrings.  No bound is set on either count.
@@ -52,9 +53,11 @@ def test_counting_rule():
 
 
 def test_package_size(capsys):
-    counts = [count_lines(path.read_text(encoding="utf-8"))
-              for path in sorted(Path(pianofinger.__file__).parent.glob("*.py"))]
-    lines, code = map(sum, zip(*counts))
+    counts = {path.stem: count_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(Path(pianofinger.__file__).parent.glob("*.py"))}
+    lines, code = map(sum, zip(*counts.values()))
     with capsys.disabled():
         print(f"PACKAGE lines={lines} code={code}", flush=True)
+        print("PACKAGE_MODULES " + " ".join(f"{name}={n}/{c}" for name, (n, c) in counts.items()),
+              flush=True)
     assert 0 < code < lines

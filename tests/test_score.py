@@ -79,7 +79,7 @@ def test_score_requires_two_notes():
 
 
 def test_score_first_finger_validated():
-    for bad in (0, 6, -1, 1.5, float("nan"), "1"):
+    for bad in (0, 6, -1, 1.5, float("nan"), "1", np.array([1, 2])):
         with pytest.raises(HeaderError, match=rf"got {re.escape(repr(bad))}$"):
             Score.from_pitches([60, 62], bad)
     for ok in (*FINGERS, 1.0, True, 1 + 0j, np.complex128(1), np.float64(2.0)):
