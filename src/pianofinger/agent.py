@@ -263,13 +263,13 @@ class TrainConfig:
         for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.batch_size > self.replay_capacity:
             raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
                              f"{self.replay_capacity}: no gradient step would run")
         rate = self.learning_rate
         if not (isinstance(rate, numbers.Real) and math.isfinite(rate) and rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {rate}")
+            raise ValueError(f"learning_rate must be finite and >= 0, got {rate!r}")
 
 
 def epsilon_at(config: TrainConfig, episode: int) -> float:

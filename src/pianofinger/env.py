@@ -5,13 +5,13 @@ due next.  An action picks the finger for ``nn``; an episode walks the
 score left to right, so a score of L notes is exactly L-1 decisions.
 
 The process is finite: a score of L notes has 5(L-1) states, numbered
-``5 * index + (cf - 1)``.  ``FingeringEnv``, the only code that knows
-that numbering, tabulates each score once: the reward and the next
-state of every (state, finger) pair and, on first read, the one-hot
-input row [finger | pitch | next pitch] of every state, ``inputs``.
-Learners step through ``transition`` (its action read by ``score.as_finger``,
-the one finger rule) or the tables, greedy rollouts are one ``walk``, and
-the Q-network reads its rows from ``inputs``.
+``5 * index + (cf - 1)``, as are ``oracle.tabular_q_train``'s ``row_of``
+(ROADMAP item 18 moves those here).  ``FingeringEnv`` tabulates each
+score once: the reward and the next state of every (state, finger) pair
+and, on first read, the one-hot input row [finger | pitch | next pitch]
+of every state, ``inputs``.  Learners step through ``transition`` or the
+tables, greedy rollouts are one ``walk`` (each finger read by
+``score.as_finger``), and the Q-network reads its rows from ``inputs``.
 """
 
 from __future__ import annotations
@@ -118,15 +118,15 @@ class FingeringEnv:
         return self.rewards[state_id][g], self.next_ids[state_id][g]
 
     def walk(self, choose: Callable[[int], int]) -> tuple[list, float]:
-        """One episode from ``start_id`` answering each state id with the
-        finger ``choose(state_id)`` returns: (fingering including the
-        score's first finger, total reward added left to right from 0.0)."""
+        """One episode from ``start_id``: (the score's first finger, then the
+        fingers ``score.as_finger`` reads from ``choose(state_id)``, as ints;
+        the total reward added left to right from 0.0)."""
         fingering = [self.score.first_finger]
         total = 0.0
         state = self.start_id
         while state >= 0:
-            action = choose(state)
-            reward, state = self.transition(state, action)
-            fingering.append(action)
+            finger = as_finger(choose(state), "action", ValueError)
+            reward, state = self.transition(state, finger)
+            fingering.append(finger)
             total += reward
         return fingering, total

@@ -44,18 +44,18 @@ class ExperimentSpec:
 
 
 _EXPERIMENTS = {spec.score.name: spec for spec in [
-    ExperimentSpec(Score.from_pitches([60] * 8, 3, name="EX1"), "88",
+    ExperimentSpec(Score([60] * 8, 3, name="EX1"), "88",
                    TrainConfig(episodes=1000)),
-    ExperimentSpec(Score.from_pitches([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1, name="EX2"),
+    ExperimentSpec(Score([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1, name="EX2"),
                    "range", TrainConfig(episodes=100)),
-    ExperimentSpec(Score.from_pitches([64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62,
-                                       62], 3, name="EX3"),
+    ExperimentSpec(Score([64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62,
+                          62], 3, name="EX3"),
                    "range", TrainConfig(episodes=200, **_CURVE)),
-    ExperimentSpec(Score.from_pitches([60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64,
-                                       62, 60], 1, name="EX4"),
+    ExperimentSpec(Score([60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64,
+                          62, 60], 1, name="EX4"),
                    "range", TrainConfig(episodes=5000)),
-    ExperimentSpec(Score.from_pitches([60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
-                                       71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, name="EX5"),
+    ExperimentSpec(Score([60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
+                          71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1, name="EX5"),
                    "range", TrainConfig(episodes=500, **_CURVE)),
 ]}
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)

@@ -168,10 +168,6 @@ class Score:
         score.__dict__.update(pitches=pitches, first_finger=first_finger, name=name)
         return score
 
-    @classmethod
-    def from_pitches(cls, pitches, first_finger: int, name: str = "score") -> "Score":
-        return cls(pitches, first_finger, name)
-
     def __len__(self) -> int:
         return len(self.pitches)
 
@@ -272,4 +268,4 @@ def mirror_for_left_hand(score: Score, axis_pitch: int) -> Score:
                 f"outside piano range [{PITCH_MIN}, {PITCH_MAX}]"
             )
         mirrored.append(q)
-    return Score.from_pitches(mirrored, score.first_finger, score.name)
+    return Score(mirrored, score.first_finger, score.name)

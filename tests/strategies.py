@@ -21,7 +21,7 @@ def scores(draw, max_notes=40):
             _EDGES,
             st.integers(PITCH_MIN, PITCH_MAX),
         )))
-    return Score.from_pitches(pitches, draw(st.integers(1, 5)))
+    return Score(pitches, draw(st.integers(1, 5)))
 
 
 @st.composite
@@ -32,7 +32,7 @@ def walks(draw, max_notes=300):
     n_steps = draw(st.integers(1, max_notes - 1))
     for step in draw(st.lists(st.integers(-7, 7), min_size=n_steps, max_size=n_steps)):
         pitches.append(min(PITCH_MAX, max(PITCH_MIN, pitches[-1] + step)))
-    return Score.from_pitches(pitches, draw(st.integers(1, 5)))
+    return Score(pitches, draw(st.integers(1, 5)))
 
 
 @st.composite

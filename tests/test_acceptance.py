@@ -80,7 +80,7 @@ def test_criterion_01_oracle_agreement(capsys):
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(2, 11))
-        score = Score.from_pitches(
+        score = Score(
             [int(p) for p in rng.integers(55, 80, size=n)],
             int(rng.integers(1, 6)),
         )
@@ -241,7 +241,7 @@ def test_criterion_07_gradient_check(capsys):
 
 def test_criterion_08_replay_and_target_mechanics(capsys):
     checks = {}
-    score = Score.from_pitches([60, 62, 64, 65, 67], 1)
+    score = Score([60, 62, 64, 65, 67], 1)
     env = FingeringEnv(score, encoding=StateEncoding.for_score(score))
 
     # FIFO eviction at capacity: a run whose ring wraps (24 transitions

@@ -614,16 +614,19 @@ def test_config_validation():
             config = TrainConfig(**{"episodes": 10, "batch_size": 1, name: good})
             assert getattr(config, name) == good
     # the four fractions and the learning rate must be real numbers: these
-    # would fail a comparison or math.isfinite with a bare TypeError
+    # would fail a comparison or math.isfinite with a bare TypeError.  The
+    # message shows each value's repr, so a string keeps its quotes
     fractions = ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_fraction")
     for name in fractions:
         for bad in ("0.5", None, [0.1], 1 + 0j):
             with pytest.raises(ValueError,
-                               match=rf"^{name} must be in \[0, 1\], got {re.escape(str(bad))}$"):
+                               match=rf"^{name} must be in \[0, 1\], got {re.escape(repr(bad))}$"):
                 TrainConfig(**{"episodes": 10, name: bad})
+    with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got '0.5'$"):
+        TrainConfig(episodes=3, gamma="0.5")
     for bad in ("0.1", None, 1 + 0j):
         with pytest.raises(ValueError, match="^learning_rate must be finite and >= 0, got "
-                                             f"{re.escape(str(bad))}$"):
+                                             f"{re.escape(repr(bad))}$"):
             TrainConfig(episodes=10, learning_rate=bad)
     for good in (np.float64(0.5), np.int64(1), np.float32(0.25)):
         config = TrainConfig(episodes=10, learning_rate=good, **dict.fromkeys(fractions, good))
@@ -659,8 +662,8 @@ def test_train_syncs_before_the_first_step_and_every_target_sync_steps(monkeypat
 
 def _small_env():
     return FingeringEnv(
-        Score.from_pitches([60, 62, 64, 65, 67], 1),
-        encoding=StateEncoding.for_score(Score.from_pitches([60, 62, 64, 65, 67], 1)),
+        Score([60, 62, 64, 65, 67], 1),
+        encoding=StateEncoding.for_score(Score([60, 62, 64, 65, 67], 1)),
     )
 
 
@@ -745,7 +748,7 @@ def test_divergent_learning_rate_raises_training_error():
 # --- greedy rollout --------------------------------------------------------
 
 def test_zero_net_rollout_picks_finger_one():
-    score = Score.from_pitches([60, 62], 1)
+    score = Score([60, 62], 1)
     env = FingeringEnv(score, encoding=StateEncoding.for_score(score))
     net = _zero_net(input_dim=env.input_dim)
     fingering, total = greedy_rollout(net, env)
@@ -754,14 +757,14 @@ def test_zero_net_rollout_picks_finger_one():
 
 
 def test_rollout_is_deterministic():
-    score = Score.from_pitches([60, 64, 62, 65, 60], 2)
+    score = Score([60, 64, 62, 65, 60], 2)
     env = FingeringEnv(score, encoding=StateEncoding.for_score(score))
     net = QNetwork(env.input_dim, rng=np.random.default_rng(9))
     assert greedy_rollout(net, env) == greedy_rollout(net, env)
 
 
 def test_rollout_never_beats_the_exact_optimum():
-    score = Score.from_pitches([60, 62, 64, 65, 67, 65, 64, 62], 1)
+    score = Score([60, 62, 64, 65, 67, 65, 64, 62], 1)
     env = FingeringEnv(score, encoding=StateEncoding.for_score(score))
     _, best = dp_optimal(score)
     for seed in range(10):

@@ -30,16 +30,16 @@ def _random_walk(env, rng):
 
 
 def test_start_id_examples():
-    env = FingeringEnv(Score.from_pitches([60, 62, 64], 1))
+    env = FingeringEnv(Score([60, 62, 64], 1))
     assert env.start_id == 0
     assert _hot(env, env.start_id) == {0, 5 + 60 - PITCH_MIN, 5 + 88 + 62 - PITCH_MIN}
-    env2 = FingeringEnv(Score.from_pitches([67, 67], 5))
+    env2 = FingeringEnv(Score([67, 67], 5))
     assert env2.start_id == 4
     assert _hot(env2, env2.start_id) == {4, 5 + 67 - PITCH_MIN, 5 + 88 + 67 - PITCH_MIN}
 
 
 def test_step_advances_and_terminates():
-    env = FingeringEnv(Score.from_pitches([60, 62, 64], 1))
+    env = FingeringEnv(Score([60, 62, 64], 1))
     reward, nxt = env.transition(env.start_id, 2)
     assert (reward, nxt) == (1.0, 6)   # note 1 held by finger 2
     assert _hot(env, nxt) == {1, 5 + 62 - PITCH_MIN, 5 + 88 + 64 - PITCH_MIN}
@@ -47,7 +47,7 @@ def test_step_advances_and_terminates():
 
 
 def test_infeasible_action_penalized_but_continues():
-    env = FingeringEnv(Score.from_pitches([60, 59, 60], 2))
+    env = FingeringEnv(Score([60, 59, 60], 2))
     # (2, 60, 59) answered by 3: a non-thumb crossing while descending
     reward, nxt = env.transition(env.start_id, 3)
     assert reward == -10.0
@@ -55,7 +55,7 @@ def test_infeasible_action_penalized_but_continues():
 
 
 def test_stepping_terminal_state_raises():
-    env = FingeringEnv(Score.from_pitches([60, 62], 1))
+    env = FingeringEnv(Score([60, 62], 1))
     _, nxt = env.transition(env.start_id, 1)
     assert nxt == -1
     with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ def test_stepping_terminal_state_raises():
 
 
 def test_step_validates_action():
-    env = FingeringEnv(Score.from_pitches([60, 62, 64], 1))
+    env = FingeringEnv(Score([60, 62, 64], 1))
     for state in (env.start_id, 5 + 4):
         with pytest.raises(ValueError):
             env.transition(state, 0)
@@ -79,7 +79,7 @@ def test_step_validates_action():
 
 
 def test_episode_length_is_fixed():
-    score = Score.from_pitches([60, 62, 64, 65, 67], 1)
+    score = Score([60, 62, 64, 65, 67], 1)
     env = FingeringEnv(score)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -88,7 +88,7 @@ def test_episode_length_is_fixed():
 
 def test_total_reward_bounds():
     model = RewardModel()
-    score = Score.from_pitches([60, 65, 59, 70], 2)
+    score = Score([60, 65, 59, 70], 2)
     env = FingeringEnv(score)
     rng = np.random.default_rng(1)
     n = len(score) - 1
@@ -99,7 +99,7 @@ def test_total_reward_bounds():
 # --- encodings -------------------------------------------------------------
 
 def test_melodic_range_encoding_example():
-    score = Score.from_pitches([60, 62, 72], 1)
+    score = Score([60, 62, 72], 1)
     enc = StateEncoding.for_score(score)
     assert enc == StateEncoding(60, 13)
     assert enc.dim == 31
@@ -111,12 +111,12 @@ def test_melodic_range_encoding_example():
 def test_full_piano_encoding_example():
     enc = StateEncoding.full_piano()
     assert enc.dim == 181
-    env = FingeringEnv(Score.from_pitches([21, 21], 5), encoding=enc)
+    env = FingeringEnv(Score([21, 21], 5), encoding=enc)
     assert _hot(env, env.start_id) == {4, 5, 93}
 
 
 def test_encoding_for_score():
-    score = Score.from_pitches([60, 62, 64, 65, 67], 1)
+    score = Score([60, 62, 64, 65, 67], 1)
     enc = StateEncoding.for_score(score)
     assert enc.min_pitch == 60 and enc.width == 8
     assert enc.dim == 5 + 2 * 8
@@ -132,7 +132,7 @@ def test_pitch_outside_window_is_encoding_error():
 
 
 def test_env_rejects_score_outside_encoding():
-    score = Score.from_pitches([60, 75], 1)
+    score = Score([60, 75], 1)
     with pytest.raises(EncodingError):
         FingeringEnv(score, encoding=StateEncoding(60, 8))
 
@@ -140,7 +140,7 @@ def test_env_rejects_score_outside_encoding():
 @given(st.integers(1, 5), st.integers(60, 72), st.integers(60, 72))
 def test_encoding_sums_to_three(cf, cn, nn):
     # one column in each block, so the input row holds three 1.0s
-    env = FingeringEnv(Score.from_pitches([cn, nn], cf), encoding=StateEncoding(60, 13))
+    env = FingeringEnv(Score([cn, nn], cf), encoding=StateEncoding(60, 13))
     row = env.inputs[env.start_id]
     finger, pitch, next_pitch = np.flatnonzero(row).tolist()
     assert row.sum() == 3.0
@@ -152,7 +152,7 @@ def test_encoding_injective_over_reachable_states():
     seen = {}
     for cn in range(60, 68):
         for nn in range(60, 68):
-            env = FingeringEnv(Score.from_pitches([cn, nn], 1), encoding=enc)
+            env = FingeringEnv(Score([cn, nn], 1), encoding=enc)
             for cf, row in zip(FINGERS, env.inputs[:5]):
                 key = tuple(np.flatnonzero(row).tolist())
                 assert key not in seen, (cf, cn, nn, seen.get(key))
@@ -162,13 +162,13 @@ def test_encoding_injective_over_reachable_states():
 def test_index_not_part_of_features():
     # repeated (cf, cn, nn) at different score positions encode identically:
     # the learner is deliberately position-blind
-    env = FingeringEnv(Score.from_pitches([64, 64] + [60] * 10 + [64, 64], 1),
+    env = FingeringEnv(Score([64, 64] + [60] * 10 + [64, 64], 1),
                        encoding=StateEncoding(60, 8))
     assert np.array_equal(env.inputs[5 * 0 + 2], env.inputs[5 * 12 + 2])
 
 
 def test_reward_is_encoding_independent():
-    score = Score.from_pitches([60, 62, 64], 1)
+    score = Score([60, 62, 64], 1)
     env88 = FingeringEnv(score, encoding=StateEncoding.full_piano())
     env_range = FingeringEnv(score, encoding=StateEncoding.for_score(score))
     assert env88.rewards == env_range.rewards
@@ -182,7 +182,7 @@ def test_reward_is_encoding_independent():
 @given(st.lists(st.integers(55, 79), min_size=2, max_size=12), st.integers(1, 5),
        st.booleans(), reward_models())
 def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
-    score = Score.from_pitches(pitches, first)
+    score = Score(pitches, first)
     enc = StateEncoding.full_piano() if full_piano else StateEncoding.for_score(score)
     env = FingeringEnv(score, reward_model=model, encoding=enc)
     keys = state_keys(score)
@@ -203,26 +203,33 @@ def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
                 assert keys[nxt][:2] == (action, key[2])
 
 
+# (value choose returns, the finger walk records): a value equal to a finger
+# is recorded as that int, the finger transition stepped
+_EQUAL_TO_A_FINGER = [(f, f) for f in FINGERS] + [
+    (2.0, 2), (True, 1), (np.int64(3), 3), (np.array([3]), 3)]
+
+
 @given(scores(), reward_models(), st.data())
 def test_walk_is_the_fingering_and_its_left_to_right_total(score, model, data):
     env = FingeringEnv(score, reward_model=model)
-    f = [score.first_finger] + data.draw(
-        st.lists(st.sampled_from(FINGERS), min_size=len(score) - 1, max_size=len(score) - 1))
-    fingering, total = env.walk(lambda s: f[s // 5 + 1])
-    assert fingering == f
+    steps = data.draw(st.lists(st.sampled_from(_EQUAL_TO_A_FINGER),
+                               min_size=len(score) - 1, max_size=len(score) - 1))
+    f = [score.first_finger] + [finger for _, finger in steps]
+    fingering, total = env.walk(lambda s: steps[s // 5][0])
+    assert fingering == f and all(type(g) is int for g in fingering)
     assert np.float64(total).tobytes() == \
         np.float64(fingering_total_reward(score, f, model)).tobytes()
 
 
 def test_reward_rows_are_the_oracle_table():
-    score = Score.from_pitches([60, 59, 64, 64, 72], 2)
+    score = Score([60, 59, 64, 64, 72], 2)
     model = RewardModel(anchor_tolerance=1.0)
     env = FingeringEnv(score, reward_model=model)
     assert env.rewards == [cells for block in reward_rows(score, model) for cells in block]
 
 
 def test_transition_validates_its_input():
-    env = FingeringEnv(Score.from_pitches([60, 62], 1))
+    env = FingeringEnv(Score([60, 62], 1))
     with pytest.raises(ValueError):
         env.transition(env.start_id, 0)
     with pytest.raises(ValueError):

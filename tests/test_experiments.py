@@ -82,7 +82,7 @@ def test_default_train_config_overrides_for_the_curve_experiments():
 
 
 def test_encoding_for_modes():
-    score = Score.from_pitches([60, 67], 1)
+    score = Score([60, 67], 1)
     assert encoding_for(score, "88") == StateEncoding.full_piano()
     assert encoding_for(score, "range") == StateEncoding(60, 8)
     with pytest.raises(ValueError):
@@ -129,12 +129,12 @@ def test_history_csv_round_trips(tmp_path):
 
 def test_fingering_file_round_trip(tmp_path):
     path = tmp_path / "fingering.txt"
-    score = Score.from_pitches([60, 62], 1)
+    score = Score([60, 62], 1)
     export_fingering(score, [1, 2], path)
     assert path.read_text() == "60 1\n62 2\n"
     assert read_fingering(path) == [(60, 1), (62, 2)]
     # entries equal to a finger are written as that finger
-    score = Score.from_pitches([60, 62, 64], 1)
+    score = Score([60, 62, 64], 1)
     export_fingering(score, [1, 2.0, True], path)
     assert path.read_text() == "60 1\n62 2\n64 1\n"
     assert read_fingering(path) == [(60, 1), (62, 2), (64, 1)]
@@ -143,7 +143,7 @@ def test_fingering_file_round_trip(tmp_path):
 def test_export_fingering_rejects_wrong_length(tmp_path):
     # and every other fingering that read_fingering or evaluate_fingering
     # would refuse: no file is written
-    score = Score.from_pitches([60, 62, 64], 1)
+    score = Score([60, 62, 64], 1)
     path = tmp_path / "x.txt"
     for bad in ([1, 2], [1, 9, 3], [1, 2.5, 3], [2, 2, 3]):
         with pytest.raises(FingeringError):

@@ -143,7 +143,7 @@ def _random_walk(n_notes, seed):
     pitches = [60]
     for step in np.random.default_rng(seed).integers(-5, 6, size=n_notes - 1).tolist():
         pitches.append(min(PITCH_MAX, max(PITCH_MIN, pitches[-1] + step)))
-    return Score.from_pitches(pitches, 1, name="walk")
+    return Score(pitches, 1, name="walk")
 
 
 def _edge_case(name):

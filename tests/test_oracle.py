@@ -36,13 +36,13 @@ from strategies import reward_models, scores, walks
 
 # The five study melodies, written out as plain pitch lists so these
 # checks do not depend on the experiment bundle.
-REPEATED_NOTE = Score.from_pitches([60] * 8, 3)
-SCALE_UP_DOWN = Score.from_pitches([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1)
-ODE_PHRASE = Score.from_pitches(
+REPEATED_NOTE = Score([60] * 8, 3)
+SCALE_UP_DOWN = Score([60, 62, 64, 65, 67, 67, 65, 64, 62, 60], 1)
+ODE_PHRASE = Score(
     [64, 64, 65, 67, 67, 65, 64, 62, 60, 60, 62, 64, 64, 62, 62], 3)
-FULL_SCALE = Score.from_pitches(
+FULL_SCALE = Score(
     [60, 62, 64, 65, 67, 69, 71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1)
-LONG_MELODY = Score.from_pitches(
+LONG_MELODY = Score(
     [60, 62, 64, 65, 64, 62, 60, 62, 64, 65, 67, 69, 71, 72,
      71, 72, 72, 71, 69, 67, 65, 64, 62, 60], 1)
 
@@ -89,7 +89,7 @@ def test_long_melody_optimum():
 
 
 def test_five_note_scale_optimum():
-    fingering, total = dp_optimal(Score.from_pitches([60, 62, 64, 65, 67], 1))
+    fingering, total = dp_optimal(Score([60, 62, 64, 65, 67], 1))
     assert fingering == [1, 2, 3, 4, 5]
     assert total == 4.0
 
@@ -100,7 +100,7 @@ def test_dp_matches_exhaustive_on_random_scores():
     rng = np.random.default_rng(0)
     for _ in range(40):
         n = int(rng.integers(2, 9))
-        score = Score.from_pitches(
+        score = Score(
             [int(p) for p in rng.integers(55, 80, size=n)], int(rng.integers(1, 6)))
         dp_fingering, dp_total = dp_optimal(score)
         ex_fingering, ex_total = exhaustive_optimal(score)
@@ -206,17 +206,17 @@ _BOUNDARY_PITCHES = [60, 64, 59, 67, 62, 60, 72, 65, 60, 61, 63, 58, 70, 66, 60,
 # Rewards of 2**50 are exact over 4 transitions; over this walk's 17 the
 # values less their maximum would round and pick another fingering.
 _ROUNDING_MODEL = RewardModel(0.0, r_stay=2.0**50, r_move=-1.0, r_infeasible=-2.0**50)
-_ROUNDING_WALK = Score.from_pitches(
+_ROUNDING_WALK = Score(
     [70, 67, 67, 64, 62, 59, 62, 61, 63, 65, 67, 65, 66, 69, 67, 70, 69, 66], 4)
 
 
 @given(st.one_of(scores(), walks(max_notes=300)),
        reward_models(rewards=st.one_of(_FINITE, st.floats(-100, 100), _SIXTEENTHS),
                      tolerances=st.one_of(st.just(0.0), st.floats(0, 100), _FINITE.map(abs))))
-@example(Score.from_pitches([108, 108, 108, 108, 101], 1),
+@example(Score([108, 108, 108, 108, 101], 1),
          RewardModel(0.0, r_stay=85.5572113248941, r_move=0.05))
-@example(Score.from_pitches(_BOUNDARY_PITCHES[:17], 2), _BOUNDARY_MODEL)   # 16 transitions: exact
-@example(Score.from_pitches(_BOUNDARY_PITCHES, 2), _BOUNDARY_MODEL)   # 17: one past the bound
+@example(Score(_BOUNDARY_PITCHES[:17], 2), _BOUNDARY_MODEL)   # 16 transitions: exact
+@example(Score(_BOUNDARY_PITCHES, 2), _BOUNDARY_MODEL)   # 17: one past the bound
 @example(_ROUNDING_WALK, _ROUNDING_MODEL)
 @settings(max_examples=200, deadline=None)
 def test_dp_equals_the_numpy_backward_pass_bit_for_bit(score, model):
@@ -254,7 +254,7 @@ def _benchmark_walks(seed):
         pitches = [int(rng.integers(PITCH_MIN, PITCH_MAX + 1))]
         for step in rng.integers(-5, 6, size=n - 1).tolist():
             pitches.append(min(PITCH_MAX, max(PITCH_MIN, pitches[-1] + step)))
-        walks.append(Score.from_pitches(pitches, int(rng.integers(1, 6))))
+        walks.append(Score(pitches, int(rng.integers(1, 6))))
     return walks
 
 
@@ -314,7 +314,7 @@ def test_a_models_memo_never_exceeds_its_bound(monkeypatch, bound):
 
 # a mild crossing penalty: the optimum of this score crosses fingers once
 _MILD_CROSSING = RewardModel(r_infeasible=-1.5)
-_CROSSING_SCORE = Score.from_pitches([62, 65, 67, 64, 61, 60], 5)
+_CROSSING_SCORE = Score([62, 65, 67, 64, 61, 60], 5)
 
 
 @given(st.one_of(scores(), walks()), st.one_of(
@@ -342,7 +342,7 @@ def test_solve_counts_none_where_the_optimum_crosses():
 
 def test_dp_raises_the_reward_tables_size_error():
     # the DP raises reward_rows' size error, message and all
-    score = Score.from_pitches([60, 62, 64, 65], 1)
+    score = Score([60, 62, 64, 65], 1)
     limit = sys.float_info.max / 12   # 3 transitions: the largest accepted reward
     assert math.isfinite(dp_optimal(
         score, RewardModel(r_stay=limit, r_move=0.0, r_infeasible=-limit))[1])
@@ -361,11 +361,11 @@ def test_dp_matches_exhaustive_on_the_short_melodies():
 
 def test_exhaustive_is_capped():
     with pytest.raises(ScoreSizeError):
-        exhaustive_optimal(Score.from_pitches([60] * 13, 1))
+        exhaustive_optimal(Score([60] * 13, 1))
 
 
 def test_two_note_score_is_a_single_max():
-    score = Score.from_pitches([60, 64], 2)
+    score = Score([60, 64], 2)
     model = RewardModel()
     fingering, total = dp_optimal(score)
     assert len(fingering) == 2
@@ -380,7 +380,7 @@ def test_dp_is_translation_invariant(score, model, data):
     # any shift that keeps the score within 21-108
     pitches = score.pitches
     shift = data.draw(st.integers(PITCH_MIN - min(pitches), PITCH_MAX - max(pitches)))
-    shifted = Score.from_pitches([p + shift for p in pitches], score.first_finger)
+    shifted = Score([p + shift for p in pitches], score.first_finger)
     assert dp_optimal(shifted, model) == dp_optimal(score, model)
 
 
@@ -388,7 +388,7 @@ def test_dp_is_translation_invariant(score, model, data):
        st.integers(40, 90), reward_models(rewards=_SIXTEENTHS))
 def test_dp_total_of_a_mirrored_score_stays_in_its_bounds(pitches, first, axis, model):
     # sixteenths add exactly, so the bounds hold without rounding slack
-    score = Score.from_pitches(pitches, first)
+    score = Score(pitches, first)
     reflected = [2 * axis - p for p in pitches]
     if not all(PITCH_MIN <= q <= PITCH_MAX for q in reflected):
         with pytest.raises(PitchRangeError):
@@ -404,7 +404,7 @@ def test_dp_total_of_a_mirrored_score_stays_in_its_bounds(pitches, first, axis, 
 
 @pytest.mark.parametrize("first_finger", [1, 2, 3, 4, 5])
 def test_constant_pitch_score_never_moves(first_finger):
-    score = Score.from_pitches([65] * 6, first_finger)
+    score = Score([65] * 6, first_finger)
     fingering, total = dp_optimal(score)
     assert fingering == [first_finger] * 6
     assert total == 5 * RewardModel().r_stay
@@ -423,7 +423,7 @@ def test_dp_total_is_an_upper_bound(score, model, data):
 def test_dp_respects_a_custom_reward_model():
     # doubling the stay reward keeps the optimal shape (one thumb-under)
     # but rescores it: 6 stays and 1 move on a one-octave scale
-    scale = Score.from_pitches([60, 62, 64, 65, 67, 69, 71, 72], 1)
+    scale = Score([60, 62, 64, 65, 67, 69, 71, 72], 1)
     assert dp_optimal(scale) == ([1, 2, 3, 1, 2, 3, 4, 5], 5.0)
     model = RewardModel(r_stay=2.0, r_move=-1.0, r_infeasible=-10.0)
     assert dp_optimal(scale, model) == ([1, 2, 3, 1, 2, 3, 4, 5], 11.0)
@@ -432,13 +432,13 @@ def test_dp_respects_a_custom_reward_model():
 # --- scoring a given fingering ----------------------------------------------
 
 def test_total_reward_of_known_fingering():
-    score = Score.from_pitches([60, 62, 64], 1)
+    score = Score([60, 62, 64], 1)
     assert fingering_total_reward(score, [1, 2, 3]) == 2.0
     assert fingering_total_reward(score, [1, 1, 1]) == -2.0
 
 
 def test_fingering_validation_errors():
-    score = Score.from_pitches([60, 62, 64], 1)
+    score = Score([60, 62, 64], 1)
     with pytest.raises(FingeringError):
         fingering_total_reward(score, [1, 2])            # wrong length
     with pytest.raises(FingeringError):
@@ -451,14 +451,14 @@ def test_fingering_validation_errors():
 def test_count_position_changes_examples():
     fingering, _ = dp_optimal(SCALE_UP_DOWN)
     assert count_position_changes(SCALE_UP_DOWN, fingering) == 0
-    assert count_position_changes(Score.from_pitches([60] * 4, 2), [2, 2, 2, 2]) == 0
+    assert count_position_changes(Score([60] * 4, 2), [2, 2, 2, 2]) == 0
 
 
 def test_count_position_changes_rejects_infeasible_transitions():
-    score = Score.from_pitches([60, 59], 2)
+    score = Score([60, 59], 2)
     with pytest.raises(FingeringError, match="transition 0"):
         count_position_changes(score, [2, 3])
-    score = Score.from_pitches([60, 62, 61, 60, 59], 1)
+    score = Score([60, 62, 61, 60, 59], 1)
     with pytest.raises(FingeringError, match=r"^transition 1 \(2 on 62 -> 3 on 61\) is infeasible$"):
         count_position_changes(score, [1, 2, 3, 4, 5])
 
@@ -469,7 +469,7 @@ def test_scorers_count_and_add_left_to_right():
     model = RewardModel(r_stay=0.1, r_move=-0.25, r_infeasible=-10.0, anchor_tolerance=0.0)
     p = [60, 62, 64, 64, 65, 60, 62, 64, 65, 67, 67, 60, 61, 60, 62, 64, 64]
     fingering = [1, 2, 3, 3, 1, 1, 2, 3, 4, 5, 5, 1, 2, 1, 2, 3, 3]
-    score = Score.from_pitches(p, 1)
+    score = Score(p, 1)
     rewards = [model.reward((fingering[t], p[t], p[t + 1]), fingering[t + 1])
                for t in range(len(p) - 1)]
     total = 0.0
@@ -506,7 +506,7 @@ def test_tabular_alpha_is_validated():
 
 
 def test_tabular_greedy_never_beats_the_exact_optimum():
-    score = Score.from_pitches([60, 64, 62, 67, 65, 60], 2)
+    score = Score([60, 64, 62, 67, 65, 60], 2)
     _, best = dp_optimal(score)
     for seed in range(3):
         q = tabular_q_train(score, None, TrainConfig(episodes=300, seed=seed))
@@ -527,14 +527,14 @@ def test_fresh_table_is_zero_and_greedy_prefers_finger_one():
 
 
 def test_greedy_fingering_totals_under_the_trained_model():
-    score = Score.from_pitches([60, 64, 62, 67, 65, 60, 60], 2)
+    score = Score([60, 64, 62, 67, 65, 60, 60], 2)
     model = RewardModel(r_stay=0.5, r_move=-0.25, r_infeasible=-4.0)
     q = tabular_q_train(score, model, TrainConfig(episodes=300, seed=1))
     fingering, total = q.greedy_fingering(score)
     assert total == fingering_total_reward(score, fingering, model) == 3.0
     assert total <= dp_optimal(score, model)[1]
     with pytest.raises(ValueError, match="trained on"):
-        q.greedy_fingering(Score.from_pitches([60, 64], 2))
+        q.greedy_fingering(Score([60, 64], 2))
 
 
 # --- the exploration draws, replayed from raw words ---------------------------
@@ -608,7 +608,7 @@ def test_tabular_q_matches_the_per_key_reference_bit_for_bit(
 def test_tabular_q_stays_finite_at_the_largest_accepted_rewards():
     # rewards as large as reward_rows accepts for this score length:
     # every update subtracts two path totals and must not overflow
-    score = Score.from_pitches([60, 67, 59, 60, 72, 55, 60, 60], 4)
+    score = Score([60, 67, 59, 60, 72, 55, 60, 60], 4)
     big = sys.float_info.max / (4 * (len(score) - 1))
     model = RewardModel(r_stay=big, r_move=-big / 2, r_infeasible=-big)
     q = tabular_q_train(score, model, TrainConfig(episodes=300, gamma=1.0, seed=0), 1.0)

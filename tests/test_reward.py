@@ -102,7 +102,7 @@ def test_fields_must_be_numbers_within_float64(field, value):
 
 
 def test_integer_fields_are_held_as_floats():
-    score = Score.from_pitches([60, 62, 64, 60, 67, 55], 1)
+    score = Score([60, 62, 64, 60, 67, 55], 1)
     model = RewardModel(anchor_tolerance=2, r_stay=1, r_move=-1, r_infeasible=-10)
     assert all(type(getattr(model, f.name)) is float for f in dataclasses.fields(model))
     assert model == MODEL
@@ -292,7 +292,7 @@ sys.modules["pianofinger"] = package
 from pianofinger.reward import RewardModel, reward_rows
 from pianofinger.score import Score
 model = RewardModel(1.5, r_stay=0.3, r_move=-0.7, r_infeasible=-9.1)
-score = Score.from_pitches([int(p) for p in sys.argv[2].split()], 1)
+score = Score([int(p) for p in sys.argv[2].split()], 1)
 p = score.pitches
 rows = reward_rows(score, model)
 for t in range(len(p) - 1):
@@ -316,7 +316,7 @@ def test_the_reward_tables_need_no_numpy():
 
 
 def test_reward_table_rejects_rewards_whose_path_totals_overflow():
-    score = Score.from_pitches([60, 62, 64, 65], 1)   # 3 transitions
+    score = Score([60, 62, 64, 65], 1)   # 3 transitions
     limit = sys.float_info.max / 12                    # 3 * limit is a quarter of the largest float
     reward_rows(score, RewardModel(r_stay=limit, r_move=0.0, r_infeasible=-limit))
     for model in (RewardModel(r_stay=limit * 1.01, r_move=0.0, r_infeasible=-1.0),
@@ -417,7 +417,7 @@ def _reward_loop(score, model):
     return table
 
 
-_STEPS = Score.from_pitches([60, 62, 62, 67, 55, 60], 1)
+_STEPS = Score([60, 62, 62, 67, 55, 60], 1)
 
 
 # r_move=0.0 and -0.0 compare equal but differ in the table's bytes; each
@@ -440,7 +440,7 @@ def test_reward_tables_are_fresh_over_every_interval():
         pitches += [PITCH_MIN + step, PITCH_MIN]
     pitches.append(PITCH_MIN)
     assert set(np.diff(pitches)) == set(range(PITCH_MIN - PITCH_MAX, PITCH_MAX - PITCH_MIN + 1))
-    score = Score.from_pitches(pitches, 1)
+    score = Score(pitches, 1)
     # blocks past 7 + tolerance semitones repeat the edge one: tolerances on
     # either side of an integer, up to past the widest interval
     models = [MODEL] + [RewardModel(tolerance, r_stay=0.75, r_move=-0.3, r_infeasible=-2.5)
@@ -450,5 +450,5 @@ def test_reward_tables_are_fresh_over_every_interval():
         expected = _reward_loop(score, model).tobytes()
         assert _table(score, model).tobytes() == expected
         first_block = expected[:25 * 8]   # a step up by one semitone
-        assert _table(Score.from_pitches([60, 61], 1), model).tobytes() == first_block
+        assert _table(Score([60, 61], 1), model).tobytes() == first_block
 

@@ -55,35 +55,35 @@ def test_bad_pitch_names_rejected(bad):
 
 
 def test_note_range_enforced():
-    assert Score.from_pitches([21, 108.0], 1).pitches == (21, 108)
-    assert type(Score.from_pitches([60.0, 62], 1).pitches[0]) is int
+    assert Score([21, 108.0], 1).pitches == (21, 108)
+    assert type(Score([60.0, 62], 1).pitches[0]) is int
     for bad in (20, 109, 0, -5, 300):
         with pytest.raises(PitchRangeError, match=f"^pitch {bad} outside piano range"):
-            Score.from_pitches([60, bad], 1)
+            Score([60, bad], 1)
     # the pitch check comes before the length check
     with pytest.raises(PitchRangeError, match="^pitch 200 outside piano range"):
-        Score.from_pitches([200], 1)
+        Score([200], 1)
     with pytest.raises(PitchRangeError, match="^pitch 200 outside piano range"):
-        Score.from_pitches([60 + 0j, 200], 1)
+        Score([60 + 0j, 200], 1)
     for bad in (60.9, 62.2, float("nan"), float("inf"), "60", None):
         with pytest.raises(ScoreError, match=rf"^pitch {re.escape(repr(bad))} is not a whole"):
-            Score.from_pitches([bad, 62], 1)
+            Score([bad, 62], 1)
 
 
 def test_score_requires_two_notes():
     with pytest.raises(ScoreSizeError):
-        Score.from_pitches([60], 1)
+        Score([60], 1)
     with pytest.raises(ScoreSizeError):
-        Score.from_pitches([], 1)
-    assert len(Score.from_pitches([60, 62], 1)) == 2
+        Score([], 1)
+    assert len(Score([60, 62], 1)) == 2
 
 
 def test_score_first_finger_validated():
     for bad in (0, 6, -1, 1.5, float("nan"), "1", np.array([1, 2])):
         with pytest.raises(HeaderError, match=rf"got {re.escape(repr(bad))}$"):
-            Score.from_pitches([60, 62], bad)
+            Score([60, 62], bad)
     for ok in (*FINGERS, 1.0, True, 1 + 0j, np.complex128(1), np.float64(2.0)):
-        score = Score.from_pitches([60, 62, 64], ok)
+        score = Score([60, 62, 64], ok)
         assert type(score.first_finger) is int and score.first_finger == ok
         assert all(type(f) is int for f in dp_optimal(score)[0])
 
@@ -157,10 +157,10 @@ def test_parse_out_of_range_pitch():
 # --- melodic range ---------------------------------------------------------
 
 def test_melodic_range_examples():
-    assert StateEncoding.for_score(Score.from_pitches([60, 60, 60], 1)) == StateEncoding(60, 1)
+    assert StateEncoding.for_score(Score([60, 60, 60], 1)) == StateEncoding(60, 1)
     assert StateEncoding.for_score(
-        Score.from_pitches([62, 60, 64, 65, 67], 1)) == StateEncoding(60, 8)
-    assert StateEncoding.for_score(Score.from_pitches([108, 21], 1)) == \
+        Score([62, 60, 64, 65, 67], 1)) == StateEncoding(60, 8)
+    assert StateEncoding.for_score(Score([108, 21], 1)) == \
         StateEncoding.full_piano()
 
 
@@ -176,21 +176,21 @@ def test_melodic_range_sizes(score):
 # --- mirroring -------------------------------------------------------------
 
 def test_mirror_reflection_example():
-    m = mirror_for_left_hand(Score.from_pitches([60, 62, 64], 1), 62)
+    m = mirror_for_left_hand(Score([60, 62, 64], 1), 62)
     assert m.pitches == (64, 62, 60)
     assert m.first_finger == 1
 
 
 def test_mirror_fixed_point():
     # the pitch equal to the axis maps to itself
-    m = mirror_for_left_hand(Score.from_pitches([60, 60], 3), 60)
+    m = mirror_for_left_hand(Score([60, 60], 3), 60)
     assert m.pitches == (60, 60)
 
 
 def test_mirror_out_of_range():
     # reflecting 23 about A0 would land on 19, below the keyboard
     with pytest.raises(PitchRangeError):
-        mirror_for_left_hand(Score.from_pitches([21, 23], 1), 21)
+        mirror_for_left_hand(Score([21, 23], 1), 21)
 
 
 score_pitches = st.lists(st.integers(PITCH_MIN, PITCH_MAX), min_size=2, max_size=20)
@@ -204,7 +204,7 @@ def _types(score):
 
 @given(score_pitches, fingers)
 def test_serialize_parse_round_trip(pitches, ff):
-    s = Score.from_pitches(pitches, ff)
+    s = Score(pitches, ff)
     back = parse_score(serialize_score(s))
     assert back.pitches == s.pitches
     assert back.first_finger == s.first_finger
@@ -247,7 +247,7 @@ def test_pitch_name_files_round_trip(lines, ff):
 @given(st.lists(st.integers(40, 90), min_size=2, max_size=12), fingers,
        st.integers(55, 75))
 def test_mirror_is_involution(pitches, ff, axis):
-    s = Score.from_pitches(pitches, ff)
+    s = Score(pitches, ff)
     try:
         once = mirror_for_left_hand(s, axis)
     except PitchRangeError:
@@ -259,7 +259,7 @@ def test_mirror_is_involution(pitches, ff, axis):
 
 @given(st.lists(st.integers(50, 80), min_size=2, max_size=12), fingers)
 def test_mirror_flips_interval_signs(pitches, ff):
-    s = Score.from_pitches(pitches, ff)
+    s = Score(pitches, ff)
     m = mirror_for_left_hand(s, 64)
     orig = [b - a for a, b in zip(s.pitches, s.pitches[1:])]
     mirrored = [b - a for a, b in zip(m.pitches, m.pitches[1:])]
