@@ -1,7 +1,8 @@
 """Command-line front end: solve / train / eval / mirror.
 
-Exit codes: 0 success, 1 usage error, 2 input or parse error, 3 training
-numeric failure, 141 (128 + SIGPIPE) stdout's reader went away.
+Exit codes: 0 success, 1 usage error, 2 input or parse error (and a score
+too long for ``train`` to fit in memory), 3 training numeric failure, 141
+(128 + SIGPIPE) stdout's reader went away.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .experiments import (
 )
 from .oracle import FingeringError, dp_optimal, evaluate_fingering, solve
 from .reward import RewardModel
-from .score import (Score, ScoreError, integer, lines, mirror_for_left_hand, number, parse_score,
-                    read_text, serialize_score)
+from .score import (Score, ScoreError, ScoreSizeError, integer, lines, mirror_for_left_hand,
+                    number, parse_score, read_text, serialize_score)
 
 # a score file trains at these settings unless a config file or flag says otherwise
 _FILE_CONFIG = TrainConfig(episodes=500)
@@ -191,6 +192,9 @@ def _cmd_train(args) -> int:
         except TrainingError as exc:
             print(f"training error: seed {seed}: {stage}{exc}", file=sys.stderr)
             return 3
+        except MemoryError:   # numpy's _ArrayMemoryError too, with no traceback
+            raise ScoreSizeError(f"seed {seed}: out of memory training on "
+                                 f"{len(score)} notes") from None
         changes = evaluate_fingering(score, fingering, model)[1]
         print(f"seed {seed}: rollout " + _fingering_text(fingering)
               + f"  total {total:.6f}  gap {oracle_total - total:.6f}"

@@ -5,18 +5,20 @@ due next.  An action picks the finger for ``nn``; an episode walks the
 score left to right, so a score of L notes is exactly L-1 decisions.
 
 The process is finite: a score of L notes has 5(L-1) states, numbered
-``5 * index + (cf - 1)``, as are ``oracle.tabular_q_train``'s ``row_of``
-(ROADMAP item 18 moves those here).  ``FingeringEnv`` tabulates each
-score once: the reward and the next state of every (state, finger) pair
-and, on first read, the one-hot input row [finger | pitch | next pitch]
-of every state, ``inputs``.  Learners step through ``transition`` or the
-tables, greedy rollouts are one ``walk`` (each finger read by
+``5 * index + (cf - 1)``.  ``FingeringEnv`` tabulates each score once:
+the (cf, cn, nn) key of every state, ``keys``, the package's one
+description of a state; the reward and the next state of every (state,
+finger) pair; and, on first read, the one-hot input row [finger | pitch |
+next pitch] of every key, ``inputs``.  Learners step through
+``transition`` or the tables, the tabular learner keeps one Q row per
+key, greedy rollouts are one ``walk`` (each finger read by
 ``score.as_finger``), and the Q-network reads its rows from ``inputs``.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,10 +34,17 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class StateEncoding:
-    """One-hot layout: 5 finger slots, then two pitch blocks of ``width``."""
+    """One-hot layout: 5 finger slots, then two pitch blocks of ``width``
+    columns for the pitches ``min_pitch`` to ``min_pitch + width - 1``."""
 
     min_pitch: int
     width: int
+
+    def __post_init__(self):
+        if not isinstance(self.min_pitch, numbers.Integral):
+            raise ValueError(f"min_pitch must be an integer, got {self.min_pitch!r}")
+        if not (isinstance(self.width, numbers.Integral) and self.width >= 1):
+            raise ValueError(f"width must be an integer >= 1, got {self.width!r}")
 
     @classmethod
     def full_piano(cls) -> "StateEncoding":
@@ -51,15 +60,6 @@ class StateEncoding:
     def dim(self) -> int:
         return 5 + 2 * self.width
 
-    def pitch_index(self, pitch: int) -> int:
-        i = pitch - self.min_pitch
-        if not 0 <= i < self.width:
-            raise EncodingError(
-                f"pitch {pitch} outside encoding window "
-                f"[{self.min_pitch}, {self.min_pitch + self.width - 1}]"
-            )
-        return i
-
 
 class FingeringEnv:
     """The tables of one score under one reward model.
@@ -74,9 +74,13 @@ class FingeringEnv:
         self.score = score
         self.reward_model = reward_model if reward_model is not None else RewardModel()
         self.encoding = encoding if encoding is not None else StateEncoding.full_piano()
-        # fails fast if the window cannot hold the score
-        self.encoding.pitch_index(min(score.pitches))
-        self.encoding.pitch_index(max(score.pitches))
+        p = score.pitches
+        low, high = self.encoding.min_pitch, self.encoding.min_pitch + self.encoding.width - 1
+        for pitch in (min(p), max(p)):   # fails fast if the window cannot hold the score
+            if not low <= pitch <= high:
+                raise EncodingError(f"pitch {pitch} outside encoding window [{low}, {high}]")
+        # keys[5t + f - 1]: state (t, f) as (finger f, pitch t, pitch t + 1)
+        self.keys = [(f, p[t], p[t + 1]) for t in range(len(p) - 1) for f in FINGERS]
         # rewards[5t + f - 1][g - 1]: reward for answering state (t, f) with g
         self.rewards = [cells for block in reward_rows(score, self.reward_model)
                         for cells in block]
@@ -86,19 +90,16 @@ class FingeringEnv:
 
     @functools.cached_property
     def inputs(self) -> np.ndarray:
-        """inputs[5t + f - 1]: that state's input row, 1.0 at its finger,
-        pitch and next-pitch columns and 0.0 elsewhere.  Built on the
-        first read (the tabular learner never reads it) and read-only,
+        """inputs[5t + f - 1]: the one-hot of that state's key, 1.0 at its
+        finger, pitch and next-pitch columns and 0.0 elsewhere.  Built on
+        the first read (the tabular learner never reads it) and read-only,
         since every run and rollout on this env shares it."""
         enc = self.encoding
-        offsets = np.array(self.score.pitches) - enc.min_pitch
-        t = np.arange(len(offsets) - 1)
-        inputs = np.zeros((len(t), 5, enc.dim))
-        inputs[:, range(5), range(5)] = 1.0
-        inputs[t, :, 5 + offsets[:-1]] = 1.0
-        inputs[t, :, 5 + enc.width + offsets[1:]] = 1.0
+        columns = np.array(self.keys) + (-1, 5 - enc.min_pitch, 5 + enc.width - enc.min_pitch)
+        inputs = np.zeros((len(columns), enc.dim))
+        inputs[np.arange(len(columns))[:, None], columns] = 1.0
         inputs.flags.writeable = False
-        return inputs.reshape(-1, enc.dim)
+        return inputs
 
     @property
     def input_dim(self) -> int:
@@ -112,8 +113,9 @@ class FingeringEnv:
     def transition(self, state_id: int, action: int) -> tuple[float, int]:
         """(reward, next state id) for answering a state id with a finger, by
         ``score.as_finger``; the next id is -1 once the last note is assigned."""
-        if state_id < 0:
-            raise ValueError("cannot step a terminal state")
+        if not 0 <= state_id < len(self.keys):
+            raise ValueError("cannot step a terminal state" if state_id == -1 else
+                             f"state id {state_id!r} outside 0..{len(self.keys) - 1}")
         g = as_finger(action, "action", ValueError) - 1
         return self.rewards[state_id][g], self.next_ids[state_id][g]
 

@@ -13,9 +13,10 @@ scoring every finger sequence outright, so the two routes validate each
 other; a tabular Q-learner on the raw state tuples gives a third,
 learning-based route to the same optimum.  It trains on a
 ``FingeringEnv``'s reward and successor tables with plain-float Q rows,
-one per (finger, pitch, next pitch) key and shared by every state with
-that key, and reads its exploration draws from lists that numpy fills a
-block of raw PCG64 words at a time, each the one ``default_rng(seed)`` makes.
+one per (finger, pitch, next pitch) key of the env's ``keys`` and shared
+by every state with that key, and reads its exploration draws from lists
+that numpy fills a block of raw PCG64 words at a time, each the one
+``default_rng(seed)`` makes.
 
 The solver, the scorers and the learner read the same blocks, from the
 model's compiled form (``reward._compile``), which also holds the DP's
@@ -30,6 +31,7 @@ each entry by ``score.as_finger``, the one finger rule of the package.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -251,27 +253,25 @@ def tabular_q_train(score: Score, reward_model: Optional[RewardModel],
 
     Episodes walk the state ids of ``FingeringEnv(score, reward_model)``
     through its ``rewards`` and ``next_ids`` tables; each id points at
-    the five-float Q row of its (f, pitch t, pitch t+1) key, shared by
-    every state with that key.  Greedy takes the first maximum, as
+    the five-float Q row of its key in ``env.keys``, shared by every
+    state with that key.  Greedy takes the first maximum, as
     ``np.argmax`` does, and Python floats round as numpy's do, so the
     rows equal those of a walk over (finger, pitch, next pitch) keys
     with ``RewardModel.reward`` bit for bit.  Each step draws
     ``random() < eps`` and, if so, ``integers(1, 6)`` from
     ``default_rng(config.seed)``; ``Draws.explore`` replays both from the
     same raw words, so the stream and the rows are the per-call ones."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
     env = FingeringEnv(score, reward_model)
     rewards, next_ids = env.rewards, env.next_ids
-    pitches = score.pitches
     rows: dict[tuple[int, int, int], list[float]] = {}
-    row_of = [rows.setdefault((f, pitches[t], pitches[t + 1]), [0.0] * 5)
-              for t in range(len(pitches) - 1) for f in FINGERS]
+    row_of = [rows.setdefault(key, [0.0] * 5) for key in env.keys]
     gamma = config.gamma
     draws = Draws(np.random.PCG64(config.seed))
     for episode in range(config.episodes):
         state = env.start_id
-        for pick in draws.explore(epsilon_at(config, episode), len(pitches) - 1):
+        for pick in draws.explore(epsilon_at(config, episode), len(score) - 1):
             row = row_of[state]
             action = pick if pick >= 0 else row.index(max(row))   # the first maximum
             target = rewards[state][action]

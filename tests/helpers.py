@@ -69,7 +69,7 @@ def state_keys(score):
 def one_hot_row(key, enc):
     """The dense input row of one (finger, pitch, next pitch) key."""
     v = np.zeros(enc.dim)
-    v[[key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]] = 1.0
+    v[[key[0] - 1, 5 + key[1] - enc.min_pitch, 5 + enc.width + key[2] - enc.min_pitch]] = 1.0
     return v
 
 

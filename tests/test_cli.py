@@ -350,6 +350,24 @@ def test_train_divergence_writes_one_line_to_stderr(flags, context, error):
     assert (run.returncode, run.stderr) == (3, f"training error: {context}{error}\n")
 
 
+def test_train_out_of_memory_exits_2_naming_the_note_count(tmp_path):
+    # a 50k-note walk over the keyboard needs a 362 MB input table, more than
+    # the child's 384 MB address space holds beside the interpreter, numpy,
+    # the score and its DP; the cap is set in the child only
+    resource = pytest.importorskip("resource")
+    notes, cap = 50_000, 384 << 20
+    score = _write_score(tmp_path, "first_finger=1\n" + "".join(
+        f"{21 + 7 * i % 88}\n" for i in range(notes)))
+    run = subprocess.run(
+        [sys.executable, "-m", "pianofinger", "train", score, "--episodes", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert run.returncode == 2
+    assert run.stdout.splitlines()[1].startswith("oracle: ")
+    assert run.stderr == f"error: seed 0: out of memory training on {notes} notes\n"
+
+
 def test_solve_prints_n_a_when_the_optimum_crosses(tmp_path, capsys):
     # a mild crossing penalty makes a crossing worth one relocation fewer
     score = _write_score(tmp_path, "first_finger=5\n62\n65\n67\n64\n61\n60\n")

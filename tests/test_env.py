@@ -122,19 +122,29 @@ def test_encoding_for_score():
     assert enc.dim == 5 + 2 * 8
 
 
-def test_pitch_outside_window_is_encoding_error():
-    enc = StateEncoding(60, 8)
-    assert enc.pitch_index(60) == 0 and enc.pitch_index(67) == 7
-    with pytest.raises(EncodingError):
-        enc.pitch_index(59)
-    with pytest.raises(EncodingError):
-        enc.pitch_index(68)
-
-
 def test_env_rejects_score_outside_encoding():
-    score = Score([60, 75], 1)
-    with pytest.raises(EncodingError):
-        FingeringEnv(score, encoding=StateEncoding(60, 8))
+    # the window [60, 67] holds both its edges and nothing past them
+    enc = StateEncoding(60, 8)
+    for pitch in range(60, 68):
+        env = FingeringEnv(Score([pitch, 67 - (pitch - 60)], 1), encoding=enc)
+        assert _hot(env, env.start_id) == {0, 5 + pitch - 60, 5 + 8 + 7 - (pitch - 60)}
+    for pitch in (59, 68, 75):
+        with pytest.raises(EncodingError, match=(f"^pitch {pitch} outside encoding "
+                                                 r"window \[60, 67\]$")):
+            FingeringEnv(Score([64, pitch], 1), encoding=enc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((59.0, 8), "min_pitch must be an integer, got 59.0"),
+    (("a", 3), "min_pitch must be an integer, got 'a'"),
+    ((60, 0), "width must be an integer >= 1, got 0"),
+    ((60, 8.0), "width must be an integer >= 1, got 8.0"),
+    ((60, None), "width must be an integer >= 1, got None"),
+])
+def test_encoding_fields_are_checked(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StateEncoding(*fields)
+    assert StateEncoding(np.int64(60), np.int64(8)) == StateEncoding(60, 8)
 
 
 @given(st.integers(1, 5), st.integers(60, 72), st.integers(60, 72))
@@ -186,12 +196,13 @@ def test_tables_match_the_scalar_rules(pitches, first, full_piano, model):
     enc = StateEncoding.full_piano() if full_piano else StateEncoding.for_score(score)
     env = FingeringEnv(score, reward_model=model, encoding=enc)
     keys = state_keys(score)
+    assert env.keys == keys
     assert env.inputs.shape == (len(keys), enc.dim)
     assert env.inputs.dtype == np.float64
     assert keys[env.start_id] == (first, pitches[0], pitches[1])
     for sid, key in enumerate(keys):
         assert np.flatnonzero(env.inputs[sid]).tolist() == [
-            key[0] - 1, 5 + enc.pitch_index(key[1]), 5 + enc.width + enc.pitch_index(key[2])]
+            key[0] - 1, 5 + key[1] - enc.min_pitch, 5 + enc.width + key[2] - enc.min_pitch]
         for action in FINGERS:
             reward, nxt = env.transition(sid, action)
             assert reward == model.reward(key, action) and type(reward) is float
@@ -236,8 +247,14 @@ def test_transition_validates_its_input():
         env.transition(env.start_id, 6)
     _, nxt = env.transition(env.start_id, 3)
     assert nxt == -1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot step a terminal state$"):
         env.transition(nxt, 1)
+    # a 3-note score has the state ids 0..9
+    env = FingeringEnv(Score([60, 62, 64], 1))
+    assert env.transition(9, 1) == (env.rewards[9][0], -1)
+    for state_id in (10, -2):
+        with pytest.raises(ValueError, match=f"^state id {state_id} outside 0..9$"):
+            env.transition(state_id, 1)
 
 
 @given(scores(), st.sampled_from(ENCODINGS))

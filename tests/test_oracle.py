@@ -499,10 +499,10 @@ def test_tabular_alpha_zero_learns_nothing():
 
 def test_tabular_alpha_is_validated():
     cfg = TrainConfig(episodes=1, seed=0)
-    with pytest.raises(ValueError):
-        tabular_q_train(REPEATED_NOTE, None, cfg, alpha=-0.1)
-    with pytest.raises(ValueError):
-        tabular_q_train(REPEATED_NOTE, None, cfg, alpha=1.1)
+    for alpha in (-0.1, 1.1, float("nan"), "0.5", None):
+        message = f"alpha must be in [0, 1], got {alpha!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tabular_q_train(REPEATED_NOTE, None, cfg, alpha=alpha)
 
 
 def test_tabular_greedy_never_beats_the_exact_optimum():

@@ -169,7 +169,7 @@ def test_melodic_range_sizes(score):
     # the window is as narrow as the score allows: its lowest and highest
     # pitches sit at the two ends
     enc = StateEncoding.for_score(score)
-    indices = [enc.pitch_index(p) for p in score.pitches]
+    indices = [p - enc.min_pitch for p in score.pitches]
     assert min(indices) == 0 and max(indices) == enc.width - 1
 
 
