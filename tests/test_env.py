@@ -122,12 +122,20 @@ def test_encoding_for_score():
     assert enc.dim == 5 + 2 * 8
 
 
-def test_env_rejects_score_outside_encoding():
+def test_pitch_outside_window_is_encoding_error():
     # the window [60, 67] holds both its edges and nothing past them
     enc = StateEncoding(60, 8)
     for pitch in range(60, 68):
         env = FingeringEnv(Score([pitch, 67 - (pitch - 60)], 1), encoding=enc)
         assert _hot(env, env.start_id) == {0, 5 + pitch - 60, 5 + 8 + 7 - (pitch - 60)}
+    for pitch in (59, 68):
+        with pytest.raises(EncodingError, match=(f"^pitch {pitch} outside encoding "
+                                                 r"window \[60, 67\]$")):
+            FingeringEnv(Score([pitch, 64], 1), encoding=enc)
+
+
+def test_env_rejects_score_outside_encoding():
+    enc = StateEncoding(60, 8)
     for pitch in (59, 68, 75):
         with pytest.raises(EncodingError, match=(f"^pitch {pitch} outside encoding "
                                                  r"window \[60, 67\]$")):
