@@ -9,13 +9,14 @@ targets come from the network as it stood at the last sync, one every
 
 The hot loop runs on arrays, not objects.  ``train`` steps the integer
 state ids of ``FingeringEnv``, whose per-score tables give each step's
-reward and successor and each state's one-hot input row, and
-``greedy_rollout`` is one ``env.walk``.  The network takes one input form, a
-(rows, input_dim) array.  ``train`` and ``greedy_rollout`` read the env's
-input table ``env.inputs``, one row per state id: acting reads the view
-``inputs[s:s+1]``, the SGD batch gathers ``inputs[states]`` and each sync
-reads the whole table.  The rows are exact 0/1 floats, so they are the
-bits a row built per call would hold.
+reward and successor and each state's one-hot input row.  The network
+takes one input form, a (rows, input_dim) array.  ``train`` and
+``greedy_rollout`` read the env's input table ``env.inputs``, one row per
+state id: acting reads the view ``inputs[s:s+1]``, the SGD batch gathers
+``inputs[states]``, and each sync and each rollout run one forward over
+the whole table; ``greedy_rollout`` is then one ``env.walk`` over that
+forward's picks.  The rows are exact 0/1 floats, so they are the bits a
+row built per call would hold.
 The replay ring is one preallocated ``intp`` array of transition ids,
 k = 5 * state + action - 1, the flat index into the env's tables, with
 no more slots than the run has steps; a batch is ``k = ring[slots]``
@@ -282,17 +283,27 @@ def epsilon_at(config: TrainConfig, episode: int) -> float:
     return config.epsilon_start + t * (config.epsilon_end - config.epsilon_start)
 
 
-def select_action(net: QNetwork, state_row: np.ndarray) -> int:
-    """Greedy finger for a (1, input_dim) input row; ties break to the
-    lowest finger.
+def _greedy(q: np.ndarray) -> Callable[[int], int]:
+    """The greedy rule over a (rows, 5) array of Q-values: row r's finger is
+    its first maximum plus one, so ties break to the lowest finger.
 
-    Raises TrainingError if the pick's Q-value is not finite (a NaN
-    anywhere in the Q-vector is picked first)."""
-    q, = net.forward(state_row)
-    a = int(q.argmax())
-    if not math.isfinite(q[a]):
-        raise TrainingError(f"non-finite Q-value {float(q[a])!r} for finger {a + 1}")
-    return a + 1
+    Reading a row whose pick is not finite raises TrainingError (a NaN
+    anywhere in a row is picked first); rows never read are never
+    checked."""
+    picks = q.argmax(axis=1).tolist()
+
+    def finger(row: int) -> int:
+        a = picks[row]
+        if not math.isfinite(q[row, a]):
+            raise TrainingError(f"non-finite Q-value {float(q[row, a])!r} for finger {a + 1}")
+        return a + 1
+
+    return finger
+
+
+def select_action(net: QNetwork, state_row: np.ndarray) -> int:
+    """Greedy finger for a (1, input_dim) input row, by ``_greedy``."""
+    return _greedy(net.forward(state_row))(0)
 
 
 def target_table(net: QNetwork, rewards: np.ndarray, next_ids: np.ndarray,
@@ -526,7 +537,9 @@ def train(env: FingeringEnv, config: TrainConfig,
 
 def greedy_rollout(net: QNetwork, env: FingeringEnv):
     """The env's walk at epsilon = 0, consuming no RNG: (fingering
-    including the score's given first finger, total reward)."""
-    inputs = env.inputs
+    including the score's given first finger, total reward).  One forward
+    over the input table gives every state's Q-values, and the walk reads
+    the visited states' picks by ``_greedy``."""
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite pick raises
-        return env.walk(lambda s: select_action(net, inputs[s:s + 1]))
+        q = net.forward(env.inputs)
+    return env.walk(_greedy(q))

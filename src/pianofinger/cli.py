@@ -146,6 +146,8 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="score a fingering file against a score")
     p_eval.add_argument("score", help="path to a score file")
     p_eval.add_argument("fingering", help="path to a '<pitch> <finger>' file")
+    p_eval.add_argument("--config", help="key=value config file")
+    p_eval.set_defaults(ex=None)   # _configure reads the score file, as solve's does
 
     p_mirror = sub.add_parser("mirror", help="reflect a score for left-hand use")
     p_mirror.add_argument("score", help="path to a score file")
@@ -206,7 +208,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    score = _read_score(args.score)
+    spec, model = _configure(args)
+    score = spec.score
     pairs = read_fingering(args.fingering)
     if len(pairs) != len(score):
         raise FingeringError(f"fingering file pitches do not match the score: "
@@ -216,7 +219,7 @@ def _cmd_eval(args) -> int:
             raise FingeringError(f"fingering file pitches do not match the score: note {i} "
                                  f"is {pitch} in the file, {expected} in the score")
     fingering = [f for _, f in pairs]
-    total, changes = evaluate_fingering(score, fingering)
+    total, changes = evaluate_fingering(score, fingering, model)
     print(f"total_reward: {total:.6f}")
     print(f"feasible: {'false' if changes is None else 'true'}")
     print(f"position_changes: {'n/a' if changes is None else changes}")

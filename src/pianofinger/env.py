@@ -18,6 +18,7 @@ key, greedy rollouts are one ``walk`` (each finger read by
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -95,7 +96,8 @@ class FingeringEnv:
         the first read (the tabular learner never reads it) and read-only,
         since every run and rollout on this env shares it."""
         enc = self.encoding
-        columns = np.array(self.keys) + (-1, 5 - enc.min_pitch, 5 + enc.width - enc.min_pitch)
+        keys = np.fromiter(itertools.chain.from_iterable(self.keys), np.intp, 3 * len(self.keys))
+        columns = keys.reshape(-1, 3) + (-1, 5 - enc.min_pitch, 5 + enc.width - enc.min_pitch)
         inputs = np.zeros((len(columns), enc.dim))
         inputs[np.arange(len(columns))[:, None], columns] = 1.0
         inputs.flags.writeable = False
@@ -113,11 +115,15 @@ class FingeringEnv:
     def transition(self, state_id: int, action: int) -> tuple[float, int]:
         """(reward, next state id) for answering a state id with a finger, by
         ``score.as_finger``; the next id is -1 once the last note is assigned."""
-        if not 0 <= state_id < len(self.keys):
-            raise ValueError("cannot step a terminal state" if state_id == -1 else
-                             f"state id {state_id!r} outside 0..{len(self.keys) - 1}")
+        try:   # a non-integer id fails the compare or the lookup
+            if not 0 <= state_id < len(self.keys):
+                raise ValueError("cannot step a terminal state" if state_id == -1 else
+                                 f"state id {state_id!r} outside 0..{len(self.keys) - 1}")
+            rewards, next_ids = self.rewards[state_id], self.next_ids[state_id]
+        except TypeError:
+            raise ValueError(f"state id {state_id!r} is not an integer") from None
         g = as_finger(action, "action", ValueError) - 1
-        return self.rewards[state_id][g], self.next_ids[state_id][g]
+        return rewards[g], next_ids[g]
 
     def walk(self, choose: Callable[[int], int]) -> tuple[list, float]:
         """One episode from ``start_id``: (the score's first finger, then the

@@ -1,8 +1,9 @@
 """Reference code the tests check the package against: finite-difference
 gradients, dense one-hot rows built from a state's (finger, pitch, next
-pitch), each state's max Q-value computed from those rows, PCG64 streams
-with a zero word where a test wants one, and the replay training loop
-with its own ring, drawing from the generator one call at a time."""
+pitch), each state's max Q-value computed from those rows, the greedy
+walk with one ``select_action`` per visited state, PCG64 streams with a
+zero word where a test wants one, and the replay training loop with its
+own ring, drawing from the generator one call at a time."""
 
 import numpy as np
 
@@ -82,6 +83,14 @@ def state_maxima(net: QNetwork, score, enc):
     """max_a Q(s, a) of every state id of ``score``, in id order: one
     forward over the dense rows of all states."""
     return net.forward(dense_inputs(score, enc)).max(axis=1)
+
+
+def reference_rollout(net: QNetwork, env):
+    """``greedy_rollout`` as one ``select_action`` per visited state, each
+    a one-row forward of that state's dense row."""
+    inputs = dense_inputs(env.score, env.encoding)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return env.walk(lambda s: select_action(net, inputs[s:s + 1]))
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645

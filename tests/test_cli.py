@@ -411,6 +411,29 @@ def test_eval_good_fingering(tmp_path, capsys):
     assert "position_changes: 0" in out
 
 
+def test_eval_config_scores_as_solve_config_does(tmp_path, capsys):
+    # eval reads the reward keys as solve does: solve's fingering scores solve's total
+    pitches = [60, 62, 64, 65, 67, 72]
+    score = _write_score(tmp_path, "first_finger=1\n" + "\n".join(map(str, pitches)) + "\n")
+    config = tmp_path / "reward.cfg"
+    config.write_text("r_stay = 2.0\nr_move = -3.0\nepisodes = 9\n")
+    assert main(["solve", score, "--config", str(config)]) == 0
+    solved = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert solved["total_reward"] == "5.000000"
+    fingering = tmp_path / "fingering.txt"
+    fingering.write_text("".join(f"{p} {f}\n" for p, f in zip(pitches,
+                                                             solved["fingering"].split())))
+    assert main(["eval", score, str(fingering), "--config", str(config)]) == 0
+    assert capsys.readouterr().out == (f"total_reward: {solved['total_reward']}\n"
+                                       f"feasible: true\n"
+                                       f"position_changes: {solved['position_changes']}\n")
+    assert main(["eval", score, str(fingering)]) == 0   # the default model scores it lower
+    assert capsys.readouterr().out.startswith("total_reward: 3.000000\n")
+    config.write_text("gamma=1.5\n")   # checked as solve checks it
+    assert main(["eval", score, str(fingering), "--config", str(config)]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["60 1\n62 2\n64 3\n", "60 1\n62 1\n64 1\n"])
 def test_eval_reads_the_path_rewards_once(tmp_path, capsys, monkeypatch, text):
     gathers = []

@@ -263,6 +263,14 @@ def test_transition_validates_its_input():
     for state_id in (10, -2):
         with pytest.raises(ValueError, match=f"^state id {state_id} outside 0..9$"):
             env.transition(state_id, 1)
+    # a non-integer id is named, not left to Python's own TypeError
+    for state_id in (2.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match=f"^state id {re.escape(repr(state_id))} "
+                                             f"is not an integer$"):
+            env.transition(state_id, 1)
+    for state_id in (2, np.int64(2), np.intp(2)):
+        assert env.transition(state_id, 1) == (env.rewards[2][0], env.next_ids[2][0])
+    assert env.transition(True, 1) == env.transition(1, 1)
 
 
 @given(scores(), st.sampled_from(ENCODINGS))
